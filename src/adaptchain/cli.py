@@ -29,7 +29,13 @@ from .semantics import apply_pipeline, function_sizes
 def _load_graph(spec: str) -> AdapterGraph:
     path = Path(spec)
     if path.exists():
-        return parse_document(path.read_bytes())
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise GraphSyntaxError(
+                f"cannot read graph file {spec!r}: {exc.strerror}"
+            ) from None
+        return parse_document(data)
     if "/" not in spec and "\\" not in spec and not spec.endswith(".json"):
         return load_fixture(spec)
     raise GraphSyntaxError(f"graph file {spec!r} not found")

@@ -95,7 +95,12 @@ def parse_document(data: bytes | str) -> AdapterGraph:
     validation errors (each naming the offending element) otherwise.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphSyntaxError(
+                f"document is not UTF-8: invalid byte at offset {exc.start}"
+            ) from None
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:

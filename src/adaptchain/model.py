@@ -11,6 +11,7 @@ All values here are immutable after construction; concurrent readers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -99,6 +100,12 @@ class Interface:
     def domains(self) -> tuple[AbstractDomain, ...]:
         return tuple(m.domain for m in self.methods)
 
+    @cached_property
+    def _full(self) -> AvailabilityVector:
+        return AvailabilityVector(
+            self.id, tuple(frozenset(m.domain.values) for m in self.methods)
+        )
+
     def method_index(self, name: str) -> int:
         for i, m in enumerate(self.methods):
             if m.name == name:
@@ -151,11 +158,9 @@ def build_interface(
 
 
 def full_vector(interface: Interface) -> AvailabilityVector:
-    """The full-capability vector: every component is the whole lifted domain."""
-    return AvailabilityVector(
-        interface.id,
-        tuple(frozenset(d.values) for d in interface.domains),
-    )
+    """The full-capability vector: every component is the whole lifted
+    domain. Built once per interface and shared."""
+    return interface._full
 
 
 def bottom_vector(interface: Interface) -> AvailabilityVector:
@@ -303,16 +308,39 @@ def build_adapter(
 
 @dataclass(frozen=True)
 class AdapterGraph:
-    """Directed multigraph: interfaces are nodes, adapters are edges."""
+    """Directed multigraph: interfaces are nodes, adapters are edges.
+
+    Adjacency is indexed once at construction; ``outgoing`` and
+    ``incoming`` list adapters in declaration order.
+    """
 
     interfaces: Mapping[str, Interface]
     adapters: Mapping[str, Adapter]
+    _outgoing: Mapping[str, tuple[Adapter, ...]] = field(
+        compare=False, repr=False, default_factory=dict
+    )
+    _incoming: Mapping[str, tuple[Adapter, ...]] = field(
+        compare=False, repr=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        outgoing: dict[str, list[Adapter]] = {}
+        incoming: dict[str, list[Adapter]] = {}
+        for a in self.adapters.values():
+            outgoing.setdefault(a.source.id, []).append(a)
+            incoming.setdefault(a.target.id, []).append(a)
+        object.__setattr__(
+            self, "_outgoing", {k: tuple(v) for k, v in outgoing.items()}
+        )
+        object.__setattr__(
+            self, "_incoming", {k: tuple(v) for k, v in incoming.items()}
+        )
 
     def outgoing(self, interface_id: str) -> list[Adapter]:
-        return [a for a in self.adapters.values() if a.source.id == interface_id]
+        return list(self._outgoing.get(interface_id, ()))
 
     def incoming(self, interface_id: str) -> list[Adapter]:
-        return [a for a in self.adapters.values() if a.target.id == interface_id]
+        return list(self._incoming.get(interface_id, ()))
 
     def require_interface(self, interface_id: str) -> Interface:
         try:

@@ -9,23 +9,39 @@ complete chain popped is optimal.
 The score of a chain is the weighted count of non-bottom abstract values
 that survive adapting full capability through it. Bottom encodes no
 capability, so its weight is pinned to zero.
+
+Scoring is incremental: each pipeline remembers the vector full capability
+becomes through it, so scoring an extension ``a·P`` adapts ``full(a.source)``
+once and walks ``P`` only until a remembered vector matches, which after a
+lossless step is ``P`` itself. Enumeration and the oracle share one
+iterative depth-first search, so chain length is not bounded by Python's
+recursion limit; the oracle adapts forward along the search path and only
+for prefixes of chains that reach the target.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidParams, NoChain, ReservedName, TooLarge
 from .model import (
     BOT,
+    Adapter,
     AdapterGraph,
     AvailabilityVector,
     Interface,
     full_vector,
 )
-from .semantics import AdaptationPipeline, apply_pipeline, identity_pipeline, prepend
+from .semantics import (
+    AdaptationPipeline,
+    apply_adaptation,
+    apply_memoized,
+    identity_pipeline,
+    prepend,
+)
 
 DEFAULT_ORACLE_GUARD = 10**6
 
@@ -45,6 +61,11 @@ class WeightMap:
                     f"weight for 'bot' is fixed at 0 "
                     f"({interface}.{method}.bot)"
                 )
+            if not math.isfinite(weight):
+                raise InvalidParams(
+                    f"non-finite weight {weight} for "
+                    f"{interface}.{method}.{value}"
+                )
             if weight < 0:
                 raise InvalidParams(
                     f"negative weight {weight} for "
@@ -63,10 +84,14 @@ UNIT_WEIGHTS = WeightMap()
 def vector_score(
     interface: Interface, v: AvailabilityVector, weights: WeightMap
 ) -> float:
-    """Weight-sum of the non-bottom values across all components of v."""
+    """Weight-sum of the non-bottom values across all components of v.
+
+    Values are summed in canonical order, so equal vectors score the same
+    float however their sets were built.
+    """
     total = 0.0
     for method, component in zip(interface.methods, v.components):
-        for value in component:
+        for value in sorted(component):
             total += weights.weight(interface.id, method.name, value)
     return total
 
@@ -75,8 +100,9 @@ def count_abstract(
     pipeline: AdaptationPipeline, weights: WeightMap = UNIT_WEIGHTS
 ) -> float:
     """Score a pipeline: adapt full capability through it and weigh the
-    surviving non-bottom values. With unit weights this is a plain count."""
-    result = apply_pipeline(pipeline, full_vector(pipeline.source))
+    surviving non-bottom values. With unit weights this is a plain count.
+    The adapted vector is memoized in the pipeline (see apply_memoized)."""
+    result = apply_memoized(pipeline, full_vector(pipeline.source))
     return vector_score(pipeline.target, result, weights)
 
 
@@ -87,17 +113,6 @@ class ChainResult:
     target: str
     final_vector: AvailabilityVector
     score: float
-
-
-def _result(pipeline: AdaptationPipeline, weights: WeightMap) -> ChainResult:
-    final = apply_pipeline(pipeline, full_vector(pipeline.source))
-    return ChainResult(
-        chain=pipeline.chain,
-        source=pipeline.source.id,
-        target=pipeline.target.id,
-        final_vector=final,
-        score=vector_score(pipeline.target, final, weights),
-    )
 
 
 def greedy_chain(
@@ -122,31 +137,36 @@ def greedy_chain(
         graph.require_interface(interface_id)
 
     start = identity_pipeline(graph.interfaces[target])
-    open_chains: list[tuple[float, int, tuple[str, ...]]] = [
-        (-count_abstract(start, weights), 0, start.chain)
-    ]
-    pipelines: dict[tuple[str, ...], AdaptationPipeline] = {start.chain: start}
-    seen: set[tuple[str, ...]] = {start.chain}
+    # Chains are unique, so the (score, length, chain) key never ties and
+    # the pipeline riding in the last slot is never compared.
+    open_chains: list[
+        tuple[float, int, tuple[str, ...], AdaptationPipeline]
+    ] = [(-count_abstract(start, weights), 0, start.chain, start)]
 
     while open_chains:
-        neg_score, _, chain = heapq.heappop(open_chains)
-        pipeline = pipelines[chain]
+        neg_score, _, chain, pipeline = heapq.heappop(open_chains)
         if pipeline.source.id in source_ids:
-            return _result(pipeline, weights)
+            return ChainResult(
+                chain=chain,
+                source=pipeline.source.id,
+                target=target,
+                final_vector=apply_memoized(
+                    pipeline, full_vector(pipeline.source)
+                ),
+                score=-neg_score,
+            )
+        visited = pipeline.visited
         for adapter in graph.incoming(pipeline.source.id):
-            if adapter.source.id in pipeline.visited:
+            if adapter.source.id in visited:
                 continue
             extended = prepend(adapter, pipeline)
-            if extended.chain in seen:
-                continue
-            seen.add(extended.chain)
-            pipelines[extended.chain] = extended
             heapq.heappush(
                 open_chains,
                 (
                     -count_abstract(extended, weights),
-                    len(extended.chain),
-                    extended.chain,
+                    len(chain) + 1,
+                    (adapter.id, *chain),
+                    extended,
                 ),
             )
     raise NoChain(
@@ -155,40 +175,67 @@ def greedy_chain(
     )
 
 
+def _chains_depth_first(
+    graph: AdapterGraph, source: str, target: str
+) -> Iterator[tuple[list[Adapter], int]]:
+    """Every acyclic chain from source to target, depth first in declaration
+    order, without recursion.
+
+    Yields ``(path, kept)`` per chain: ``path`` is the live adapter list
+    (valid until the next step) and ``kept`` is how many of its leading
+    adapters are unchanged since the previous chain yielded.
+    """
+    graph.require_interface(source)
+    graph.require_interface(target)
+    path: list[Adapter] = []
+    if source == target:
+        yield path, 0
+        return
+    visited = {source}
+    branches = [iter(graph.outgoing(source))]
+    kept = 0
+    while branches:
+        adapter = next(branches[-1], None)
+        if adapter is None:
+            branches.pop()
+            if path:
+                visited.remove(path.pop().target.id)
+                kept = min(kept, len(path))
+            continue
+        nxt = adapter.target.id
+        if nxt in visited:
+            continue
+        path.append(adapter)
+        if nxt == target:
+            yield path, kept
+            path.pop()
+            kept = len(path)
+            continue
+        visited.add(nxt)
+        branches.append(iter(graph.outgoing(nxt)))
+
+
 def enumerate_chains(
     graph: AdapterGraph, source: str, target: str
 ) -> list[tuple[str, ...]]:
     """All acyclic chains (no interface visited twice) from source to
     target, ordered by length then lexicographically by adapter ids.
     source = target yields exactly the empty chain."""
-    graph.require_interface(source)
-    graph.require_interface(target)
-    found: list[tuple[str, ...]] = []
-    path: list[str] = []
-    visited = {source}
-
-    def walk(at: str) -> None:
-        if at == target:
-            found.append(tuple(path))
-            return
-        for adapter in graph.outgoing(at):
-            nxt = adapter.target.id
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            path.append(adapter.id)
-            walk(nxt)
-            path.pop()
-            visited.remove(nxt)
-
-    walk(source)
+    found = [
+        tuple(a.id for a in path)
+        for path, _ in _chains_depth_first(graph, source, target)
+    ]
     found.sort(key=lambda c: (len(c), c))
     return found
 
 
 def chain_pipeline(graph: AdapterGraph, chain: Iterable[str], source: str) -> AdaptationPipeline:
     """Build a pipeline from adapter ids starting at ``source``."""
-    adapters = [graph.adapters[adapter_id] for adapter_id in chain]
+    adapters = []
+    for adapter_id in chain:
+        if adapter_id not in graph.adapters:
+            raise InvalidParams(f"graph has no adapter {adapter_id!r}")
+        adapters.append(graph.adapters[adapter_id])
     end = adapters[-1].target if adapters else graph.require_interface(source)
     pipeline = identity_pipeline(end)
     for adapter in reversed(adapters):
@@ -209,28 +256,42 @@ def oracle_optimal(
 ) -> ChainResult:
     """Brute force: score every acyclic chain from every source and return
     a maximal one. Ties break by (length, adapter ids, source id). Refuses
-    with TooLarge when the candidate count exceeds ``guard``."""
+    with TooLarge as soon as the candidate count exceeds ``guard``.
+
+    Vectors are adapted forward along the depth-first path, and only once
+    a chain through them reaches the target; chains sharing a prefix share
+    its adaptations."""
     source_ids = sorted(set(sources))
     if not source_ids:
         raise InvalidParams("sources must be nonempty")
-    candidates: list[tuple[int, tuple[str, ...], str]] = []
+    candidates = 0
+    best: ChainResult | None = None
     for src in source_ids:
-        for chain in enumerate_chains(graph, src, target):
-            candidates.append((len(chain), chain, src))
-            if len(candidates) > guard:
+        vectors = [full_vector(graph.require_interface(src))]
+        target_interface = graph.require_interface(target)
+        for path, kept in _chains_depth_first(graph, src, target):
+            candidates += 1
+            if candidates > guard:
                 raise TooLarge(
                     f"more than {guard} candidate chains; raise the guard "
                     f"to search exhaustively"
                 )
-    if not candidates:
+            del vectors[kept + 1:]
+            for adapter in path[kept:]:
+                vectors.append(apply_adaptation(adapter, vectors[-1]))
+            score = vector_score(target_interface, vectors[-1], weights)
+            if best is not None and score < best.score:
+                continue
+            chain = tuple(a.id for a in path)
+            if (
+                best is None
+                or score > best.score
+                or (len(chain), chain, src)
+                < (len(best.chain), best.chain, best.source)
+            ):
+                best = ChainResult(chain, src, target, vectors[-1], score)
+    if best is None:
         raise NoChain(
             f"no acyclic chain reaches {target!r} from any of {source_ids}"
         )
-    candidates.sort()
-    best: ChainResult | None = None
-    for _, chain, src in candidates:
-        result = _result(chain_pipeline(graph, chain, src), weights)
-        if best is None or result.score > best.score:
-            best = result
-    assert best is not None
     return best

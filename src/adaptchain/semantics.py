@@ -8,14 +8,16 @@ adaptation table is only materialized through :func:`tabulate_adaptation`,
 which is guarded by a size cap because the table is exponential in the
 number of source methods.
 
-All functions here are pure over immutable values.
+All functions here are pure over immutable values. The one piece of state
+is the result memo of :func:`apply_memoized`, a cache that never changes
+an answer.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Mapping
 
@@ -80,12 +82,20 @@ class AdaptationPipeline:
     """An acyclic chain of adapters usable as one adaptation function.
 
     Adapters are listed in application order; an empty chain is the identity
-    at ``source`` (= ``target``). No interface is visited twice.
+    at ``source`` (= ``target``). No interface is visited twice. A pipeline
+    built by :func:`prepend` links to the pipeline it extends (its tail),
+    and :func:`apply_memoized` remembers its results by input vector.
     """
 
     adapters: tuple[Adapter, ...]
     source: Interface
     target: Interface
+    _tail: AdaptationPipeline | None = field(
+        default=None, compare=False, repr=False
+    )
+    _memo: dict[AvailabilityVector, AvailabilityVector] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def chain(self) -> tuple[str, ...]:
@@ -94,8 +104,8 @@ class AdaptationPipeline:
     @property
     def visited(self) -> frozenset[str]:
         """Ids of every interface the chain touches, endpoints included."""
-        return frozenset((self.source.id,)) | frozenset(
-            a.target.id for a in self.adapters
+        return frozenset(
+            [self.source.id, *[a.target.id for a in self.adapters]]
         )
 
 
@@ -117,7 +127,7 @@ def prepend(adapter: Adapter, pipeline: AdaptationPipeline) -> AdaptationPipelin
             f"{adapter.source.id!r}"
         )
     return AdaptationPipeline(
-        (adapter, *pipeline.adapters), adapter.source, pipeline.target
+        (adapter, *pipeline.adapters), adapter.source, pipeline.target, pipeline
     )
 
 
@@ -132,6 +142,40 @@ def apply_pipeline(
         )
     for adapter in pipeline.adapters:
         p = apply_adaptation(adapter, p)
+    return p
+
+
+def apply_memoized(
+    pipeline: AdaptationPipeline, p: AvailabilityVector
+) -> AvailabilityVector:
+    """apply_pipeline, remembering each result in the pipeline it came from.
+
+    Walks the chain one adapter at a time and stops at the first suffix
+    that has already seen the vector in hand; every suffix passed on the
+    way remembers the result. After a pipeline has been applied to full
+    capability, a pipeline prepended to it costs one adaptation whenever
+    the new first adapter loses nothing.
+    """
+    if p.interface_id != pipeline.source.id:
+        raise InterfaceMismatch(
+            f"vector is over {p.interface_id!r}, pipeline starts at "
+            f"{pipeline.source.id!r}"
+        )
+    pending: list[tuple[AdaptationPipeline, AvailabilityVector]] = []
+    node = pipeline
+    while node.adapters:
+        hit = node._memo.get(p)
+        if hit is not None:
+            p = hit
+            break
+        pending.append((node, p))
+        first = node.adapters[0]
+        p = apply_adaptation(first, p)
+        node = node._tail or AdaptationPipeline(
+            node.adapters[1:], first.target, node.target
+        )
+    for node, q in pending:
+        node._memo[q] = p
     return p
 
 
@@ -213,6 +257,7 @@ __all__ = [
     "AdaptationPipeline",
     "TabulatedAdaptation",
     "apply_adaptation",
+    "apply_memoized",
     "apply_pipeline",
     "function_sizes",
     "identity_pipeline",

@@ -49,3 +49,20 @@ def random_subvector(
         chosen = {v for k, v in enumerate(pool) if mask >> k & 1}
         components.append(frozenset(chosen) | {BOT})
     return AvailabilityVector(interface.id, tuple(components))
+
+
+def lossless_path(n: int):
+    """A path of n one-method interfaces P0000 -> ... joined by identity
+    adapters E0000, ...; every chain along it loses nothing."""
+    from adaptchain.model import build_adapter, build_graph, build_interface
+
+    values = ["a", "b", "c"]
+    interfaces = [build_interface(f"P{i:04d}", [("m", values)]) for i in range(n)]
+    adapters = [
+        build_adapter(
+            f"E{i:04d}", interfaces[i], interfaces[i + 1],
+            [((v,), [[v]]) for v in values],
+        )
+        for i in range(n - 1)
+    ]
+    return build_graph(interfaces, adapters)

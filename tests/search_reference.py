@@ -1,0 +1,134 @@
+"""Reference chain searches: the simple implementations the library's
+search replaced, kept as test oracles.
+
+``greedy_chain`` rescores every extension by adapting full capability
+through the whole chain; ``enumerate_chains`` recurses once per interface;
+``oracle_optimal`` enumerates every source's chains, sorts them and
+evaluates each from scratch. Differential tests compare the library
+against these on chain, source, final vector and score.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Iterable
+
+from adaptchain.errors import InvalidParams, NoChain, TooLarge
+from adaptchain.model import AdapterGraph, full_vector
+from adaptchain.search import (
+    DEFAULT_ORACLE_GUARD,
+    UNIT_WEIGHTS,
+    ChainResult,
+    WeightMap,
+    chain_pipeline,
+    vector_score,
+)
+from adaptchain.semantics import (
+    AdaptationPipeline,
+    apply_pipeline,
+    identity_pipeline,
+    prepend,
+)
+
+
+def rescore(pipeline: AdaptationPipeline, weights: WeightMap = UNIT_WEIGHTS) -> float:
+    result = apply_pipeline(pipeline, full_vector(pipeline.source))
+    return vector_score(pipeline.target, result, weights)
+
+
+def _result(pipeline: AdaptationPipeline, weights: WeightMap) -> ChainResult:
+    final = apply_pipeline(pipeline, full_vector(pipeline.source))
+    return ChainResult(
+        chain=pipeline.chain,
+        source=pipeline.source.id,
+        target=pipeline.target.id,
+        final_vector=final,
+        score=vector_score(pipeline.target, final, weights),
+    )
+
+
+def greedy_chain(
+    graph: AdapterGraph,
+    sources: Iterable[str],
+    target: str,
+    weights: WeightMap = UNIT_WEIGHTS,
+) -> ChainResult:
+    source_ids = set(sources)
+    if not source_ids:
+        raise InvalidParams("sources must be nonempty")
+    for interface_id in source_ids | {target}:
+        graph.require_interface(interface_id)
+
+    start = identity_pipeline(graph.interfaces[target])
+    open_chains = [(-rescore(start, weights), 0, start.chain)]
+    pipelines = {start.chain: start}
+    while open_chains:
+        _, _, chain = heapq.heappop(open_chains)
+        pipeline = pipelines[chain]
+        if pipeline.source.id in source_ids:
+            return _result(pipeline, weights)
+        for adapter in graph.incoming(pipeline.source.id):
+            if adapter.source.id in pipeline.visited:
+                continue
+            extended = prepend(adapter, pipeline)
+            pipelines[extended.chain] = extended
+            heapq.heappush(
+                open_chains,
+                (-rescore(extended, weights), len(extended.chain), extended.chain),
+            )
+    raise NoChain(f"no acyclic chain reaches {target!r}")
+
+
+def enumerate_chains(
+    graph: AdapterGraph, source: str, target: str
+) -> list[tuple[str, ...]]:
+    graph.require_interface(source)
+    graph.require_interface(target)
+    found: list[tuple[str, ...]] = []
+    path: list[str] = []
+    visited = {source}
+
+    def walk(at: str) -> None:
+        if at == target:
+            found.append(tuple(path))
+            return
+        for adapter in graph.outgoing(at):
+            nxt = adapter.target.id
+            if nxt in visited:
+                continue
+            visited.add(nxt)
+            path.append(adapter.id)
+            walk(nxt)
+            path.pop()
+            visited.remove(nxt)
+
+    walk(source)
+    found.sort(key=lambda c: (len(c), c))
+    return found
+
+
+def oracle_optimal(
+    graph: AdapterGraph,
+    sources: Iterable[str],
+    target: str,
+    weights: WeightMap = UNIT_WEIGHTS,
+    guard: int = DEFAULT_ORACLE_GUARD,
+) -> ChainResult:
+    source_ids = sorted(set(sources))
+    if not source_ids:
+        raise InvalidParams("sources must be nonempty")
+    candidates = []
+    for src in source_ids:
+        for chain in enumerate_chains(graph, src, target):
+            candidates.append((len(chain), chain, src))
+            if len(candidates) > guard:
+                raise TooLarge(f"more than {guard} candidate chains")
+    if not candidates:
+        raise NoChain(f"no acyclic chain reaches {target!r}")
+    candidates.sort()
+    best = None
+    for _, chain, src in candidates:
+        result = _result(chain_pipeline(graph, chain, src), weights)
+        if best is None or result.score > best.score:
+            best = result
+    return best

@@ -231,6 +231,30 @@ def criterion_6() -> dict:
     return {"adapters_checked": adapters_checked, "violations": violations}
 
 
+def seeded_instance(seed: int):
+    """Criterion 7's instance for a seed: (graph, source, target, random
+    weights)."""
+    params = GenParams(
+        interface_count=2 + seed % 5,
+        methods_per_interface=(1, 3),
+        values_per_method=(1, 3),
+        adapter_count=4 + seed % 9,
+        entry_density=0.4 + (seed % 5) * 0.1,
+        seed=seed,
+    )
+    graph, source, target = random_instance(params)
+    weight_rng = SplitMix64(seed + 50_000)
+    random_weights = WeightMap(
+        {
+            (i.id, m.name, v): weight_rng.below(400) / 100.0
+            for i in sorted(graph.interfaces.values(), key=lambda i: i.id)
+            for m in i.methods
+            for v in m.domain.non_bottom
+        }
+    )
+    return graph, source, target, random_weights
+
+
 def criterion_7() -> dict:
     """Greedy score equals oracle score on seeded random instances."""
     start = time.perf_counter()
@@ -239,24 +263,7 @@ def criterion_7() -> dict:
     mismatches = []
     scores = []
     for seed in range(200):
-        params = GenParams(
-            interface_count=2 + seed % 5,
-            methods_per_interface=(1, 3),
-            values_per_method=(1, 3),
-            adapter_count=4 + seed % 9,
-            entry_density=0.4 + (seed % 5) * 0.1,
-            seed=seed,
-        )
-        graph, source, target = random_instance(params)
-        weight_rng = SplitMix64(seed + 50_000)
-        random_weights = WeightMap(
-            {
-                (i.id, m.name, v): weight_rng.below(400) / 100.0
-                for i in sorted(graph.interfaces.values(), key=lambda i: i.id)
-                for m in i.methods
-                for v in m.domain.non_bottom
-            }
-        )
+        graph, source, target, random_weights = seeded_instance(seed)
         instances += 1
         for label, weights in (("unit", UNIT_WEIGHTS), ("random", random_weights)):
             try:

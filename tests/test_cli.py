@@ -3,7 +3,11 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from adaptchain.cli import run_cli
+from adaptchain.document import serialize_graph
+from conftest import lossless_path
 
 
 def run(argv):
@@ -29,6 +33,18 @@ class TestValidate:
         status, _, err = run(["validate", "--graph", str(bad)])
         assert status == 1
         assert "error:" in err and "Traceback" not in err
+
+    def test_directory_is_a_domain_error(self, tmp_path):
+        status, _, err = run(["validate", "--graph", str(tmp_path)])
+        assert status == 1
+        assert "cannot read graph file" in err
+
+    def test_non_utf8_is_a_domain_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"version": "1", "interfaces": ["\xff"]}')
+        status, _, err = run(["validate", "--graph", str(bad)])
+        assert status == 1
+        assert "UTF-8" in err
 
 
 class TestEval:
@@ -121,6 +137,17 @@ class TestChain:
         assert status == 1
         assert "bot" in err
 
+    def test_nan_weight_rejected(self, tmp_path):
+        weights = tmp_path / "w.txt"
+        weights.write_text("Video2.play.MP4 = nan\n")
+        status, _, err = run([
+            "chain", "--graph", "video-example",
+            "--source", "Video1", "--target", "Video2",
+            "--weights", str(weights),
+        ])
+        assert status == 1
+        assert "Video2.play.MP4" in err
+
     def test_no_chain_is_domain_error(self, tmp_path):
         doc = {
             "version": "1",
@@ -204,3 +231,32 @@ class TestUsage:
             "--source", "Video1", "--target", "Video3", "--format", "json",
         ]
         assert run(args)[1] == run(args)[1]
+
+
+class TestDeepPath:
+    """Whole-path queries on a 1200-interface path, deeper than Python's
+    recursion limit."""
+
+    @pytest.fixture(scope="class")
+    def graph_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("deep") / "path.json"
+        path.write_text(serialize_graph(lossless_path(1200)))
+        return str(path)
+
+    CHAIN = [f"E{i:04d}" for i in range(1199)]
+
+    def test_enumerate(self, graph_file):
+        status, out, err = run([
+            "enumerate", "--graph", graph_file,
+            "--source", "P0000", "--target", "P1199", "--format", "json",
+        ])
+        assert (status, err) == (0, "")
+        assert json.loads(out)["chains"] == [self.CHAIN]
+
+    def test_oracle(self, graph_file):
+        status, out, err = run([
+            "chain", "--graph", graph_file, "--oracle",
+            "--source", "P0000", "--target", "P1199", "--format", "json",
+        ])
+        assert (status, err) == (0, "")
+        assert json.loads(out)["chain"] == self.CHAIN

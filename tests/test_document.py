@@ -85,6 +85,12 @@ def test_syntax_error_has_location():
         parse_document(b'{"version": "1",')
 
 
+def test_non_utf8_is_a_syntax_error():
+    data = json.dumps(MINIMAL).encode().replace(b'"X"', b'"\xff"')
+    with pytest.raises(GraphSyntaxError, match="UTF-8"):
+        parse_document(data)
+
+
 def test_bad_version():
     doc = dict(MINIMAL, version="99")
     with pytest.raises(GraphSyntaxError, match="version"):

@@ -170,6 +170,20 @@ class TestBuildGraph:
             assert video_graph.interfaces[adapter.source.id] == adapter.source
             assert video_graph.interfaces[adapter.target.id] == adapter.target
 
+    def test_adjacency_matches_a_scan_in_declaration_order(self, video_graph):
+        adapters = list(video_graph.adapters.values())
+        for interface_id in [*video_graph.interfaces, "Video9"]:
+            assert video_graph.outgoing(interface_id) == [
+                a for a in adapters if a.source.id == interface_id
+            ]
+            assert video_graph.incoming(interface_id) == [
+                a for a in adapters if a.target.id == interface_id
+            ]
+
+    def test_adjacency_lists_are_copies(self, video_graph):
+        video_graph.outgoing("Video1").clear()
+        assert len(video_graph.outgoing("Video1")) == 2
+
 
 class TestVectors:
     def test_full_vector_video1(self):

@@ -17,7 +17,21 @@ from adaptchain import (
 )
 from adaptchain.errors import InvalidParams, NoChain, ReservedName, TooLarge, UnknownInterface
 from adaptchain.generator import GenParams, SplitMix64, random_instance
+from adaptchain.model import AdapterGraph
 from adaptchain.search import WeightMap, UNIT_WEIGHTS
+from conftest import lossless_path
+
+
+def complete_graph(k):
+    """k one-method interfaces I0..I{k-1}, one adapter per ordered pair."""
+    interfaces = [build_interface(f"I{i}", [("m", ["X"])]) for i in range(k)]
+    adapters = [
+        build_adapter(f"E{i}_{j}", interfaces[i], interfaces[j], [])
+        for i in range(k)
+        for j in range(k)
+        if i != j
+    ]
+    return build_graph(interfaces, adapters)
 
 
 def isolated_pair():
@@ -44,6 +58,17 @@ class TestWeightMap:
     def test_negative_rejected(self):
         with pytest.raises(InvalidParams):
             WeightMap({("I", "m", "X"): -1.0})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, weight):
+        with pytest.raises(InvalidParams, match=r"I\.m\.X"):
+            WeightMap({("I", "m", "X"): weight})
+
+
+class TestChainPipeline:
+    def test_unknown_adapter_is_invalid_params(self, video_graph):
+        with pytest.raises(InvalidParams, match="'NoSuchAdapter'"):
+            chain_pipeline(video_graph, ["Video1toVideo2", "NoSuchAdapter"], "Video1")
 
 
 class TestCountAbstract:
@@ -129,14 +154,7 @@ class TestEnumerateChains:
     def test_complete_graph_path_count(self, k):
         # one edge per ordered pair; s-t simple path count is
         # sum_j P(k-2, j) over the number of intermediate nodes
-        interfaces = [build_interface(f"I{i}", [("m", ["X"])]) for i in range(k)]
-        adapters = [
-            build_adapter(f"E{i}_{j}", interfaces[i], interfaces[j], [])
-            for i in range(k)
-            for j in range(k)
-            if i != j
-        ]
-        graph = build_graph(interfaces, adapters)
+        graph = complete_graph(k)
         expected = sum(math.perm(k - 2, j) for j in range(k - 1))
         assert len(enumerate_chains(graph, "I0", f"I{k - 1}")) == expected
 
@@ -154,6 +172,23 @@ class TestOracle:
     def test_guard(self, video_graph):
         with pytest.raises(TooLarge):
             oracle_optimal(video_graph, {"Video1"}, "Video3", guard=1)
+
+    def test_guard_stops_the_enumeration(self, monkeypatch):
+        # 13,700 simple I0 -> I8 paths in the 9-clique; the search must give
+        # up after guard + 1 of them, not after enumerating them all.
+        graph = complete_graph(9)
+        calls = 0
+        outgoing = AdapterGraph.outgoing
+
+        def counted(self, interface_id):
+            nonlocal calls
+            calls += 1
+            return outgoing(self, interface_id)
+
+        monkeypatch.setattr(AdapterGraph, "outgoing", counted)
+        with pytest.raises(TooLarge):
+            oracle_optimal(graph, {"I0"}, "I8", guard=100)
+        assert calls <= 200
 
     def test_score_is_count_abstract_of_chain(self, video_graph):
         result = oracle_optimal(video_graph, {"Video1"}, "Video3")
@@ -213,3 +248,23 @@ class TestGreedyVsOracleRandom:
                 if not math.isclose(greedy.score, oracle.score, rel_tol=1e-9):
                     mismatches.append((seed, greedy.score, oracle.score))
         assert mismatches == []
+
+
+class TestDeepPath:
+    """A 1200-interface path is deeper than Python's recursion limit."""
+
+    N = 1200
+    CHAIN = tuple(f"E{i:04d}" for i in range(N - 1))
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        return lossless_path(self.N)
+
+    def test_enumerate(self, path):
+        assert enumerate_chains(path, "P0000", "P1199") == [self.CHAIN]
+
+    @pytest.mark.parametrize("search", [greedy_chain, oracle_optimal])
+    def test_search(self, path, search):
+        result = search(path, {"P0000"}, "P1199")
+        assert result.chain == self.CHAIN
+        assert result.score == 3.0

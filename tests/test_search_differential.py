@@ -1,0 +1,123 @@
+"""The library's chain search against the simple implementations it
+replaced (``search_reference``), plus machine-independent bounds on how
+many adaptations a search performs."""
+
+from __future__ import annotations
+
+import pytest
+
+import search_reference as ref
+from adaptchain import build_adapter, build_graph, build_interface, search, semantics
+from adaptchain.errors import NoChain
+from adaptchain.search import UNIT_WEIGHTS, WeightMap
+from conftest import lossless_path
+from test_acceptance import seeded_instance
+
+
+def lossy_clique(k: int):
+    """A source S bridged lossily into a k-clique C0..C{k-1} whose adapters
+    each drop the value picked by (x + y) % 5, or nothing when that is 4."""
+    values = ["a", "b", "c", "d"]
+    source = build_interface("S", [("m", values)])
+    clique = [build_interface(f"C{x}", [("m", values)]) for x in range(k)]
+
+    def adapter(id, src, tgt, dropped):
+        return build_adapter(
+            id, src, tgt, [((v,), [[v]]) for v in values if v != dropped]
+        )
+
+    adapters = [adapter("B0", source, clique[0], "a")] + [
+        adapter(f"K{x}{y}", clique[x], clique[y], (values + [None])[(x + y) % 5])
+        for x in range(k)
+        for y in range(k)
+        if x != y
+    ]
+    return build_graph([source, *clique], adapters)
+
+
+def graded_weights(graph):
+    return WeightMap({
+        (i.id, m.name, v): 0.5 + 0.25 * n
+        for i in graph.interfaces.values()
+        for m in i.methods
+        for n, v in enumerate(m.domain.non_bottom)
+    })
+
+
+def same_search(graph, sources, target, weights):
+    """Greedy and oracle each agree with their reference: same result, or
+    NoChain from both."""
+    for new, old in ((search.greedy_chain, ref.greedy_chain),
+                     (search.oracle_optimal, ref.oracle_optimal)):
+        try:
+            expected = old(graph, sources, target, weights)
+        except NoChain:
+            with pytest.raises(NoChain):
+                new(graph, sources, target, weights)
+            continue
+        assert new(graph, sources, target, weights) == expected
+
+
+def same_enumeration(graph, source, target):
+    assert search.enumerate_chains(graph, source, target) == ref.enumerate_chains(
+        graph, source, target
+    )
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_seeded_instances(seed):
+    graph, source, target, random_weights = seeded_instance(seed)
+    for weights in (UNIT_WEIGHTS, random_weights):
+        same_search(graph, {source}, target, weights)
+        same_search(graph, set(graph.interfaces), target, weights)
+    same_enumeration(graph, source, target)
+    same_enumeration(graph, target, source)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_cliques(k):
+    graph = lossy_clique(k)
+    for target in graph.interfaces:
+        for weights in (UNIT_WEIGHTS, graded_weights(graph)):
+            same_search(graph, {"S"}, target, weights)
+            same_search(graph, {"C0", f"C{k - 1}"}, target, weights)
+        same_enumeration(graph, "S", target)
+        same_enumeration(graph, "C1", target)
+
+
+def test_path():
+    graph = lossless_path(50)
+    for source, target in (("P0000", "P0049"), ("P0010", "P0030"), ("P0049", "P0000")):
+        same_search(graph, {source}, target, UNIT_WEIGHTS)
+        same_enumeration(graph, source, target)
+
+
+@pytest.fixture
+def adaptations(monkeypatch):
+    """Counts apply_adaptation calls made through either module."""
+    count = [0]
+    original = semantics.apply_adaptation
+
+    def counted(adapter, p):
+        count[0] += 1
+        return original(adapter, p)
+
+    monkeypatch.setattr(semantics, "apply_adaptation", counted)
+    monkeypatch.setattr(search, "apply_adaptation", counted, raising=False)
+    return count
+
+
+@pytest.mark.parametrize("n", [2, 50, 200])
+def test_greedy_adapts_linearly_on_a_lossless_path(adaptations, n):
+    graph = lossless_path(n)
+    result = search.greedy_chain(graph, {"P0000"}, f"P{n - 1:04d}")
+    assert len(result.chain) == n - 1
+    assert adaptations[0] <= 2 * n + 2
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_oracle_adapts_no_more_than_one_pass_per_chain(adaptations, k):
+    graph = lossy_clique(k)
+    chains = ref.enumerate_chains(graph, "S", f"C{k - 1}")
+    search.oracle_optimal(graph, {"S"}, f"C{k - 1}")
+    assert 0 < adaptations[0] <= sum(len(c) for c in chains)
