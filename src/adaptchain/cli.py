@@ -15,7 +15,7 @@ from pathlib import Path
 from .document import load_fixture, parse_document, serialize_graph
 from .errors import AdapterChainError, GraphSyntaxError, InvalidParams
 from .generator import GenParams, random_instance
-from .model import BOT, AdapterGraph, AvailabilityVector, Interface, normalize_vector
+from .model import AdapterGraph, AvailabilityVector, Interface, normalize_vector
 from .search import (
     WeightMap,
     chain_pipeline,
@@ -26,19 +26,21 @@ from .search import (
 from .semantics import apply_pipeline, function_sizes
 
 
+def _read_text(path: str, what: str, error: type[AdapterChainError]) -> str:
+    """Read a UTF-8 file named on the command line; failures raise ``error``."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} file {path!r} is not UTF-8 (byte {exc.start})") from None
+
+
 def _load_graph(spec: str) -> AdapterGraph:
-    path = Path(spec)
-    if path.exists():
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise GraphSyntaxError(
-                f"cannot read graph file {spec!r}: {exc.strerror}"
-            ) from None
-        return parse_document(data)
-    if "/" not in spec and "\\" not in spec and not spec.endswith(".json"):
+    path_like = "/" in spec or "\\" in spec or spec.endswith(".json")
+    if not path_like and not Path(spec).exists():
         return load_fixture(spec)
-    raise GraphSyntaxError(f"graph file {spec!r} not found")
+    return parse_document(_read_text(spec, "graph", GraphSyntaxError))
 
 
 def _parse_vector(interface: Interface, text: str) -> AvailabilityVector:
@@ -52,16 +54,15 @@ def _parse_vector(interface: Interface, text: str) -> AvailabilityVector:
                 f"interface {interface.id!r} has no method {name!r}"
             )
         sets[name] |= {v.strip() for v in values.split(",") if v.strip()}
-    return normalize_vector(
-        interface, [sets[m.name] for m in interface.methods]
-    )
+    return normalize_vector(interface, list(sets.values()))
 
 
 def _parse_weights(path: str) -> WeightMap:
     """Weight files: one `interface.method.value = weight` per line;
     blank lines and #-comments ignored."""
     weights: dict[tuple[str, str, str], float] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    text = _read_text(path, "weights", InvalidParams)
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -81,21 +82,15 @@ def _parse_weights(path: str) -> WeightMap:
     return WeightMap(weights)
 
 
-def _format_set(component: frozenset[str]) -> str:
-    return "{" + ",".join((BOT, *sorted(component - {BOT}))) + "}"
-
-
 def _format_vector(interface: Interface, v: AvailabilityVector) -> str:
     return " ".join(
-        f"{m.name}:{_format_set(c)}" for m, c in zip(interface.methods, v.components)
+        f"{m.name}:{{{','.join(c)}}}"
+        for m, c in zip(interface.methods, v.canonical())
     )
 
 
 def _vector_json(interface: Interface, v: AvailabilityVector) -> dict:
-    return {
-        m.name: [BOT, *sorted(c - {BOT})]
-        for m, c in zip(interface.methods, v.components)
-    }
+    return {m.name: list(c) for m, c in zip(interface.methods, v.canonical())}
 
 
 def _emit(report: dict, text: str, fmt: str, out) -> None:
@@ -126,9 +121,8 @@ def _cmd_eval(args, out) -> int:
     chain = [a for a in args.chain.split(",") if a]
     if not chain:
         raise InvalidParams("--chain must list at least one adapter id")
-    for adapter_id in chain:
-        if adapter_id not in graph.adapters:
-            raise InvalidParams(f"graph has no adapter {adapter_id!r}")
+    if chain[0] not in graph.adapters:
+        raise InvalidParams(f"graph has no adapter {chain[0]!r}")
     source = graph.adapters[chain[0]].source
     pipeline = chain_pipeline(graph, chain, source.id)
     p = _parse_vector(source, args.vector)
@@ -249,7 +243,12 @@ def _cmd_gen(args, out) -> int:
     graph, source, target = random_instance(params)
     text = serialize_graph(graph)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise InvalidParams(
+                f"cannot write {args.output!r}: {exc.strerror}"
+            ) from None
         print(f"wrote {args.output} (source {source}, target {target})", file=out)
     else:
         out.write(text)
@@ -330,9 +329,6 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
     try:
         return args.func(args, out)
     except AdapterChainError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=err)
         return 1
 

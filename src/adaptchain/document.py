@@ -117,9 +117,7 @@ def parse_document(data: bytes | str) -> AdapterGraph:
     interfaces = [
         _parse_interface(i) for i in _require(doc, "interfaces", list, "document")
     ]
-    interface_map = {}
-    for interface in interfaces:
-        interface_map[interface.id] = interface
+    interface_map = {interface.id: interface for interface in interfaces}
     adapters = [
         _parse_adapter(a, interface_map)
         for a in _require(doc, "adapters", list, "document")

@@ -27,6 +27,7 @@ from .errors import (
 )
 
 BOT = "bot"
+_BOT_SET = frozenset((BOT,))
 
 
 @dataclass(frozen=True)
@@ -46,18 +47,18 @@ class AbstractDomain:
         "bot" may appear in ``names``; it is treated as the implied bottom.
         """
         seen: set[str] = set()
-        non_bottom: list[str] = []
         for name in names:
+            if not isinstance(name, str):
+                raise UnknownValue(f"abstract value {name!r} is not a string{context}")
             if name in seen:
                 raise DuplicateAbstractValue(
                     f"duplicate abstract value {name!r}{context}"
                 )
             seen.add(name)
-            if name != BOT:
-                non_bottom.append(name)
+        non_bottom = sorted(seen - {BOT})
         if not non_bottom:
             raise EmptyDomain(f"domain has no non-bottom values{context}")
-        return cls((BOT, *sorted(non_bottom)))
+        return cls((BOT, *non_bottom))
 
     @property
     def size(self) -> int:
@@ -105,12 +106,6 @@ class Interface:
         return AvailabilityVector(
             self.id, tuple(frozenset(m.domain.values) for m in self.methods)
         )
-
-    def method_index(self, name: str) -> int:
-        for i, m in enumerate(self.methods):
-            if m.name == name:
-                return i
-        raise UnknownValue(f"interface {self.id!r} has no method {name!r}")
 
 
 @dataclass(frozen=True)
@@ -165,9 +160,7 @@ def full_vector(interface: Interface) -> AvailabilityVector:
 
 def bottom_vector(interface: Interface) -> AvailabilityVector:
     """The all-{bot} vector: no method can handle anything."""
-    return AvailabilityVector(
-        interface.id, tuple(frozenset((BOT,)) for _ in interface.methods)
-    )
+    return AvailabilityVector(interface.id, (_BOT_SET,) * interface.arity)
 
 
 def normalize_vector(
@@ -177,22 +170,54 @@ def normalize_vector(
 
     "bot" is injected into every component; normalization is idempotent.
     """
-    if len(sets) != interface.arity:
+    return AvailabilityVector(interface.id, _lift_sets(interface, sets))
+
+
+def _lift_sets(
+    interface: Interface,
+    sets: Sequence[Iterable[str]],
+    adapter_id: str | None = None,
+    entry: tuple | None = None,
+) -> tuple[frozenset[str], ...]:
+    """Validate one collection of value names per method and inject "bot"
+    into each. Errors name the adapter and entry (None: its default output)
+    if given; types are only inspected once something has failed."""
+    try:
+        arity_ok = len(sets) == interface.arity
+    except TypeError:
+        arity_ok = False
+    if not arity_ok:
         raise ArityMismatch(
-            f"interface {interface.id!r} has {interface.arity} methods, "
-            f"got {len(sets)} sets"
+            f"{_where(adapter_id, entry)}interface {interface.id!r} has "
+            f"{interface.arity} methods, got {sets!r}"
         )
     components: list[frozenset[str]] = []
     for method, values in zip(interface.methods, sets):
-        values = frozenset(values) | {BOT}
-        unknown = values - set(method.domain.values)
+        try:
+            if isinstance(values, (str, dict)):
+                raise TypeError
+            values = frozenset(values) | _BOT_SET
+        except TypeError:
+            raise UnknownValue(
+                f"{_where(adapter_id, entry)}method {method.name!r} of interface "
+                f"{interface.id!r} needs a list of value names, got {values!r}"
+            ) from None
+        unknown = values.difference(method.domain.values)
         if unknown:
             raise UnknownValue(
-                f"value {sorted(unknown)[0]!r} is not in the domain of method "
-                f"{method.name!r} of interface {interface.id!r}"
+                f"{_where(adapter_id, entry)}value {min(unknown, key=repr)!r} is "
+                f"not in the domain of method {method.name!r} of interface "
+                f"{interface.id!r}"
             )
         components.append(values)
-    return AvailabilityVector(interface.id, tuple(components))
+    return tuple(components)
+
+
+def _where(adapter_id: str | None, entry: tuple | None) -> str:
+    if adapter_id is None:
+        return ""
+    what = "default output" if entry is None else f"entry {entry!r} output"
+    return f"adapter {adapter_id!r}: {what}: "
 
 
 @dataclass(frozen=True)
@@ -235,32 +260,6 @@ class Adapter:
         return self._table.get(input, self.default_output)
 
 
-def _normalize_output(
-    adapter_id: str,
-    target: Interface,
-    output: Sequence[Iterable[str]],
-    *,
-    what: str,
-) -> tuple[frozenset[str], ...]:
-    if len(output) != target.arity:
-        raise ArityMismatch(
-            f"adapter {adapter_id!r}: {what} has {len(output)} components, "
-            f"target {target.id!r} has {target.arity} methods"
-        )
-    sets: list[frozenset[str]] = []
-    for method, values in zip(target.methods, output):
-        values = frozenset(values) | {BOT}
-        unknown = values - set(method.domain.values)
-        if unknown:
-            raise UnknownValue(
-                f"adapter {adapter_id!r}: {what} value {sorted(unknown)[0]!r} "
-                f"is not in the domain of method {method.name!r} "
-                f"of interface {target.id!r}"
-            )
-        sets.append(values)
-    return tuple(sets)
-
-
 def build_adapter(
     id: str,
     source: Interface,
@@ -274,9 +273,9 @@ def build_adapter(
     (all-{bot} when omitted). "bot" is injected into every output set.
     """
     if default_output is None:
-        default = tuple(frozenset((BOT,)) for _ in target.methods)
+        default = (_BOT_SET,) * target.arity
     else:
-        default = _normalize_output(id, target, default_output, what="default output")
+        default = _lift_sets(target, default_output, id)
 
     normalized: list[DependencyEntry] = []
     seen: set[tuple[str, ...]] = set()
@@ -300,7 +299,7 @@ def build_adapter(
                 f"adapter {id!r}: duplicate entry for input {input!r}"
             )
         seen.add(input)
-        out = _normalize_output(id, target, output, what=f"entry {input!r} output")
+        out = _lift_sets(target, output, id, input)
         normalized.append(DependencyEntry(input, out))
     normalized.sort(key=lambda e: e.input)
     return Adapter(id, source, target, tuple(normalized), default)

@@ -61,15 +61,10 @@ class WeightMap:
                     f"weight for 'bot' is fixed at 0 "
                     f"({interface}.{method}.bot)"
                 )
-            if not math.isfinite(weight):
+            if not 0 <= weight < math.inf:
                 raise InvalidParams(
-                    f"non-finite weight {weight} for "
-                    f"{interface}.{method}.{value}"
-                )
-            if weight < 0:
-                raise InvalidParams(
-                    f"negative weight {weight} for "
-                    f"{interface}.{method}.{value}"
+                    f"weight {weight} for {interface}.{method}.{value} "
+                    f"is not finite and non-negative"
                 )
 
     def weight(self, interface: str, method: str, value: str) -> float:
@@ -115,6 +110,27 @@ class ChainResult:
     score: float
 
 
+def _check_query(
+    graph: AdapterGraph, sources: Iterable[str], target: str, weights: WeightMap
+) -> list[str]:
+    """The sorted distinct sources, once they, the target and every
+    weighted value are known to be declared."""
+    source_ids = sorted(set(sources))
+    if not source_ids:
+        raise InvalidParams("sources must be nonempty")
+    for interface_id in (*source_ids, target):
+        graph.require_interface(interface_id)
+    for interface_id, method, value in weights.weights:
+        interface = graph.interfaces.get(interface_id)
+        if interface is None or not any(
+            m.name == method and value in m.domain for m in interface.methods
+        ):
+            raise InvalidParams(
+                f"weight for {interface_id}.{method}.{value}: no such value"
+            )
+    return source_ids
+
+
 def greedy_chain(
     graph: AdapterGraph,
     sources: Iterable[str],
@@ -130,12 +146,8 @@ def greedy_chain(
     lossless identity) is returned. Raises NoChain when the frontier
     exhausts without reaching any source.
     """
-    source_ids = set(sources)
-    if not source_ids:
-        raise InvalidParams("sources must be nonempty")
-    for interface_id in source_ids | {target}:
-        graph.require_interface(interface_id)
-
+    ordered_sources = _check_query(graph, sources, target, weights)
+    source_ids = set(ordered_sources)
     start = identity_pipeline(graph.interfaces[target])
     # Chains are unique, so the (score, length, chain) key never ties and
     # the pipeline riding in the last slot is never compared.
@@ -170,8 +182,7 @@ def greedy_chain(
                 ),
             )
     raise NoChain(
-        f"no acyclic chain reaches {target!r} from any of "
-        f"{sorted(source_ids)}"
+        f"no acyclic chain reaches {target!r} from any of {ordered_sources}"
     )
 
 
@@ -183,10 +194,9 @@ def _chains_depth_first(
 
     Yields ``(path, kept)`` per chain: ``path`` is the live adapter list
     (valid until the next step) and ``kept`` is how many of its leading
-    adapters are unchanged since the previous chain yielded.
+    adapters are unchanged since the previous chain yielded. Callers check
+    that both endpoints are declared.
     """
-    graph.require_interface(source)
-    graph.require_interface(target)
     path: list[Adapter] = []
     if source == target:
         yield path, 0
@@ -221,6 +231,7 @@ def enumerate_chains(
     """All acyclic chains (no interface visited twice) from source to
     target, ordered by length then lexicographically by adapter ids.
     source = target yields exactly the empty chain."""
+    _check_query(graph, [source], target, UNIT_WEIGHTS)
     found = [
         tuple(a.id for a in path)
         for path, _ in _chains_depth_first(graph, source, target)
@@ -261,14 +272,12 @@ def oracle_optimal(
     Vectors are adapted forward along the depth-first path, and only once
     a chain through them reaches the target; chains sharing a prefix share
     its adaptations."""
-    source_ids = sorted(set(sources))
-    if not source_ids:
-        raise InvalidParams("sources must be nonempty")
+    source_ids = _check_query(graph, sources, target, weights)
+    target_interface = graph.interfaces[target]
     candidates = 0
     best: ChainResult | None = None
     for src in source_ids:
-        vectors = [full_vector(graph.require_interface(src))]
-        target_interface = graph.require_interface(target)
+        vectors = [full_vector(graph.interfaces[src])]
         for path, kept in _chains_depth_first(graph, src, target):
             candidates += 1
             if candidates > guard:

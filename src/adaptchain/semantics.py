@@ -82,9 +82,9 @@ class AdaptationPipeline:
     """An acyclic chain of adapters usable as one adaptation function.
 
     Adapters are listed in application order; an empty chain is the identity
-    at ``source`` (= ``target``). No interface is visited twice. A pipeline
-    built by :func:`prepend` links to the pipeline it extends (its tail),
-    and :func:`apply_memoized` remembers its results by input vector.
+    at ``source`` (= ``target``). No interface is visited twice. Only
+    :func:`prepend` builds nonempty pipelines: each links to the pipeline
+    it extends (its tail), and :func:`apply_memoized` walks those links.
     """
 
     adapters: tuple[Adapter, ...]
@@ -169,11 +169,8 @@ def apply_memoized(
             p = hit
             break
         pending.append((node, p))
-        first = node.adapters[0]
-        p = apply_adaptation(first, p)
-        node = node._tail or AdaptationPipeline(
-            node.adapters[1:], first.target, node.target
-        )
+        p = apply_adaptation(node.adapters[0], p)
+        node = node._tail
     for node, q in pending:
         node._memo[q] = p
     return p

@@ -28,6 +28,44 @@ VIDEO1_TO_VIDEO2_ROWS = {
     ("MKV", "WAV"): ({"bot", "MP4", "DIVX", "THEORA"}, {"bot"}, {"bot"}, {"bot"}),
 }
 
+# A two-interface, one-adapter graph document.
+MINIMAL = {
+    "version": "1",
+    "interfaces": [
+        {"id": "A", "methods": [{"name": "m", "values": ["X", "Y"]}]},
+        {"id": "B", "methods": [{"name": "n", "values": ["Z"]}]},
+    ],
+    "adapters": [
+        {
+            "id": "AtoB",
+            "source": "A",
+            "target": "B",
+            "entries": [{"input": ["X"], "output": [["Z"]]}],
+        }
+    ],
+}
+
+DELETE = object()
+
+
+def mutated(doc, path, value):
+    """``doc`` with the field at ``path`` set to ``value``, or removed for
+    DELETE. A field that an earlier change removed is left alone."""
+    if not path:
+        return doc if value is DELETE else value
+    *parents, key = path
+    obj = doc
+    try:
+        for k in parents:
+            obj = obj[k]
+        if value is DELETE:
+            del obj[key]
+        elif isinstance(obj, dict) or key < len(obj):
+            obj[key] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+    return doc
+
 
 @pytest.fixture(scope="session")
 def video_graph():

@@ -6,8 +6,9 @@ import json
 import pytest
 
 from adaptchain.cli import run_cli
-from adaptchain.document import serialize_graph
-from conftest import lossless_path
+from adaptchain.document import parse_document, serialize_graph
+from adaptchain.errors import ArityMismatch, UnknownValue
+from conftest import MINIMAL, lossless_path, mutated
 
 
 def run(argv):
@@ -45,6 +46,76 @@ class TestValidate:
         status, _, err = run(["validate", "--graph", str(bad)])
         assert status == 1
         assert "UTF-8" in err
+
+
+VALUES = ("interfaces", 0, "methods", 0, "values")
+OUTPUT = ("adapters", 0, "entries", 0, "output")
+DEFAULT = ("adapters", 0, "default_output")
+
+
+class TestBadInput:
+    """Bad values and unreadable files end in exit 1 and an error line
+    naming the bad element, never a traceback."""
+
+    @pytest.mark.parametrize("field,value,error,named", [
+        (VALUES, [1, "X"], UnknownValue, ["1", "'m'", "'A'"]),
+        (VALUES, [1], UnknownValue, ["1", "'m'", "'A'"]),
+        (VALUES, [["X"]], UnknownValue, ["['X']", "'m'", "'A'"]),
+        (OUTPUT, [5], UnknownValue, ["'AtoB'", "('X',)", "'n'", "5"]),
+        (OUTPUT, ["xy"], UnknownValue, ["'AtoB'", "('X',)", "'n'", "'xy'"]),
+        (OUTPUT, [[["Z"]]], UnknownValue, ["'AtoB'", "('X',)", "'n'", "[['Z']]"]),
+        (OUTPUT, [{"Z": 1}], UnknownValue, ["'AtoB'", "('X',)", "'n'", "{'Z': 1}"]),
+        (OUTPUT, [[1, "Q"]], UnknownValue, ["'AtoB'", "('X',)", "'n'", "'Q'"]),
+        (DEFAULT, 5, ArityMismatch, ["'AtoB'", "default output", "5"]),
+        (DEFAULT, "Z", UnknownValue, ["'AtoB'", "default output", "'n'", "'Z'"]),
+    ], ids=[
+        "values-mixed", "values-int", "values-nested", "output-int",
+        "output-string", "output-unhashable", "output-object", "output-mixed",
+        "default-int", "default-string",
+    ])
+    def test_bad_value_in_document(self, tmp_path, field, value, error, named):
+        doc = mutated(json.loads(json.dumps(MINIMAL)), field, value)
+        with pytest.raises(error):
+            parse_document(json.dumps(doc))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        status, _, err = run(["validate", "--graph", str(path)])
+        assert status == 1 and err.startswith("error:")
+        assert all(name in err for name in named), err
+
+    @pytest.mark.parametrize("kind", ["directory", "missing", "non-utf8"])
+    def test_unreadable_weights(self, tmp_path, kind):
+        weights = tmp_path / "w.txt"
+        if kind == "directory":
+            weights.mkdir()
+        elif kind == "non-utf8":
+            weights.write_bytes(b"Video2.play.MP4 = 2\n\xff\n")
+        status, _, err = run([
+            "chain", "--graph", "video-example",
+            "--source", "Video1", "--target", "Video2",
+            "--weights", str(weights),
+        ])
+        assert status == 1 and err.startswith("error:")
+        assert str(weights) in err
+        assert ("UTF-8" if kind == "non-utf8" else "cannot read weights file") in err
+
+    def test_gen_output_unwritable(self, tmp_path):
+        status, _, err = run([
+            "gen", "--interfaces", "3", "--adapters", "4",
+            "--output", str(tmp_path),
+        ])
+        assert status == 1 and err.startswith("error:")
+        assert f"cannot write {str(tmp_path)!r}" in err
+
+    def test_weight_on_undeclared_value(self, tmp_path):
+        weights = tmp_path / "w.txt"
+        weights.write_text("Video2.play.MP4 = 5\nNope.m.x = 3\n")
+        status, _, err = run([
+            "chain", "--graph", "video-example",
+            "--source", "Video1", "--target", "Video2",
+            "--weights", str(weights),
+        ])
+        assert status == 1 and "Nope.m.x" in err
 
 
 class TestEval:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaptchain import (
     graph_to_document,
@@ -10,24 +11,13 @@ from adaptchain import (
     parse_document,
     serialize_graph,
 )
-from adaptchain.errors import GraphSyntaxError, UnknownInterface, UnknownValue
-
-
-MINIMAL = {
-    "version": "1",
-    "interfaces": [
-        {"id": "A", "methods": [{"name": "m", "values": ["X", "Y"]}]},
-        {"id": "B", "methods": [{"name": "n", "values": ["Z"]}]},
-    ],
-    "adapters": [
-        {
-            "id": "AtoB",
-            "source": "A",
-            "target": "B",
-            "entries": [{"input": ["X"], "output": [["Z"]]}],
-        }
-    ],
-}
+from adaptchain.errors import (
+    AdapterChainError,
+    GraphSyntaxError,
+    UnknownInterface,
+    UnknownValue,
+)
+from conftest import DELETE, MINIMAL, mutated
 
 
 def test_fixture_is_the_video_example():
@@ -127,3 +117,40 @@ def test_document_fields_are_exact():
     adapter = doc["adapters"][0]
     assert set(adapter) <= {"id", "source", "target", "default_output", "entries"}
     assert set(adapter["entries"][0]) == {"input", "output"}
+
+
+def _fields(obj, path=()):
+    """Every path into a JSON value, the root included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ()
+    )
+    for key, value in items:
+        yield from _fields(value, (*path, key))
+
+
+FIELDS = [*_fields(MINIMAL), ("adapters", 0, "default_output")]
+NAMES = st.sampled_from(["A", "B", "X", "Y", "Z", "m", "n", "AtoB", "bot", ""])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3)
+    | NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(NAMES | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(FIELDS), JSON_VALUES | st.just(DELETE)),
+    min_size=1, max_size=3,
+))
+def test_mutated_document_parses_or_raises_domain_error(mutations):
+    doc = json.loads(json.dumps(MINIMAL))
+    for path, value in mutations:
+        doc = mutated(doc, path, value)
+    try:
+        parse_document(json.dumps(doc))
+    except AdapterChainError:
+        pass

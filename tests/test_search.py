@@ -65,6 +65,16 @@ class TestWeightMap:
             WeightMap({("I", "m", "X"): weight})
 
 
+@pytest.mark.parametrize("search", [greedy_chain, oracle_optimal])
+@pytest.mark.parametrize(
+    "key", [("Nope", "play", "MP4"), ("Video2", "nope", "MP4"), ("Video2", "play", "MP3")]
+)
+def test_weight_on_undeclared_value_rejected(video_graph, search, key):
+    weights = WeightMap({("Video2", "play", "MP4"): 2.0, key: 3.0})
+    with pytest.raises(InvalidParams, match=r"\.".join(key)):
+        search(video_graph, {"Video1"}, "Video2", weights)
+
+
 class TestChainPipeline:
     def test_unknown_adapter_is_invalid_params(self, video_graph):
         with pytest.raises(InvalidParams, match="'NoSuchAdapter'"):

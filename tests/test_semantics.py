@@ -20,7 +20,12 @@ from adaptchain import (
     tuple_subset,
     tuple_union,
 )
-from adaptchain.errors import CapExceeded, CycleDetected, InterfaceMismatch
+from adaptchain.errors import (
+    CapExceeded,
+    CycleDetected,
+    EndpointMismatch,
+    InterfaceMismatch,
+)
 from adaptchain.generator import GenParams, SplitMix64, random_instance
 from adaptchain.model import AvailabilityVector, bottom_vector
 from conftest import VIDEO1_TO_VIDEO2_ROWS, random_subvector
@@ -159,6 +164,12 @@ class TestPipelines:
         pipe = prepend(a1, pipe)  # Video1 -> Video3
         with pytest.raises(CycleDetected):
             prepend(back, pipe)  # Video3 would be revisited
+
+    def test_endpoint_mismatch(self, video_graph):
+        a1 = video_graph.adapters["Video1toVideo2"]
+        audio = video_graph.interfaces["Audio"]
+        with pytest.raises(EndpointMismatch, match="Video1toVideo2"):
+            prepend(a1, identity_pipeline(audio))  # Video2 is not Audio
 
 
 class TestSizes:
