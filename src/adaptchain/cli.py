@@ -2,13 +2,15 @@
 
 Subcommands: validate, eval, chain, enumerate, stats, gen. Exit codes:
 0 success, 1 domain error (validation failures, no chain found), 2 usage
-error. ``--format=json`` emits byte-stable reports with sorted keys.
+error, 141 (128 + SIGPIPE) when the reader closes stdout early.
+``--format=json`` emits byte-stable reports with sorted keys.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -334,7 +336,16 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        status = run_cli(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe must fail here, inside the try
+    except BrokenPipeError:
+        # The reader went away (``| head``). Point stdout at devnull so the
+        # interpreter's flush at exit cannot raise again, and exit the way
+        # a shell reports a process killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141  # 128 + SIGPIPE (13)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

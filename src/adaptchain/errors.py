@@ -58,7 +58,8 @@ class CycleDetected(ValidationError):
 
 
 class CapExceeded(AdapterChainError):
-    """Materializing an adaptation table would exceed the configured cap."""
+    """Materializing an adaptation table, or drawing a random dependency
+    function, would exceed the configured cap."""
 
     def __init__(self, message: str, required_size: int, cap: int):
         super().__init__(message)

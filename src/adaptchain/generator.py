@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 
-from .errors import InvalidParams
+from .errors import CapExceeded, InvalidParams
 from .model import (
     Adapter,
     AdapterGraph,
@@ -23,6 +24,7 @@ from .model import (
     build_graph,
     build_interface,
 )
+from .semantics import tabulation_cap
 
 _MASK = (1 << 64) - 1
 
@@ -90,10 +92,24 @@ def _random_interface(rng: SplitMix64, index: int, params: GenParams) -> Interfa
 
 
 def _random_adapter(
-    rng: SplitMix64, index: int, interfaces: list[Interface], params: GenParams
+    rng: SplitMix64,
+    index: int,
+    interfaces: list[Interface],
+    params: GenParams,
+    cap: int,
 ) -> Adapter:
     source = interfaces[rng.below(len(interfaces))]
     target = interfaces[rng.below(len(interfaces))]
+    # One draw per input tuple: bound the dependency-function size (the
+    # first of semantics.function_sizes) by the tabulation cap.
+    size = prod(d.size for d in source.domains)
+    if size > cap:
+        raise CapExceeded(
+            f"adapter A{index} from {source.id!r} would draw over {size} "
+            f"input tuples, exceeding the cap of {cap}",
+            required_size=size,
+            cap=cap,
+        )
     entries = []
     for input_tuple in itertools.product(*(d.values for d in source.domains)):
         if not rng.chance(params.entry_density):
@@ -111,14 +127,17 @@ def random_instance(params: GenParams) -> tuple[AdapterGraph, str, str]:
     """Generate a validated graph plus suggested (source, target) ids.
 
     Deterministic in the seed; the suggestions are distinct whenever the
-    instance has at least two interfaces.
+    instance has at least two interfaces. An adapter whose source has more
+    input tuples than the tabulation cap raises CapExceeded before drawing
+    them.
     """
     rng = SplitMix64(params.seed)
+    cap = tabulation_cap()
     interfaces = [
         _random_interface(rng, i, params) for i in range(params.interface_count)
     ]
     adapters = [
-        _random_adapter(rng, j, interfaces, params)
+        _random_adapter(rng, j, interfaces, params, cap)
         for j in range(params.adapter_count)
     ]
     graph = build_graph(interfaces, adapters)

@@ -167,9 +167,8 @@ def greedy_chain(
                 ),
                 score=-neg_score,
             )
-        visited = pipeline.visited
         for adapter in graph.incoming(pipeline.source.id):
-            if adapter.source.id in visited:
+            if pipeline.visits(adapter.source.id):
                 continue
             extended = prepend(adapter, pipeline)
             heapq.heappush(

@@ -8,9 +8,10 @@ adaptation table is only materialized through :func:`tabulate_adaptation`,
 which is guarded by a size cap because the table is exponential in the
 number of source methods.
 
-All functions here are pure over immutable values. The one piece of state
-is the result memo of :func:`apply_memoized`, a cache that never changes
-an answer.
+All functions here are pure over immutable values. The only state is two
+caches that never change an answer: the result memo of
+:func:`apply_memoized` and the interface index behind each pipeline's
+visited-interface bitmask.
 """
 
 from __future__ import annotations
@@ -77,25 +78,53 @@ def apply_adaptation(adapter: Adapter, p: AvailabilityVector) -> AvailabilityVec
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptationPipeline:
     """An acyclic chain of adapters usable as one adaptation function.
 
-    Adapters are listed in application order; an empty chain is the identity
-    at ``source`` (= ``target``). No interface is visited twice. Only
-    :func:`prepend` builds nonempty pipelines: each links to the pipeline
-    it extends (its tail), and :func:`apply_memoized` walks those links.
+    A pipeline is a linked list: its first adapter (``_head``) feeds the
+    pipeline it extends (``_tail``). The identity at ``source`` (=
+    ``target``) has neither. Only :func:`identity_pipeline` and
+    :func:`prepend` build pipelines, and prepending shares the tail rather
+    than copying it, so a chain of length L costs O(L) to build and to
+    hold. :attr:`adapters` and :attr:`chain` walk the links;
+    :func:`apply_memoized` walks them too, one step at a time. No interface
+    is visited twice. Pipelines compare by identity.
+
+    Acyclicity costs O(1) per :func:`prepend`: every pipeline carries the
+    interfaces it touches as one int bitmask (``_mask``) over an interface
+    index (``_index``, interface id -> bit position). The identity creates
+    the index and every pipeline prepended from it shares it, so the index
+    only holds the interfaces one search touches. Like ``_memo``, it is a
+    cache that never changes an answer. :meth:`visits` tests a bit;
+    :attr:`visited` rebuilds the set from the chain and is kept for
+    inspection only.
     """
 
-    adapters: tuple[Adapter, ...]
     source: Interface
     target: Interface
-    _tail: AdaptationPipeline | None = field(
-        default=None, compare=False, repr=False
-    )
+    _head: Adapter | None = field(default=None, repr=False)
+    _tail: AdaptationPipeline | None = field(default=None, repr=False)
+    _index: dict[str, int] = field(default_factory=dict, repr=False)
+    _mask: int = field(default=0, repr=False)
     _memo: dict[AvailabilityVector, AvailabilityVector] = field(
-        default_factory=dict, compare=False, repr=False
+        default_factory=dict, repr=False
     )
+
+    def __post_init__(self) -> None:
+        if self._tail is None:  # the identity: the root of a fresh index
+            self._index[self.source.id] = 0
+            object.__setattr__(self, "_mask", 1)
+
+    @property
+    def adapters(self) -> tuple[Adapter, ...]:
+        """The adapters in application order. O(length)."""
+        adapters = []
+        node = self
+        while node._tail is not None:
+            adapters.append(node._head)
+            node = node._tail
+        return tuple(adapters)
 
     @property
     def chain(self) -> tuple[str, ...]:
@@ -103,31 +132,46 @@ class AdaptationPipeline:
 
     @property
     def visited(self) -> frozenset[str]:
-        """Ids of every interface the chain touches, endpoints included."""
+        """Ids of every interface the chain touches, endpoints included.
+        O(length); searches test single interfaces with :meth:`visits`."""
         return frozenset(
             [self.source.id, *[a.target.id for a in self.adapters]]
         )
 
+    def visits(self, interface_id: str) -> bool:
+        """Does the chain touch ``interface_id``? One bit test."""
+        bit = self._index.get(interface_id)
+        return bit is not None and bool(self._mask >> bit & 1)
+
 
 def identity_pipeline(interface: Interface) -> AdaptationPipeline:
-    """The empty chain at an interface; applying it is the identity."""
-    return AdaptationPipeline((), interface, interface)
+    """The empty chain at an interface; applying it is the identity. It is
+    the root of a fresh interface index (see AdaptationPipeline)."""
+    return AdaptationPipeline(interface, interface)
 
 
 def prepend(adapter: Adapter, pipeline: AdaptationPipeline) -> AdaptationPipeline:
-    """Compose an adapter in front of a pipeline (pipeline after adapter)."""
+    """Compose an adapter in front of a pipeline (pipeline after adapter).
+
+    O(1): the new pipeline links to ``pipeline``, and the cycle test and
+    its mask are one index lookup and one bit operation each; the new
+    source is indexed on first sight.
+    """
     if adapter.target.id != pipeline.source.id:
         raise EndpointMismatch(
             f"adapter {adapter.id!r} targets {adapter.target.id!r}, "
             f"pipeline starts at {pipeline.source.id!r}"
         )
-    if adapter.source.id in pipeline.visited:
+    index = pipeline._index
+    bit = index.setdefault(adapter.source.id, len(index))
+    if pipeline._mask >> bit & 1:
         raise CycleDetected(
             f"prepending adapter {adapter.id!r} revisits interface "
             f"{adapter.source.id!r}"
         )
     return AdaptationPipeline(
-        (adapter, *pipeline.adapters), adapter.source, pipeline.target, pipeline
+        adapter.source, pipeline.target, adapter, pipeline, index,
+        pipeline._mask | 1 << bit,
     )
 
 
@@ -163,13 +207,13 @@ def apply_memoized(
         )
     pending: list[tuple[AdaptationPipeline, AvailabilityVector]] = []
     node = pipeline
-    while node.adapters:
+    while node._tail is not None:
         hit = node._memo.get(p)
         if hit is not None:
             p = hit
             break
         pending.append((node, p))
-        p = apply_adaptation(node.adapters[0], p)
+        p = apply_adaptation(node._head, p)
         node = node._tail
     for node, q in pending:
         node._memo[q] = p

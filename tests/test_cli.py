@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adaptchain
 from adaptchain.cli import run_cli
 from adaptchain.document import parse_document, serialize_graph
 from adaptchain.errors import ArityMismatch, UnknownValue
 from conftest import MINIMAL, lossless_path, mutated
+from test_search import complete_graph
 
 
 def run(argv):
@@ -287,6 +293,36 @@ class TestGen:
             "gen", "--interfaces", "3", "--adapters", "4", "--seed", "42",
         ]
         assert run(args)[1] == run(args)[1]
+
+    def test_gen_over_cap_is_a_domain_error(self):
+        status, out, err = run([
+            "gen", "--interfaces", "2", "--adapters", "1",
+            "--methods", "8", "--values", "8", "--density", "0.01",
+        ])
+        assert (status, out) == (1, "")
+        assert err.startswith("error:") and "43046721" in err
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_is_not_a_traceback(self, tmp_path):
+        """``adaptchain enumerate ... | head -c 10``: 1.5 MB of chains into a
+        pipe whose reader leaves after 10 bytes."""
+        graph = tmp_path / "k9.json"
+        graph.write_text(serialize_graph(complete_graph(9)))
+        src = Path(adaptchain.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "adaptchain.cli", "enumerate",
+             "--graph", str(graph), "--source", "I0", "--target", "I8",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == ""
 
 
 class TestUsage:

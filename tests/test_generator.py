@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from adaptchain import BOT, greedy_chain, oracle_optimal, serialize_graph
-from adaptchain.errors import InvalidParams
+from adaptchain.errors import CapExceeded, InvalidParams
 from adaptchain.generator import GenParams, SplitMix64, random_instance
 
 
@@ -87,3 +87,27 @@ class TestRandomInstance:
         oracle = oracle_optimal(graph, {source}, target)
         assert greedy.chain != ()
         assert greedy.score == oracle.score
+
+
+class TestDrawGuard:
+    """An adapter draws once per tuple of its source's lifted domains, so
+    the generator refuses sources above the tabulation cap before drawing."""
+
+    def test_over_cap_refused_with_exact_size(self):
+        # 8 methods of 8 values: 9**8 = 43,046,721 tuples > 2**20
+        params = GenParams(2, (8, 8), (8, 8), 1, 0.01, 0)
+        with pytest.raises(CapExceeded) as exc:
+            random_instance(params)
+        assert (exc.value.required_size, exc.value.cap) == (9**8, 2**20)
+        assert "adapter A0" in str(exc.value) and "43046721" in str(exc.value)
+
+    def test_cap_is_the_tabulation_cap(self, monkeypatch):
+        # 2 methods of 2 values: 3**2 = 9 tuples per adapter
+        params = GenParams(2, (2, 2), (2, 2), 3, 0.5, 4)
+        expected = serialize_graph(random_instance(params)[0])
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "9")
+        assert serialize_graph(random_instance(params)[0]) == expected
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "8")
+        with pytest.raises(CapExceeded) as exc:
+            random_instance(params)
+        assert (exc.value.required_size, exc.value.cap) == (9, 8)
