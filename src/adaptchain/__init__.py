@@ -14,7 +14,6 @@ from .model import (
     Adapter,
     AdapterGraph,
     AvailabilityVector,
-    DependencyEntry,
     Interface,
     MethodSpec,
     bottom_vector,

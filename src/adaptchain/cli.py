@@ -9,6 +9,7 @@ error, 141 (128 + SIGPIPE) when the reader closes stdout early.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -336,6 +337,16 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
 
 
 def main() -> None:
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # Unbuffered stdout (``python -u``, PYTHONUNBUFFERED): the text layer
+        # writes to the raw file and drops a short count, so a reader that
+        # leaves mid-write would go unnoticed. A buffered writer finishes
+        # short writes, so a closed pipe raises BrokenPipeError below.
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(sys.stdout.buffer),
+            encoding=sys.stdout.encoding,
+            errors=sys.stdout.errors,
+        )
     try:
         status = run_cli(sys.argv[1:])
         sys.stdout.flush()  # a closed pipe must fail here, inside the try

@@ -107,6 +107,9 @@ def parse_document(data: bytes | str) -> AdapterGraph:
         raise GraphSyntaxError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        # The decoder recurses once per nested array or object.
+        raise GraphSyntaxError("document nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise GraphSyntaxError("document root must be an object")
     version = _require(doc, "version", str, "document")
@@ -138,8 +141,8 @@ def _adapter_to_obj(adapter: Adapter) -> dict:
     if any(s != frozenset((BOT,)) for s in adapter.default_output):
         obj["default_output"] = [_values_out(s) for s in adapter.default_output]
     obj["entries"] = [
-        {"input": list(e.input), "output": [_values_out(s) for s in e.output]}
-        for e in sorted(adapter.entries, key=lambda e: e.input)
+        {"input": list(input), "output": [_values_out(s) for s in output]}
+        for input, output in sorted(adapter.table.items())
     ]
     return obj
 

@@ -5,7 +5,11 @@ the distinguished bottom value ``"bot"``, meaning "no argument handleable".
 Bottom is implicit everywhere: callers never need to write it, and every
 constructor injects it into domains, output sets, and availability vectors.
 
-All values here are immutable after construction; concurrent readers are safe.
+An adapter stores its abstract dependency function once, in the dict
+``Adapter.table``; lookup and serialization both read that table.
+
+All values here are immutable after construction (their dicts are never
+written once built); concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -221,43 +225,26 @@ def _where(adapter_id: str | None, entry: tuple | None) -> str:
 
 
 @dataclass(frozen=True)
-class DependencyEntry:
-    """One row of an abstract dependency function.
-
-    ``input`` holds one abstract value per source method; ``output`` holds
-    one value set per target method. Every output set contains "bot".
-    """
-
-    input: tuple[str, ...]
-    output: tuple[frozenset[str], ...]
-
-
-@dataclass(frozen=True)
 class Adapter:
     """A lossy interface adapter with a total abstract dependency function.
 
-    Only listed entries are stored; any unlisted input tuple maps to
-    ``default_output`` (canonically the all-{bot} tuple), so lookup is total
-    over the product of the source domains.
+    ``table`` holds the listed rows once: it maps each input tuple (one
+    abstract value per source method) to its output sets (one per target
+    method, each containing "bot"), in canonical input order. Any unlisted
+    input tuple maps to ``default_output`` (canonically the all-{bot}
+    tuple), so lookup is total over the product of the source domains.
+    The table takes part in equality but not in the hash.
     """
 
     id: str
     source: Interface
     target: Interface
-    entries: tuple[DependencyEntry, ...]
+    table: Mapping[tuple[str, ...], tuple[frozenset[str], ...]] = field(hash=False)
     default_output: tuple[frozenset[str], ...]
-    _table: Mapping[tuple[str, ...], tuple[frozenset[str], ...]] = field(
-        compare=False, repr=False, default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_table", {e.input: e.output for e in self.entries}
-        )
 
     def lookup(self, input: tuple[str, ...]) -> tuple[frozenset[str], ...]:
         """The dependency function: total over all source input tuples."""
-        return self._table.get(input, self.default_output)
+        return self.table.get(input, self.default_output)
 
 
 def build_adapter(
@@ -269,16 +256,17 @@ def build_adapter(
 ) -> Adapter:
     """Declare an adapter from (input tuple, output sets) dependency rows.
 
-    The induced function is total: unlisted inputs map to ``default_output``
-    (all-{bot} when omitted). "bot" is injected into every output set.
+    The rows become the adapter's one table, sorted by input tuple whatever
+    order they arrive in. The induced function is total: unlisted inputs
+    map to ``default_output`` (all-{bot} when omitted). "bot" is injected
+    into every output set.
     """
     if default_output is None:
         default = (_BOT_SET,) * target.arity
     else:
         default = _lift_sets(target, default_output, id)
 
-    normalized: list[DependencyEntry] = []
-    seen: set[tuple[str, ...]] = set()
+    table: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
     for input_values, output in entries:
         if len(input_values) != source.arity:
             raise ArityMismatch(
@@ -294,15 +282,12 @@ def build_adapter(
                     f"domain of method {method.name!r} of interface "
                     f"{source.id!r}"
                 )
-        if input in seen:
+        if input in table:
             raise DuplicateInput(
                 f"adapter {id!r}: duplicate entry for input {input!r}"
             )
-        seen.add(input)
-        out = _lift_sets(target, output, id, input)
-        normalized.append(DependencyEntry(input, out))
-    normalized.sort(key=lambda e: e.input)
-    return Adapter(id, source, target, tuple(normalized), default)
+        table[input] = _lift_sets(target, output, id, input)
+    return Adapter(id, source, target, dict(sorted(table.items())), default)
 
 
 @dataclass(frozen=True)

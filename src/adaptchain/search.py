@@ -281,8 +281,9 @@ def oracle_optimal(
             candidates += 1
             if candidates > guard:
                 raise TooLarge(
-                    f"more than {guard} candidate chains; raise the guard "
-                    f"to search exhaustively"
+                    f"more than {guard} candidate chains; greedy search "
+                    f"('chain' without '--oracle') returns an optimal chain, "
+                    f"and library callers can pass a larger guard="
                 )
             del vectors[kept + 1:]
             for adapter in path[kept:]:

@@ -105,6 +105,13 @@ class TestBadInput:
         assert str(weights) in err
         assert ("UTF-8" if kind == "non-utf8" else "cannot read weights file") in err
 
+    def test_deeply_nested_document(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 2000 + "]" * 2000)
+        status, out, err = run(["validate", "--graph", str(path)])
+        assert (status, out) == (1, "")
+        assert err == "error: document nests too deeply to parse\n"
+
     def test_gen_output_unwritable(self, tmp_path):
         status, _, err = run([
             "gen", "--interfaces", "3", "--adapters", "4",
@@ -304,17 +311,33 @@ class TestGen:
 
 
 class TestClosedPipe:
-    def test_reader_closing_early_is_not_a_traceback(self, tmp_path):
-        """``adaptchain enumerate ... | head -c 10``: 1.5 MB of chains into a
-        pipe whose reader leaves after 10 bytes."""
-        graph = tmp_path / "k9.json"
-        graph.write_text(serialize_graph(complete_graph(9)))
+    """``adaptchain ... | head -c 10``: hundreds of kB into a pipe whose
+    reader leaves after 10 bytes, with stdout buffered and unbuffered."""
+
+    @pytest.fixture(scope="class")
+    def k9(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pipe") / "k9.json"
+        path.write_text(serialize_graph(complete_graph(9)))
+        return str(path)
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["gen", "enumerate"])
+    def test_reader_closing_early_is_not_a_traceback(self, k9, command, unbuffered):
+        argv = {
+            # one 240 kB write of the whole document
+            "gen": ["gen", "--interfaces", "20", "--adapters", "200",
+                    "--methods", "2", "--values", "2"],
+            # 1.5 MB of chains
+            "enumerate": ["enumerate", "--graph", k9, "--source", "I0",
+                          "--target", "I8", "--format", "json"],
+        }[command]
         src = Path(adaptchain.__file__).parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "adaptchain.cli", "enumerate",
-             "--graph", str(graph), "--source", "I0", "--target", "I8",
-             "--format", "json"],
+            [sys.executable, "-m", "adaptchain.cli", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
         assert len(proc.stdout.read(10)) == 10

@@ -63,6 +63,27 @@ def test_fixture_round_trip():
     assert parse_document(serialize_graph(graph)) == graph
 
 
+def test_adapters_from_two_parses_are_equal_and_hash_alike():
+    text = serialize_graph(load_fixture("video-example"))
+    first, second = parse_document(text), parse_document(text)
+    for id, adapter in first.adapters.items():
+        assert adapter == second.adapters[id]
+        assert hash(adapter) == hash(second.adapters[id])
+    assert len({*first.adapters.values(), *second.adapters.values()}) == 6
+
+
+def test_row_order_does_not_change_the_serialization():
+    doc = graph_to_document(load_fixture("video-example"))
+    text = serialize_graph(parse_document(json.dumps(doc)))
+    assert all(len(a["entries"]) > 1 for a in doc["adapters"])
+    for adapter in doc["adapters"]:
+        adapter["entries"].reverse()
+    graph = parse_document(json.dumps(doc))
+    assert serialize_graph(graph) == text
+    for adapter in graph.adapters.values():
+        assert list(adapter.table) == sorted(adapter.table)
+
+
 def test_bot_explicit_or_omitted():
     explicit = json.loads(json.dumps(MINIMAL))
     explicit["interfaces"][0]["methods"][0]["values"] = ["bot", "X", "Y"]
@@ -73,6 +94,15 @@ def test_bot_explicit_or_omitted():
 def test_syntax_error_has_location():
     with pytest.raises(GraphSyntaxError, match="line"):
         parse_document(b'{"version": "1",')
+
+
+@pytest.mark.parametrize("data", [
+    "[" * 2000 + "]" * 2000,
+    '{"version": "1", "interfaces": ' + "[" * 100000 + "]" * 100000 + "}",
+], ids=["root", "field"])
+def test_deep_nesting_is_a_syntax_error(data):
+    with pytest.raises(GraphSyntaxError, match="nests too deeply"):
+        parse_document(data)
 
 
 def test_non_utf8_is_a_syntax_error():

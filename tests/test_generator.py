@@ -66,10 +66,10 @@ class TestRandomInstance:
             )
             assert source in graph.interfaces and target in graph.interfaces
             for adapter in graph.adapters.values():
-                for entry in adapter.entries:
-                    for value, method in zip(entry.input, adapter.source.methods):
+                for input, output in adapter.table.items():
+                    for value, method in zip(input, adapter.source.methods):
                         assert value in method.domain
-                    for s, method in zip(entry.output, adapter.target.methods):
+                    for s, method in zip(output, adapter.target.methods):
                         assert BOT in s
                         assert s <= set(method.domain.values)
                         assert s != {BOT}  # emitted outputs are nonempty subsets

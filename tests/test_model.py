@@ -120,14 +120,17 @@ class TestBuildAdapter:
             )
 
     def test_duplicate_input(self):
-        with pytest.raises(DuplicateInput):
+        with pytest.raises(DuplicateInput) as exc:
             build_adapter(
                 "bad", video1(), video2(),
                 [
                     (("MOV", "MP3"), [["MP4"], [], [], []]),
-                    (("MOV", "MP3"), [["DIVX"], [], [], []]),
+                    (["MOV", "MP3"], [["DIVX"], [], [], []]),
                 ],
             )
+        assert str(exc.value) == (
+            "adapter 'bad': duplicate entry for input ('MOV', 'MP3')"
+        )
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):

@@ -180,8 +180,14 @@ class TestOracle:
             oracle_optimal(isolated_pair(), {"A"}, "B")
 
     def test_guard(self, video_graph):
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge) as exc:
             oracle_optimal(video_graph, {"Video1"}, "Video3", guard=1)
+        # The advice names what works: the CLI has no way to raise the guard.
+        assert str(exc.value) == (
+            "more than 1 candidate chains; greedy search ('chain' without "
+            "'--oracle') returns an optimal chain, and library callers can "
+            "pass a larger guard="
+        )
 
     def test_guard_stops_the_enumeration(self, monkeypatch):
         # 13,700 simple I0 -> I8 paths in the 9-clique; the search must give
