@@ -4,6 +4,11 @@ Subcommands: validate, eval, chain, enumerate, stats, gen. Exit codes:
 0 success, 1 domain error (validation failures, no chain found), 2 usage
 error, 141 (128 + SIGPIPE) when the reader closes stdout early.
 ``--format=json`` emits byte-stable reports with sorted keys.
+
+Each subcommand is a function ``(args, graph) -> (report, text)`` that
+computes its answer and nothing more. ``run_cli`` owns the boundary: it
+loads ``--graph``, renders the report as JSON or the text as is, writes
+stdout, and sets the exit status.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .document import load_fixture, parse_document, serialize_graph
-from .errors import AdapterChainError, GraphSyntaxError, InvalidParams
+from .errors import AdapterChainError, GraphSyntaxError, InvalidParams, brief
 from .generator import GenParams, random_instance
 from .model import AdapterGraph, AvailabilityVector, Interface, normalize_vector
 from .search import (
@@ -54,7 +59,7 @@ def _parse_vector(interface: Interface, text: str) -> AvailabilityVector:
         name = name.strip()
         if name not in sets:
             raise InvalidParams(
-                f"interface {interface.id!r} has no method {name!r}"
+                f"interface {brief(interface.id)} has no method {brief(name)}"
             )
         sets[name] |= {v.strip() for v in values.split(",") if v.strip()}
     return normalize_vector(interface, list(sets.values()))
@@ -79,7 +84,7 @@ def _parse_weights(path: str) -> WeightMap:
             weight = float(value.strip())
         except ValueError:
             raise InvalidParams(
-                f"{path}:{lineno}: weight {value.strip()!r} is not a number"
+                f"{path}:{lineno}: weight {brief(value.strip())} is not a number"
             ) from None
         weights[tuple(parts)] = weight
     return WeightMap(weights)
@@ -96,58 +101,34 @@ def _vector_json(interface: Interface, v: AvailabilityVector) -> dict:
     return {m.name: list(c) for m, c in zip(interface.methods, v.canonical())}
 
 
-def _emit(report: dict, text: str, fmt: str, out) -> None:
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2), file=out)
-    else:
-        print(text, file=out)
+def _cmd_validate(args, graph: AdapterGraph) -> tuple[dict, str]:
+    interfaces, adapters = len(graph.interfaces), len(graph.adapters)
+    report = {"interfaces": interfaces, "adapters": adapters, "valid": True}
+    return report, f"OK: {interfaces} interfaces, {adapters} adapters"
 
 
-def _cmd_validate(args, out) -> int:
-    graph = _load_graph(args.graph)
-    report = {
-        "interfaces": len(graph.interfaces),
-        "adapters": len(graph.adapters),
-        "valid": True,
-    }
-    _emit(
-        report,
-        f"OK: {len(graph.interfaces)} interfaces, {len(graph.adapters)} adapters",
-        args.format,
-        out,
-    )
-    return 0
-
-
-def _cmd_eval(args, out) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_eval(args, graph: AdapterGraph) -> tuple[dict, str]:
     chain = [a for a in args.chain.split(",") if a]
     if not chain:
         raise InvalidParams("--chain must list at least one adapter id")
     if chain[0] not in graph.adapters:
-        raise InvalidParams(f"graph has no adapter {chain[0]!r}")
+        raise InvalidParams(f"graph has no adapter {brief(chain[0])}")
     source = graph.adapters[chain[0]].source
     pipeline = chain_pipeline(graph, chain, source.id)
     p = _parse_vector(source, args.vector)
     q = apply_pipeline(pipeline, p)
     target = pipeline.target
-    _emit(
-        {
-            "chain": chain,
-            "source": source.id,
-            "target": target.id,
-            "input": _vector_json(source, p),
-            "output": _vector_json(target, q),
-        },
-        _format_vector(target, q),
-        args.format,
-        out,
-    )
-    return 0
+    report = {
+        "chain": chain,
+        "source": source.id,
+        "target": target.id,
+        "input": _vector_json(source, p),
+        "output": _vector_json(target, q),
+    }
+    return report, _format_vector(target, q)
 
 
-def _cmd_chain(args, out) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_chain(args, graph: AdapterGraph) -> tuple[dict, str]:
     if args.sources:
         sources = [s for s in args.sources.split(",") if s]
     elif args.source:
@@ -158,7 +139,15 @@ def _cmd_chain(args, out) -> int:
     search = oracle_optimal if args.oracle else greedy_chain
     result = search(graph, sources, args.target, weights)
     target = graph.interfaces[result.target]
-    text = "\n".join(
+    report = {
+        "chain": list(result.chain),
+        "source": result.source,
+        "target": result.target,
+        "final": _vector_json(target, result.final_vector),
+        "score": result.score,
+        "method": "oracle" if args.oracle else "greedy",
+    }
+    return report, "\n".join(
         [
             "chain: " + (" -> ".join(result.chain) if result.chain else "(identity)"),
             f"source: {result.source}",
@@ -167,43 +156,21 @@ def _cmd_chain(args, out) -> int:
             f"score: {result.score}",
         ]
     )
-    _emit(
-        {
-            "chain": list(result.chain),
-            "source": result.source,
-            "target": result.target,
-            "final": _vector_json(target, result.final_vector),
-            "score": result.score,
-            "method": "oracle" if args.oracle else "greedy",
-        },
-        text,
-        args.format,
-        out,
-    )
-    return 0
 
 
-def _cmd_enumerate(args, out) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_enumerate(args, graph: AdapterGraph) -> tuple[dict, str]:
     chains = enumerate_chains(graph, args.source, args.target)
-    text = "\n".join(
+    report = {
+        "source": args.source,
+        "target": args.target,
+        "chains": [list(c) for c in chains],
+    }
+    return report, "\n".join(
         " -> ".join(c) if c else "(identity)" for c in chains
     ) or "(no chains)"
-    _emit(
-        {
-            "source": args.source,
-            "target": args.target,
-            "chains": [list(c) for c in chains],
-        },
-        text,
-        args.format,
-        out,
-    )
-    return 0
 
 
-def _cmd_stats(args, out) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_stats(args, graph: AdapterGraph) -> tuple[dict, str]:
     rows = []
     for adapter_id in sorted(graph.adapters):
         dep, adap = function_sizes(graph.adapters[adapter_id])
@@ -212,18 +179,13 @@ def _cmd_stats(args, out) -> int:
     lines = [f"{'adapter':<{width}}  dependency_size  adaptation_size"]
     for adapter_id, dep, adap in rows:
         lines.append(f"{adapter_id:<{width}}  {dep:>15}  {adap:>15}")
-    _emit(
-        {
-            "adapters": [
-                {"id": r[0], "dependency_size": r[1], "adaptation_size": r[2]}
-                for r in rows
-            ]
-        },
-        "\n".join(lines),
-        args.format,
-        out,
-    )
-    return 0
+    report = {
+        "adapters": [
+            {"id": r[0], "dependency_size": r[1], "adaptation_size": r[2]}
+            for r in rows
+        ]
+    }
+    return report, "\n".join(lines)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -231,10 +193,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         return (int(lo), int(hi)) if sep else (int(lo), int(lo))
     except ValueError:
-        raise InvalidParams(f"range {text!r} must be N or LO:HI") from None
+        raise InvalidParams(f"range {brief(text)} must be N or LO:HI") from None
 
 
-def _cmd_gen(args, out) -> int:
+def _cmd_gen(args, graph: None) -> tuple[None, str]:
+    """The document itself, or a note naming the file written; ``--format``
+    does not change either."""
     params = GenParams(
         interface_count=args.interfaces,
         methods_per_interface=_parse_range(args.methods),
@@ -245,17 +209,15 @@ def _cmd_gen(args, out) -> int:
     )
     graph, source, target = random_instance(params)
     text = serialize_graph(graph)
-    if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            raise InvalidParams(
-                f"cannot write {args.output!r}: {exc.strerror}"
-            ) from None
-        print(f"wrote {args.output} (source {source}, target {target})", file=out)
-    else:
-        out.write(text)
-    return 0
+    if not args.output:
+        return None, text[:-1]  # run_cli prints the document's last newline
+    try:
+        Path(args.output).write_text(text)
+    except OSError as exc:
+        raise InvalidParams(
+            f"cannot write {args.output!r}: {exc.strerror}"
+        ) from None
+    return None, f"wrote {args.output} (source {source}, target {target})"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -321,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: list[str], out=None, err=None) -> int:
-    """Dispatch a command line; returns the process exit status."""
+    """Dispatch a command line; returns the process exit status. A graph
+    error comes before any error in the command's other arguments."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
@@ -330,10 +293,15 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args, out)
+        graph = _load_graph(args.graph) if "graph" in args else None
+        report, text = args.func(args, graph)
     except AdapterChainError as exc:
         print(f"error: {exc}", file=err)
         return 1
+    if report is not None and args.format == "json":
+        text = json.dumps(report, sort_keys=True, indent=2)
+    print(text, file=out)
+    return 0
 
 
 def main() -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .errors import GraphSyntaxError, UnknownInterface
+from .errors import GraphSyntaxError, UnknownInterface, brief
 from .model import (
     BOT,
     Adapter,
@@ -68,7 +68,8 @@ def _parse_adapter(obj: dict, interfaces: dict[str, Interface]) -> Adapter:
     for endpoint in (source_id, target_id):
         if endpoint not in interfaces:
             raise UnknownInterface(
-                f"adapter {id!r} references undeclared interface {endpoint!r}"
+                f"adapter {brief(id)} references undeclared interface "
+                f"{brief(endpoint)}"
             )
     raw_entries = _require(obj, "entries", list, f"adapter {id!r}")
     entries = []

@@ -1,5 +1,17 @@
 """Exception hierarchy shared by all adaptchain modules."""
 
+BRIEF_CHARS = 80
+
+
+def brief(value: object) -> str:
+    """``repr(value)`` for an error message: whole when it has at most
+    BRIEF_CHARS characters, else its first BRIEF_CHARS and its length, so a
+    huge value from a document or a command line gives a short message."""
+    text = repr(value)
+    if len(text) <= BRIEF_CHARS:
+        return text
+    return f"{text[:BRIEF_CHARS]}... ({len(text)} characters)"
+
 
 class AdapterChainError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -28,6 +28,7 @@ from .errors import (
     InterfaceMismatch,
     UnknownInterface,
     UnknownValue,
+    brief,
 )
 
 BOT = "bot"
@@ -192,8 +193,8 @@ def _lift_sets(
         arity_ok = False
     if not arity_ok:
         raise ArityMismatch(
-            f"{_where(adapter_id, entry)}interface {interface.id!r} has "
-            f"{interface.arity} methods, got {sets!r}"
+            f"{_where(adapter_id, entry)}interface {brief(interface.id)} has "
+            f"{interface.arity} methods, got {brief(sets)}"
         )
     components: list[frozenset[str]] = []
     for method, values in zip(interface.methods, sets):
@@ -203,15 +204,16 @@ def _lift_sets(
             values = frozenset(values) | _BOT_SET
         except TypeError:
             raise UnknownValue(
-                f"{_where(adapter_id, entry)}method {method.name!r} of interface "
-                f"{interface.id!r} needs a list of value names, got {values!r}"
+                f"{_where(adapter_id, entry)}method {brief(method.name)} of "
+                f"interface {brief(interface.id)} needs a list of value names, "
+                f"got {brief(values)}"
             ) from None
         unknown = values.difference(method.domain.values)
         if unknown:
             raise UnknownValue(
-                f"{_where(adapter_id, entry)}value {min(unknown, key=repr)!r} is "
-                f"not in the domain of method {method.name!r} of interface "
-                f"{interface.id!r}"
+                f"{_where(adapter_id, entry)}value {brief(min(unknown, key=repr))} "
+                f"is not in the domain of method {brief(method.name)} of "
+                f"interface {brief(interface.id)}"
             )
         components.append(values)
     return tuple(components)
@@ -220,8 +222,8 @@ def _lift_sets(
 def _where(adapter_id: str | None, entry: tuple | None) -> str:
     if adapter_id is None:
         return ""
-    what = "default output" if entry is None else f"entry {entry!r} output"
-    return f"adapter {adapter_id!r}: {what}: "
+    what = "default output" if entry is None else f"entry {brief(entry)} output"
+    return f"adapter {brief(adapter_id)}: {what}: "
 
 
 @dataclass(frozen=True)
@@ -270,21 +272,21 @@ def build_adapter(
     for input_values, output in entries:
         if len(input_values) != source.arity:
             raise ArityMismatch(
-                f"adapter {id!r}: input tuple {tuple(input_values)!r} has "
-                f"{len(input_values)} components, source {source.id!r} has "
-                f"{source.arity} methods"
+                f"adapter {brief(id)}: input tuple {brief(tuple(input_values))} "
+                f"has {len(input_values)} components, source {brief(source.id)} "
+                f"has {source.arity} methods"
             )
         input = tuple(input_values)
         for method, value in zip(source.methods, input):
             if value not in method.domain:
                 raise UnknownValue(
-                    f"adapter {id!r}: input value {value!r} is not in the "
-                    f"domain of method {method.name!r} of interface "
-                    f"{source.id!r}"
+                    f"adapter {brief(id)}: input value {brief(value)} is not in "
+                    f"the domain of method {brief(method.name)} of interface "
+                    f"{brief(source.id)}"
                 )
         if input in table:
             raise DuplicateInput(
-                f"adapter {id!r}: duplicate entry for input {input!r}"
+                f"adapter {brief(id)}: duplicate entry for input {brief(input)}"
             )
         table[input] = _lift_sets(target, output, id, input)
     return Adapter(id, source, target, dict(sorted(table.items())), default)
@@ -331,7 +333,7 @@ class AdapterGraph:
             return self.interfaces[interface_id]
         except KeyError:
             raise UnknownInterface(
-                f"interface {interface_id!r} is not declared in the graph"
+                f"interface {brief(interface_id)} is not declared in the graph"
             ) from None
 
 
@@ -356,8 +358,8 @@ def build_graph(
             declared = interface_map.get(endpoint.id)
             if declared is None:
                 raise UnknownInterface(
-                    f"adapter {adapter.id!r} references undeclared interface "
-                    f"{endpoint.id!r}"
+                    f"adapter {brief(adapter.id)} references undeclared "
+                    f"interface {brief(endpoint.id)}"
                 )
             if declared != endpoint:
                 raise InterfaceMismatch(

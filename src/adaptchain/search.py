@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidParams, NoChain, ReservedName, TooLarge
+from .errors import InvalidParams, NoChain, ReservedName, TooLarge, brief
 from .model import (
     BOT,
     Adapter,
@@ -244,7 +244,7 @@ def chain_pipeline(graph: AdapterGraph, chain: Iterable[str], source: str) -> Ad
     adapters = []
     for adapter_id in chain:
         if adapter_id not in graph.adapters:
-            raise InvalidParams(f"graph has no adapter {adapter_id!r}")
+            raise InvalidParams(f"graph has no adapter {brief(adapter_id)}")
         adapters.append(graph.adapters[adapter_id])
     end = adapters[-1].target if adapters else graph.require_interface(source)
     pipeline = identity_pipeline(end)

@@ -175,15 +175,19 @@ def prepend(adapter: Adapter, pipeline: AdaptationPipeline) -> AdaptationPipelin
     )
 
 
-def apply_pipeline(
-    pipeline: AdaptationPipeline, p: AvailabilityVector
-) -> AvailabilityVector:
-    """Fold apply_adaptation along the chain; the empty chain returns p."""
+def _check_start(pipeline: AdaptationPipeline, p: AvailabilityVector) -> None:
     if p.interface_id != pipeline.source.id:
         raise InterfaceMismatch(
             f"vector is over {p.interface_id!r}, pipeline starts at "
             f"{pipeline.source.id!r}"
         )
+
+
+def apply_pipeline(
+    pipeline: AdaptationPipeline, p: AvailabilityVector
+) -> AvailabilityVector:
+    """Fold apply_adaptation along the chain; the empty chain returns p."""
+    _check_start(pipeline, p)
     for adapter in pipeline.adapters:
         p = apply_adaptation(adapter, p)
     return p
@@ -200,11 +204,7 @@ def apply_memoized(
     capability, a pipeline prepended to it costs one adaptation whenever
     the new first adapter loses nothing.
     """
-    if p.interface_id != pipeline.source.id:
-        raise InterfaceMismatch(
-            f"vector is over {p.interface_id!r}, pipeline starts at "
-            f"{pipeline.source.id!r}"
-        )
+    _check_start(pipeline, p)
     pending: list[tuple[AdaptationPipeline, AvailabilityVector]] = []
     node = pipeline
     while node._tail is not None:

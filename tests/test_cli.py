@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +14,11 @@ import pytest
 import adaptchain
 from adaptchain.cli import run_cli
 from adaptchain.document import parse_document, serialize_graph
-from adaptchain.errors import ArityMismatch, UnknownValue
+from adaptchain.errors import ArityMismatch, UnknownInterface, UnknownValue
 from conftest import MINIMAL, lossless_path, mutated
 from test_search import complete_graph
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run(argv):
@@ -55,8 +59,10 @@ class TestValidate:
 
 
 VALUES = ("interfaces", 0, "methods", 0, "values")
+INPUT = ("adapters", 0, "entries", 0, "input")
 OUTPUT = ("adapters", 0, "entries", 0, "output")
 DEFAULT = ("adapters", 0, "default_output")
+SOURCE = ("adapters", 0, "source")
 
 
 class TestBadInput:
@@ -74,19 +80,33 @@ class TestBadInput:
         (OUTPUT, [[1, "Q"]], UnknownValue, ["'AtoB'", "('X',)", "'n'", "'Q'"]),
         (DEFAULT, 5, ArityMismatch, ["'AtoB'", "default output", "5"]),
         (DEFAULT, "Z", UnknownValue, ["'AtoB'", "default output", "'n'", "'Z'"]),
+        # Huge values are cut to 80 characters and their length.
+        (OUTPUT, [[]] * 100_000, ArityMismatch,
+         ["'AtoB'", "('X',)", "'B'", "[[], [],", "(400000 characters)"]),
+        (OUTPUT, [["Z" * 200_000]], UnknownValue,
+         ["'AtoB'", "('X',)", "'n'", "'ZZZ", "(200002 characters)"]),
+        (INPUT, ["X" * 200_000], UnknownValue,
+         ["'AtoB'", "'m'", "'XXX", "(200002 characters)"]),
+        (INPUT, ["X"] * 100_000, ArityMismatch,
+         ["'AtoB'", "('X', 'X',", "(500000 characters)", "100000 components"]),
+        (SOURCE, "A" * 100_000, UnknownInterface,
+         ["'AtoB'", "'AAA", "(100002 characters)"]),
     ], ids=[
         "values-mixed", "values-int", "values-nested", "output-int",
         "output-string", "output-unhashable", "output-object", "output-mixed",
-        "default-int", "default-string",
+        "default-int", "default-string", "output-huge-arity",
+        "output-huge-value", "input-huge-value", "input-huge-arity",
+        "source-huge-id",
     ])
     def test_bad_value_in_document(self, tmp_path, field, value, error, named):
         doc = mutated(json.loads(json.dumps(MINIMAL)), field, value)
-        with pytest.raises(error):
+        with pytest.raises(error) as exc:
             parse_document(json.dumps(doc))
+        assert len(str(exc.value)) < 300
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         status, _, err = run(["validate", "--graph", str(path)])
-        assert status == 1 and err.startswith("error:")
+        assert status == 1 and err.startswith("error:") and len(err) < 300
         assert all(name in err for name in named), err
 
     @pytest.mark.parametrize("kind", ["directory", "missing", "non-utf8"])
@@ -120,6 +140,18 @@ class TestBadInput:
         assert status == 1 and err.startswith("error:")
         assert f"cannot write {str(tmp_path)!r}" in err
 
+    def test_huge_weight_is_cut(self, tmp_path):
+        weights = tmp_path / "w.txt"
+        weights.write_text("Video2.play.MP4 = " + "9" * 100_000 + "x\n")
+        status, _, err = run([
+            "chain", "--graph", "video-example",
+            "--source", "Video1", "--target", "Video2",
+            "--weights", str(weights),
+        ])
+        assert status == 1 and len(err) < 300
+        assert f"{weights}:1: weight '999" in err
+        assert "(100003 characters) is not a number" in err
+
     def test_weight_on_undeclared_value(self, tmp_path):
         weights = tmp_path / "w.txt"
         weights.write_text("Video2.play.MP4 = 5\nNope.m.x = 3\n")
@@ -129,6 +161,37 @@ class TestBadInput:
             "--weights", str(weights),
         ])
         assert status == 1 and "Nope.m.x" in err
+
+
+# Arguments that each --graph subcommand needs besides --graph.
+GRAPH_COMMANDS = {
+    "validate": [],
+    "eval": ["--chain", "Video1toVideo2", "--vector", "playVideo:MOV"],
+    "chain": ["--source", "Video1", "--target", "Video2"],
+    "enumerate": ["--source", "Video1", "--target", "Video2"],
+    "stats": [],
+}
+
+
+class TestGraphLoading:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", list(GRAPH_COMMANDS))
+    def test_missing_graph_file(self, tmp_path, command, fmt):
+        missing = str(tmp_path / "nope.json")
+        status, out, err = run([
+            command, "--graph", missing, "--format", fmt,
+            *GRAPH_COMMANDS[command],
+        ])
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: cannot read graph file {missing!r}")
+
+    def test_graph_error_comes_before_an_empty_chain(self, tmp_path):
+        missing = str(tmp_path / "nope.json")
+        status, out, err = run([
+            "eval", "--graph", missing, "--chain", "", "--vector", "",
+        ])
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: cannot read graph file {missing!r}")
 
 
 class TestEval:
@@ -346,6 +409,24 @@ class TestClosedPipe:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert err == ""
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``adaptchain`` command lines of the ``sh`` block under README's
+    ``## CLI``, with lines ending in a backslash joined to the next."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("adaptchain ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_cli_example_runs(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        status, out, err = run(argv)
+        assert (status, err) == (0, ""), err
+        assert out
 
 
 class TestUsage:

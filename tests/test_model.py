@@ -19,6 +19,7 @@ from adaptchain.errors import (
     EmptyDomain,
     UnknownInterface,
     UnknownValue,
+    brief,
 )
 from conftest import VIDEO1_TO_VIDEO2_ROWS
 
@@ -233,3 +234,11 @@ class TestVectors:
         v = normalize_vector(iface, [{"MOV"}, {"MP3", "WAV"}])
         again = normalize_vector(iface, [set(c) for c in v.components])
         assert again == v
+
+
+@pytest.mark.parametrize("value,shown", [
+    ("x" * 78, "'" + "x" * 78 + "'"),
+    ("x" * 79, "'" + "x" * 79 + "... (81 characters)"),
+])
+def test_brief_keeps_values_up_to_80_characters(value, shown):
+    assert brief(value) == shown

@@ -28,6 +28,7 @@ from adaptchain.errors import (
 )
 from adaptchain.generator import GenParams, SplitMix64, random_instance
 from adaptchain.model import AvailabilityVector, bottom_vector
+from adaptchain.semantics import apply_memoized
 from conftest import VIDEO1_TO_VIDEO2_ROWS, random_subvector
 
 
@@ -170,6 +171,16 @@ class TestPipelines:
         audio = video_graph.interfaces["Audio"]
         with pytest.raises(EndpointMismatch, match="Video1toVideo2"):
             prepend(a1, identity_pipeline(audio))  # Video2 is not Audio
+
+    @pytest.mark.parametrize("fold", [apply_pipeline, apply_memoized])
+    def test_vector_over_another_interface(self, video_graph, fold):
+        a1 = video_graph.adapters["Video1toVideo2"]
+        pipe = prepend(a1, identity_pipeline(a1.target))
+        with pytest.raises(InterfaceMismatch) as exc:
+            fold(pipe, full_vector(a1.target))
+        assert str(exc.value) == (
+            "vector is over 'Video2', pipeline starts at 'Video1'"
+        )
 
 
 class TestSizes:
