@@ -48,13 +48,16 @@ def _parse_interface(obj: dict) -> Interface:
     if not isinstance(obj, dict):
         raise GraphSyntaxError("each interface must be an object")
     id = _require(obj, "id", str, "interface")
-    raw_methods = _require(obj, "methods", list, f"interface {id!r}")
+    quoted = brief(id)
+    where = f"interface {quoted}"
+    raw_methods = _require(obj, "methods", list, where)
+    method_where = f"{where} method"
     methods = []
     for m in raw_methods:
         if not isinstance(m, dict):
-            raise GraphSyntaxError(f"interface {id!r}: methods must be objects")
-        name = _require(m, "name", str, f"interface {id!r} method")
-        values = _require(m, "values", list, f"method {name!r} of {id!r}")
+            raise GraphSyntaxError(f"{where}: methods must be objects")
+        name = _require(m, "name", str, method_where)
+        values = _require(m, "values", list, f"method {brief(name)} of {quoted}")
         methods.append((name, values))
     return build_interface(id, methods)
 
@@ -63,21 +66,22 @@ def _parse_adapter(obj: dict, interfaces: dict[str, Interface]) -> Adapter:
     if not isinstance(obj, dict):
         raise GraphSyntaxError("each adapter must be an object")
     id = _require(obj, "id", str, "adapter")
-    source_id = _require(obj, "source", str, f"adapter {id!r}")
-    target_id = _require(obj, "target", str, f"adapter {id!r}")
+    where = f"adapter {brief(id)}"
+    source_id = _require(obj, "source", str, where)
+    target_id = _require(obj, "target", str, where)
     for endpoint in (source_id, target_id):
         if endpoint not in interfaces:
             raise UnknownInterface(
-                f"adapter {brief(id)} references undeclared interface "
-                f"{brief(endpoint)}"
+                f"{where} references undeclared interface {brief(endpoint)}"
             )
-    raw_entries = _require(obj, "entries", list, f"adapter {id!r}")
+    raw_entries = _require(obj, "entries", list, where)
+    entry_where = f"{where} entry"
     entries = []
     for e in raw_entries:
         if not isinstance(e, dict):
-            raise GraphSyntaxError(f"adapter {id!r}: entries must be objects")
-        input = _require(e, "input", list, f"adapter {id!r} entry")
-        output = _require(e, "output", list, f"adapter {id!r} entry")
+            raise GraphSyntaxError(f"{where}: entries must be objects")
+        input = _require(e, "input", list, entry_where)
+        output = _require(e, "output", list, entry_where)
         entries.append((input, output))
     default_output = obj.get("default_output")
     return build_adapter(

@@ -3,14 +3,18 @@
 BRIEF_CHARS = 80
 
 
-def brief(value: object) -> str:
-    """``repr(value)`` for an error message: whole when it has at most
-    BRIEF_CHARS characters, else its first BRIEF_CHARS and its length, so a
-    huge value from a document or a command line gives a short message."""
-    text = repr(value)
+def clip(text: str) -> str:
+    """``text`` for an error message: whole when it has at most BRIEF_CHARS
+    characters, else its first BRIEF_CHARS and its length, so a huge value
+    from a document or a command line gives a short message."""
     if len(text) <= BRIEF_CHARS:
         return text
     return f"{text[:BRIEF_CHARS]}... ({len(text)} characters)"
+
+
+def brief(value: object) -> str:
+    """``repr(value)`` for an error message, clipped like :func:`clip`."""
+    return clip(repr(value))
 
 
 class AdapterChainError(Exception):

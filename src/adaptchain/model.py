@@ -54,10 +54,12 @@ class AbstractDomain:
         seen: set[str] = set()
         for name in names:
             if not isinstance(name, str):
-                raise UnknownValue(f"abstract value {name!r} is not a string{context}")
+                raise UnknownValue(
+                    f"abstract value {brief(name)} is not a string{context}"
+                )
             if name in seen:
                 raise DuplicateAbstractValue(
-                    f"duplicate abstract value {name!r}{context}"
+                    f"duplicate abstract value {brief(name)}{context}"
                 )
             seen.add(name)
         non_bottom = sorted(seen - {BOT})
@@ -140,18 +142,19 @@ def build_interface(
     """
     if not id:
         raise EmptyDomain("interface id must be nonempty")
+    quoted = brief(id)
     if not methods:
-        raise EmptyDomain(f"interface {id!r} must declare at least one method")
+        raise EmptyDomain(f"interface {quoted} must declare at least one method")
     specs: list[MethodSpec] = []
     names_seen: set[str] = set()
     for name, values in methods:
         if name in names_seen:
             raise DuplicateMethodName(
-                f"interface {id!r} declares method {name!r} twice"
+                f"interface {quoted} declares method {brief(name)} twice"
             )
         names_seen.add(name)
         domain = AbstractDomain.from_names(
-            values, context=f" in method {name!r} of interface {id!r}"
+            values, context=f" in method {brief(name)} of interface {quoted}"
         )
         specs.append(MethodSpec(name, domain))
     return Interface(id, tuple(specs))
@@ -348,12 +351,12 @@ def build_graph(
     interface_map: dict[str, Interface] = {}
     for interface in interfaces:
         if interface.id in interface_map:
-            raise DuplicateId(f"interface {interface.id!r} declared twice")
+            raise DuplicateId(f"interface {brief(interface.id)} declared twice")
         interface_map[interface.id] = interface
     adapter_map: dict[str, Adapter] = {}
     for adapter in adapters:
         if adapter.id in adapter_map:
-            raise DuplicateId(f"adapter {adapter.id!r} declared twice")
+            raise DuplicateId(f"adapter {brief(adapter.id)} declared twice")
         for endpoint in (adapter.source, adapter.target):
             declared = interface_map.get(endpoint.id)
             if declared is None:
@@ -363,8 +366,8 @@ def build_graph(
                 )
             if declared != endpoint:
                 raise InterfaceMismatch(
-                    f"adapter {adapter.id!r} disagrees with the declaration "
-                    f"of interface {endpoint.id!r}"
+                    f"adapter {brief(adapter.id)} disagrees with the "
+                    f"declaration of interface {brief(endpoint.id)}"
                 )
         adapter_map[adapter.id] = adapter
     return AdapterGraph(interface_map, adapter_map)

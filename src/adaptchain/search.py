@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidParams, NoChain, ReservedName, TooLarge, brief
+from .errors import InvalidParams, NoChain, ReservedName, TooLarge, brief, clip
 from .model import (
     BOT,
     Adapter,
@@ -46,6 +46,12 @@ from .semantics import (
 DEFAULT_ORACLE_GUARD = 10**6
 
 
+def _weight_key(interface: str, method: str, value: str) -> str:
+    """A weight key for an error message, written as in a weight file:
+    ``interface.method.value``, each part clipped but not quoted."""
+    return ".".join(clip(str(part)) for part in (interface, method, value))
+
+
 @dataclass(frozen=True)
 class WeightMap:
     """Per-abstract-value weights for scoring, keyed by
@@ -59,12 +65,12 @@ class WeightMap:
             if value == BOT:
                 raise ReservedName(
                     f"weight for 'bot' is fixed at 0 "
-                    f"({interface}.{method}.bot)"
+                    f"({_weight_key(interface, method, value)})"
                 )
             if not 0 <= weight < math.inf:
+                key = _weight_key(interface, method, value)
                 raise InvalidParams(
-                    f"weight {weight} for {interface}.{method}.{value} "
-                    f"is not finite and non-negative"
+                    f"weight {weight} for {key} is not finite and non-negative"
                 )
 
     def weight(self, interface: str, method: str, value: str) -> float:
@@ -126,7 +132,8 @@ def _check_query(
             m.name == method and value in m.domain for m in interface.methods
         ):
             raise InvalidParams(
-                f"weight for {interface_id}.{method}.{value}: no such value"
+                f"weight for {_weight_key(interface_id, method, value)}: "
+                f"no such value"
             )
     return source_ids
 

@@ -3,6 +3,9 @@
 Adaptation lifts an adapter's dependency function to availability vectors:
 the result is the componentwise union of the dependency outputs over every
 input tuple in the Cartesian product of the argument vector's components.
+:func:`apply_adaptation` looks up every tuple of that product once, but
+takes the union only over the distinct outputs, which a sparse table keeps
+few (its rows plus the default).
 Pipelines stay intensional (a list of adapters evaluated lazily); the full
 adaptation table is only materialized through :func:`tabulate_adaptation`,
 which is guarded by a size cap because the table is exponential in the
@@ -62,19 +65,25 @@ def apply_adaptation(adapter: Adapter, p: AvailabilityVector) -> AvailabilityVec
     """Adapt an availability vector through one adapter.
 
     Unions the dependency outputs over all tuples in the Cartesian product
-    of p's components; costs the product of the component sizes in lookups.
+    of p's components. Costs the product of the component sizes in lookups,
+    but the union only touches the distinct outputs: each target component
+    is built once, from its column of those outputs. ``frozenset(iterable)``
+    sizes the set to its contents; ``frozenset().union(...)`` would keep a
+    table about twice as large, which every memoized or tabulated vector
+    would carry.
     """
     if p.interface_id != adapter.source.id:
         raise InterfaceMismatch(
             f"vector is over {p.interface_id!r}, adapter {adapter.id!r} "
             f"expects source {adapter.source.id!r}"
         )
-    result = [set((BOT,)) for _ in adapter.target.methods]
-    for x in itertools.product(*p.components):
-        for acc, out in zip(result, adapter.lookup(x)):
-            acc |= out
+    outputs = set(map(adapter.lookup, itertools.product(*p.components)))
     return AvailabilityVector(
-        adapter.target.id, tuple(frozenset(c) for c in result)
+        adapter.target.id,
+        tuple(
+            frozenset(itertools.chain((BOT,), *column))
+            for column in zip(*outputs)
+        ),
     )
 
 

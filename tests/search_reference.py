@@ -1,20 +1,29 @@
-"""Reference chain searches: the simple implementations the library's
-search replaced, kept as test oracles.
+"""Reference adaptation and chain searches: the simple implementations the
+library replaced, kept as test oracles.
 
-``greedy_chain`` rescores every extension by adapting full capability
-through the whole chain; ``enumerate_chains`` recurses once per interface;
-``oracle_optimal`` enumerates every source's chains, sorts them and
-evaluates each from scratch. Differential tests compare the library
-against these on chain, source, final vector and score.
+``apply_adaptation`` accumulates every lookup's output into per-method
+sets, one product tuple at a time; ``greedy_chain`` rescores every
+extension by adapting full capability through the whole chain;
+``enumerate_chains`` recurses once per interface; ``oracle_optimal``
+enumerates every source's chains, sorts them and evaluates each from
+scratch. Differential tests compare the library against these on adapted
+vectors, and on chain, source, final vector and score.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Iterable
 
 from adaptchain.errors import InvalidParams, NoChain, TooLarge
-from adaptchain.model import AdapterGraph, full_vector
+from adaptchain.model import (
+    BOT,
+    Adapter,
+    AdapterGraph,
+    AvailabilityVector,
+    full_vector,
+)
 from adaptchain.search import (
     DEFAULT_ORACLE_GUARD,
     UNIT_WEIGHTS,
@@ -29,6 +38,16 @@ from adaptchain.semantics import (
     identity_pipeline,
     prepend,
 )
+
+
+def apply_adaptation(adapter: Adapter, p: AvailabilityVector) -> AvailabilityVector:
+    result = [set((BOT,)) for _ in adapter.target.methods]
+    for x in itertools.product(*p.components):
+        for acc, out in zip(result, adapter.lookup(x)):
+            acc |= out
+    return AvailabilityVector(
+        adapter.target.id, tuple(frozenset(c) for c in result)
+    )
 
 
 def rescore(pipeline: AdaptationPipeline, weights: WeightMap = UNIT_WEIGHTS) -> float:

@@ -208,7 +208,7 @@ def criterion_5() -> dict:
 
 def criterion_6() -> dict:
     """Tabulation agrees with direct evaluation on every key."""
-    from test_semantics import eq1_reference
+    from search_reference import apply_adaptation as reference
 
     adapters_checked = 0
     violations = 0
@@ -225,7 +225,7 @@ def criterion_6() -> dict:
         if tab.size != adap_size or len(tab.rows) != normalized_keys:
             violations += 1
         for key, row in tab.rows.items():
-            if row != eq1_reference(adapter, key):
+            if row != reference(adapter, key):
                 violations += 1
         adapters_checked += 1
     return {"adapters_checked": adapters_checked, "violations": violations}

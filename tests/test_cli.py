@@ -152,6 +152,18 @@ class TestBadInput:
         assert f"{weights}:1: weight '999" in err
         assert "(100003 characters) is not a number" in err
 
+    def test_huge_weight_key_is_cut(self, tmp_path):
+        weights = tmp_path / "w.txt"
+        weights.write_text("Video2.play." + "M" * 100_000 + " = 1\n")
+        status, _, err = run([
+            "chain", "--graph", "video-example",
+            "--source", "Video1", "--target", "Video2",
+            "--weights", str(weights),
+        ])
+        assert status == 1 and err.startswith("error:") and len(err) < 300
+        assert "weight for Video2.play.MMM" in err
+        assert "(100000 characters): no such value" in err
+
     def test_weight_on_undeclared_value(self, tmp_path):
         weights = tmp_path / "w.txt"
         weights.write_text("Video2.play.MP4 = 5\nNope.m.x = 3\n")
@@ -160,7 +172,7 @@ class TestBadInput:
             "--source", "Video1", "--target", "Video2",
             "--weights", str(weights),
         ])
-        assert status == 1 and "Nope.m.x" in err
+        assert (status, err) == (1, "error: weight for Nope.m.x: no such value\n")
 
 
 # Arguments that each --graph subcommand needs besides --graph.

@@ -13,6 +13,7 @@ from adaptchain import (
 )
 from adaptchain.errors import (
     AdapterChainError,
+    DuplicateId,
     GraphSyntaxError,
     UnknownInterface,
     UnknownValue,
@@ -137,6 +138,61 @@ def test_undeclared_endpoint():
     doc["adapters"][0]["target"] = "Video9"
     with pytest.raises(UnknownInterface, match="Video9"):
         parse_document(json.dumps(doc))
+
+
+HUGE_ID = "A" * 100_000
+
+
+def assert_short_naming_huge_id(message: str) -> None:
+    assert len(message) < 300, message[:300]
+    assert "'AAA" in message and "(100002 characters)" in message
+
+
+@pytest.mark.parametrize("field,value", [
+    (("adapters", 0, "entries"), DELETE),
+    (("adapters", 0, "source"), DELETE),
+    (("adapters", 0, "entries", 0), 5),
+    (("adapters", 0, "entries", 0, "output"), DELETE),
+], ids=["no-entries", "no-source", "entry-not-object", "entry-without-output"])
+def test_huge_adapter_id_in_each_adapter_message(field, value):
+    doc = mutated(json.loads(json.dumps(MINIMAL)), ("adapters", 0, "id"), HUGE_ID)
+    with pytest.raises(GraphSyntaxError) as exc:
+        parse_document(json.dumps(mutated(doc, field, value)))
+    assert_short_naming_huge_id(str(exc.value))
+
+
+@pytest.mark.parametrize("methods", [
+    None,
+    [5],
+    [{"values": ["X"]}],
+    [{"name": "m"}],
+    [],
+    [{"name": "m", "values": ["X"]}, {"name": "m", "values": ["Y"]}],
+    [{"name": "m", "values": ["X", "X"]}],
+], ids=[
+    "no-methods", "method-not-object", "method-without-name",
+    "method-without-values", "empty-methods", "duplicate-method",
+    "duplicate-value",
+])
+def test_huge_interface_id_in_each_interface_message(methods):
+    interface = {"id": HUGE_ID}
+    if methods is not None:
+        interface["methods"] = methods
+    doc = {"version": "1", "interfaces": [interface], "adapters": []}
+    with pytest.raises(AdapterChainError) as exc:
+        parse_document(json.dumps(doc))
+    assert_short_naming_huge_id(str(exc.value))
+
+
+@pytest.mark.parametrize("kind", ["interfaces", "adapters"])
+def test_huge_duplicate_id_is_a_short_error(kind):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["interfaces"][0]["id"] = doc["adapters"][0]["source"] = HUGE_ID
+    doc["adapters"][0]["id"] = HUGE_ID
+    doc[kind].append(doc[kind][0])
+    with pytest.raises(DuplicateId) as exc:
+        parse_document(json.dumps(doc))
+    assert_short_naming_huge_id(str(exc.value))
 
 
 def test_document_fields_are_exact():

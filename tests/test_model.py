@@ -17,6 +17,7 @@ from adaptchain.errors import (
     DuplicateInput,
     DuplicateMethodName,
     EmptyDomain,
+    InterfaceMismatch,
     UnknownInterface,
     UnknownValue,
     brief,
@@ -168,6 +169,17 @@ class TestBuildGraph:
     def test_duplicate_ids(self):
         with pytest.raises(DuplicateId):
             build_graph([video1(), video1()], [])
+
+    def test_huge_ids_in_graph_errors_are_cut(self):
+        huge = "A" * 100_000
+        declared = build_interface(huge, [("m", ["X"])])
+        redeclared = build_interface(huge, [("m", ["Y"])])
+        adapter = build_adapter(huge, redeclared, redeclared, [])
+        with pytest.raises(InterfaceMismatch) as exc:
+            build_graph([declared], [adapter])
+        message = str(exc.value)
+        assert len(message) < 300
+        assert message.count("(100002 characters)") == 2
 
     def test_endpoints_resolve(self, video_graph):
         for adapter in video_graph.adapters.values():

@@ -64,6 +64,24 @@ class TestWeightMap:
         with pytest.raises(InvalidParams, match=r"I\.m\.X"):
             WeightMap({("I", "m", "X"): weight})
 
+    def test_short_keys_are_shown_whole_and_unquoted(self):
+        with pytest.raises(ReservedName) as exc:
+            WeightMap({("I", "m", "bot"): 1.0})
+        assert str(exc.value) == "weight for 'bot' is fixed at 0 (I.m.bot)"
+        with pytest.raises(InvalidParams) as exc:
+            WeightMap({("I", "m", "X"): -1.0})
+        assert str(exc.value) == "weight -1.0 for I.m.X is not finite and non-negative"
+
+    @pytest.mark.parametrize("key,error", [
+        (("I" * 100_000, "m", "bot"), ReservedName),
+        (("I", "m" * 100_000, "X"), InvalidParams),
+    ])
+    def test_huge_keys_are_cut(self, key, error):
+        with pytest.raises(error) as exc:
+            WeightMap({key: -1.0})
+        message = str(exc.value)
+        assert len(message) < 300 and "... (100000 characters)" in message
+
 
 @pytest.mark.parametrize("search", [greedy_chain, oracle_optimal])
 @pytest.mark.parametrize(
