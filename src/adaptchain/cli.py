@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .document import load_fixture, parse_document, serialize_graph
-from .errors import AdapterChainError, GraphSyntaxError, InvalidParams, brief
+from .errors import AdapterChainError, GraphSyntaxError, InvalidParams
 from .generator import GenParams, random_instance
 from .model import AdapterGraph, AvailabilityVector, Interface, normalize_vector
 from .search import (
@@ -38,15 +38,18 @@ def _read_text(path: str, what: str, error: type[AdapterChainError]) -> str:
     """Read a UTF-8 file named on the command line; failures raise ``error``."""
     try:
         return Path(path).read_bytes().decode("utf-8")
-    except OSError as exc:
-        raise error(f"cannot read {what} file {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise error(f"{what} file {path!r} is not UTF-8 (byte {exc.start})") from None
+        raise error(
+            "{} file {!r} is not UTF-8 (byte {})", what, path, exc.start
+        ) from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise error("cannot read {} file {!r}: {}", what, path, reason) from None
 
 
 def _load_graph(spec: str) -> AdapterGraph:
     path_like = "/" in spec or "\\" in spec or spec.endswith(".json")
-    if not path_like and not Path(spec).exists():
+    if not path_like and not os.path.exists(spec):  # False for any bad name
         return load_fixture(spec)
     return parse_document(_read_text(spec, "graph", GraphSyntaxError))
 
@@ -58,9 +61,7 @@ def _parse_vector(interface: Interface, text: str) -> AvailabilityVector:
         name, _, values = part.partition(":")
         name = name.strip()
         if name not in sets:
-            raise InvalidParams(
-                f"interface {brief(interface.id)} has no method {brief(name)}"
-            )
+            raise InvalidParams("interface {!r} has no method {!r}", interface.id, name)
         sets[name] |= {v.strip() for v in values.split(",") if v.strip()}
     return normalize_vector(interface, list(sets.values()))
 
@@ -78,13 +79,13 @@ def _parse_weights(path: str) -> WeightMap:
         parts = key.strip().split(".")
         if not sep or len(parts) != 3:
             raise InvalidParams(
-                f"{path}:{lineno}: expected 'interface.method.value = weight'"
+                "{}:{}: expected 'interface.method.value = weight'", path, lineno
             )
         try:
             weight = float(value.strip())
         except ValueError:
             raise InvalidParams(
-                f"{path}:{lineno}: weight {brief(value.strip())} is not a number"
+                "{}:{}: weight {!r} is not a number", path, lineno, value.strip()
             ) from None
         weights[tuple(parts)] = weight
     return WeightMap(weights)
@@ -112,7 +113,7 @@ def _cmd_eval(args, graph: AdapterGraph) -> tuple[dict, str]:
     if not chain:
         raise InvalidParams("--chain must list at least one adapter id")
     if chain[0] not in graph.adapters:
-        raise InvalidParams(f"graph has no adapter {brief(chain[0])}")
+        raise InvalidParams("graph has no adapter {!r}", chain[0])
     source = graph.adapters[chain[0]].source
     pipeline = chain_pipeline(graph, chain, source.id)
     p = _parse_vector(source, args.vector)
@@ -193,7 +194,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         return (int(lo), int(hi)) if sep else (int(lo), int(lo))
     except ValueError:
-        raise InvalidParams(f"range {brief(text)} must be N or LO:HI") from None
+        raise InvalidParams("range {!r} must be N or LO:HI", text) from None
 
 
 def _cmd_gen(args, graph: None) -> tuple[None, str]:
@@ -213,10 +214,9 @@ def _cmd_gen(args, graph: None) -> tuple[None, str]:
         return None, text[:-1]  # run_cli prints the document's last newline
     try:
         Path(args.output).write_text(text)
-    except OSError as exc:
-        raise InvalidParams(
-            f"cannot write {args.output!r}: {exc.strerror}"
-        ) from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise InvalidParams("cannot write {!r}: {}", args.output, reason) from None
     return None, f"wrote {args.output} (source {source}, target {target})"
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .errors import GraphSyntaxError, UnknownInterface, brief
+from .errors import GraphSyntaxError, UnknownInterface
 from .model import (
     BOT,
     Adapter,
@@ -33,13 +33,14 @@ from .model import (
 FORMAT_VERSION = "1"
 
 
-def _require(obj: dict, key: str, kind: type, where: str):
+def _require(obj: dict, key: str, kind: type, where: str, *values):
+    """``obj[key]``, a ``kind``; ``where`` (a template) and ``values`` name ``obj``."""
     if key not in obj:
-        raise GraphSyntaxError(f"{where}: missing field {key!r}")
+        raise GraphSyntaxError(where + ": missing field {!r}", *values, key)
     value = obj[key]
     if not isinstance(value, kind):
         raise GraphSyntaxError(
-            f"{where}: field {key!r} must be a {kind.__name__}"
+            where + ": field {!r} must be a {}", *values, key, kind.__name__
         )
     return value
 
@@ -48,16 +49,13 @@ def _parse_interface(obj: dict) -> Interface:
     if not isinstance(obj, dict):
         raise GraphSyntaxError("each interface must be an object")
     id = _require(obj, "id", str, "interface")
-    quoted = brief(id)
-    where = f"interface {quoted}"
-    raw_methods = _require(obj, "methods", list, where)
-    method_where = f"{where} method"
+    raw_methods = _require(obj, "methods", list, "interface {!r}", id)
     methods = []
     for m in raw_methods:
         if not isinstance(m, dict):
-            raise GraphSyntaxError(f"{where}: methods must be objects")
-        name = _require(m, "name", str, method_where)
-        values = _require(m, "values", list, f"method {brief(name)} of {quoted}")
+            raise GraphSyntaxError("interface {!r}: methods must be objects", id)
+        name = _require(m, "name", str, "interface {!r} method", id)
+        values = _require(m, "values", list, "method {!r} of {!r}", name, id)
         methods.append((name, values))
     return build_interface(id, methods)
 
@@ -66,22 +64,20 @@ def _parse_adapter(obj: dict, interfaces: dict[str, Interface]) -> Adapter:
     if not isinstance(obj, dict):
         raise GraphSyntaxError("each adapter must be an object")
     id = _require(obj, "id", str, "adapter")
-    where = f"adapter {brief(id)}"
-    source_id = _require(obj, "source", str, where)
-    target_id = _require(obj, "target", str, where)
+    source_id = _require(obj, "source", str, "adapter {!r}", id)
+    target_id = _require(obj, "target", str, "adapter {!r}", id)
     for endpoint in (source_id, target_id):
         if endpoint not in interfaces:
             raise UnknownInterface(
-                f"{where} references undeclared interface {brief(endpoint)}"
+                "adapter {!r} references undeclared interface {!r}", id, endpoint
             )
-    raw_entries = _require(obj, "entries", list, where)
-    entry_where = f"{where} entry"
+    raw_entries = _require(obj, "entries", list, "adapter {!r}", id)
     entries = []
     for e in raw_entries:
         if not isinstance(e, dict):
-            raise GraphSyntaxError(f"{where}: entries must be objects")
-        input = _require(e, "input", list, entry_where)
-        output = _require(e, "output", list, entry_where)
+            raise GraphSyntaxError("adapter {!r}: entries must be objects", id)
+        input = _require(e, "input", list, "adapter {!r} entry", id)
+        output = _require(e, "output", list, "adapter {!r} entry", id)
         entries.append((input, output))
     default_output = obj.get("default_output")
     return build_adapter(
@@ -104,13 +100,13 @@ def parse_document(data: bytes | str) -> AdapterGraph:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GraphSyntaxError(
-                f"document is not UTF-8: invalid byte at offset {exc.start}"
+                "document is not UTF-8: invalid byte at offset {}", exc.start
             ) from None
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise GraphSyntaxError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            "invalid JSON at line {}, column {}: {}", exc.lineno, exc.colno, exc.msg
         ) from exc
     except RecursionError:
         # The decoder recurses once per nested array or object.
@@ -120,7 +116,7 @@ def parse_document(data: bytes | str) -> AdapterGraph:
     version = _require(doc, "version", str, "document")
     if version != FORMAT_VERSION:
         raise GraphSyntaxError(
-            f"unsupported format version {version!r}, expected {FORMAT_VERSION!r}"
+            "unsupported format version {!r}, expected {!r}", version, FORMAT_VERSION
         )
     interfaces = [
         _parse_interface(i) for i in _require(doc, "interfaces", list, "document")
@@ -180,12 +176,9 @@ def serialize_graph(graph: AdapterGraph) -> str:
 
 def load_fixture(name: str) -> AdapterGraph:
     """Load a bundled example graph by name (e.g. "video-example")."""
+    fixture = resources.files("adaptchain").joinpath("fixtures", f"{name}.json")
     try:
-        data = (
-            resources.files("adaptchain")
-            .joinpath("fixtures", f"{name}.json")
-            .read_bytes()
-        )
-    except FileNotFoundError:
-        raise GraphSyntaxError(f"no bundled fixture named {name!r}") from None
+        data = fixture.read_bytes()
+    except (OSError, ValueError):  # ValueError: a NUL byte in the name
+        raise GraphSyntaxError("no bundled fixture named {!r}", name) from None
     return parse_document(data)

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared by all adaptchain modules."""
+"""Exception hierarchy shared by all adaptchain modules.
+
+A domain error is raised as ``SomeError(template, *values)``: a constant
+:meth:`str.format` template (never outside text: an id holding ``{`` would
+break it) and the outside values it names, which only
+:class:`AdapterChainError` turns into text, each clipped to a short line.
+"""
+
+import string
 
 BRIEF_CHARS = 80
 
@@ -17,8 +25,23 @@ def brief(value: object) -> str:
     return clip(repr(value))
 
 
+class _Shown(string.Formatter):
+    """``{!r}`` shows :func:`brief` of a value, ``{}`` :func:`clip` of its
+    ``str``; an int is shown whole either way."""
+
+    def convert_field(self, value, conversion):
+        if isinstance(value, int):
+            return value
+        return brief(value) if conversion == "r" else clip(str(value))
+
+
 class AdapterChainError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package. A template
+    raised with no values is the message as given."""
+
+    def __init__(self, template: str, *values: object):
+        message = _Shown().vformat(template, values, {}) if values else template
+        super().__init__(message)
 
 
 class ValidationError(AdapterChainError):
@@ -77,8 +100,8 @@ class CapExceeded(AdapterChainError):
     """Materializing an adaptation table, or drawing a random dependency
     function, would exceed the configured cap."""
 
-    def __init__(self, message: str, required_size: int, cap: int):
-        super().__init__(message)
+    def __init__(self, template: str, *values: object, required_size: int, cap: int):
+        super().__init__(template, *values)
         self.required_size = required_size
         self.cap = cap
 

@@ -77,7 +77,7 @@ class GenParams:
             ("values_per_method", self.values_per_method),
         ):
             if lo < 1 or hi < lo:
-                raise InvalidParams(f"{name} range ({lo}, {hi}) is empty or below 1")
+                raise InvalidParams("{} range {} is empty or below 1", name, (lo, hi))
         if not 0.0 <= self.entry_density <= 1.0:
             raise InvalidParams("entry_density must be within [0, 1]")
 
@@ -105,8 +105,8 @@ def _random_adapter(
     size = prod(d.size for d in source.domains)
     if size > cap:
         raise CapExceeded(
-            f"adapter A{index} from {source.id!r} would draw over {size} "
-            f"input tuples, exceeding the cap of {cap}",
+            "adapter A{} from {!r} would draw over {} input tuples, exceeding "
+            "the cap of {}", index, source.id, size, cap,
             required_size=size,
             cap=cap,
         )

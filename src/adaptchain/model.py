@@ -28,7 +28,6 @@ from .errors import (
     InterfaceMismatch,
     UnknownInterface,
     UnknownValue,
-    brief,
 )
 
 BOT = "bot"
@@ -46,25 +45,28 @@ class AbstractDomain:
     values: tuple[str, ...]
 
     @classmethod
-    def from_names(cls, names: Iterable[str], *, context: str = "") -> AbstractDomain:
+    def from_names(cls, names: Iterable[str], *, context=("",)) -> AbstractDomain:
         """Lift a collection of non-bottom value names into a domain.
 
         "bot" may appear in ``names``; it is treated as the implied bottom.
+        ``context`` (a template fragment, then its values; see ``errors``)
+        ends every error message.
         """
+        where, *values = context
         seen: set[str] = set()
         for name in names:
             if not isinstance(name, str):
                 raise UnknownValue(
-                    f"abstract value {brief(name)} is not a string{context}"
+                    "abstract value {!r} is not a string" + where, name, *values
                 )
             if name in seen:
                 raise DuplicateAbstractValue(
-                    f"duplicate abstract value {brief(name)}{context}"
+                    "duplicate abstract value {!r}" + where, name, *values
                 )
             seen.add(name)
         non_bottom = sorted(seen - {BOT})
         if not non_bottom:
-            raise EmptyDomain(f"domain has no non-bottom values{context}")
+            raise EmptyDomain("domain has no non-bottom values" + where, *values)
         return cls((BOT, *non_bottom))
 
     @property
@@ -142,19 +144,18 @@ def build_interface(
     """
     if not id:
         raise EmptyDomain("interface id must be nonempty")
-    quoted = brief(id)
     if not methods:
-        raise EmptyDomain(f"interface {quoted} must declare at least one method")
+        raise EmptyDomain("interface {!r} must declare at least one method", id)
     specs: list[MethodSpec] = []
     names_seen: set[str] = set()
     for name, values in methods:
         if name in names_seen:
             raise DuplicateMethodName(
-                f"interface {quoted} declares method {brief(name)} twice"
+                "interface {!r} declares method {!r} twice", id, name
             )
         names_seen.add(name)
         domain = AbstractDomain.from_names(
-            values, context=f" in method {brief(name)} of interface {quoted}"
+            values, context=(" in method {!r} of interface {!r}", name, id)
         )
         specs.append(MethodSpec(name, domain))
     return Interface(id, tuple(specs))
@@ -182,22 +183,20 @@ def normalize_vector(
 
 
 def _lift_sets(
-    interface: Interface,
-    sets: Sequence[Iterable[str]],
-    adapter_id: str | None = None,
-    entry: tuple | None = None,
+    interface: Interface, sets: Sequence[Iterable[str]], where: tuple = ("",)
 ) -> tuple[frozenset[str], ...]:
     """Validate one collection of value names per method and inject "bot"
-    into each. Errors name the adapter and entry (None: its default output)
-    if given; types are only inspected once something has failed."""
+    into each. Errors begin with ``where``, a template fragment naming the
+    adapter output checked, then its values (see ``errors``); types are
+    only inspected once something has failed."""
     try:
         arity_ok = len(sets) == interface.arity
     except TypeError:
         arity_ok = False
     if not arity_ok:
         raise ArityMismatch(
-            f"{_where(adapter_id, entry)}interface {brief(interface.id)} has "
-            f"{interface.arity} methods, got {brief(sets)}"
+            where[0] + "interface {!r} has {} methods, got {!r}",
+            *where[1:], interface.id, interface.arity, sets,
         )
     components: list[frozenset[str]] = []
     for method, values in zip(interface.methods, sets):
@@ -207,26 +206,18 @@ def _lift_sets(
             values = frozenset(values) | _BOT_SET
         except TypeError:
             raise UnknownValue(
-                f"{_where(adapter_id, entry)}method {brief(method.name)} of "
-                f"interface {brief(interface.id)} needs a list of value names, "
-                f"got {brief(values)}"
+                where[0] + "method {!r} of interface {!r} needs a list of value "
+                "names, got {!r}", *where[1:], method.name, interface.id, values,
             ) from None
         unknown = values.difference(method.domain.values)
         if unknown:
             raise UnknownValue(
-                f"{_where(adapter_id, entry)}value {brief(min(unknown, key=repr))} "
-                f"is not in the domain of method {brief(method.name)} of "
-                f"interface {brief(interface.id)}"
+                where[0] + "value {!r} is not in the domain of method {!r} of "
+                "interface {!r}", *where[1:], min(unknown, key=repr),
+                method.name, interface.id,
             )
         components.append(values)
     return tuple(components)
-
-
-def _where(adapter_id: str | None, entry: tuple | None) -> str:
-    if adapter_id is None:
-        return ""
-    what = "default output" if entry is None else f"entry {brief(entry)} output"
-    return f"adapter {brief(adapter_id)}: {what}: "
 
 
 @dataclass(frozen=True)
@@ -269,29 +260,33 @@ def build_adapter(
     if default_output is None:
         default = (_BOT_SET,) * target.arity
     else:
-        default = _lift_sets(target, default_output, id)
+        default = _lift_sets(
+            target, default_output, ("adapter {!r}: default output: ", id)
+        )
 
     table: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
     for input_values, output in entries:
         if len(input_values) != source.arity:
             raise ArityMismatch(
-                f"adapter {brief(id)}: input tuple {brief(tuple(input_values))} "
-                f"has {len(input_values)} components, source {brief(source.id)} "
-                f"has {source.arity} methods"
+                "adapter {!r}: input tuple {!r} has {} components, source {!r} "
+                "has {} methods", id, tuple(input_values), len(input_values),
+                source.id, source.arity,
             )
         input = tuple(input_values)
         for method, value in zip(source.methods, input):
             if value not in method.domain:
                 raise UnknownValue(
-                    f"adapter {brief(id)}: input value {brief(value)} is not in "
-                    f"the domain of method {brief(method.name)} of interface "
-                    f"{brief(source.id)}"
+                    "adapter {!r}: input value {!r} is not in the domain of "
+                    "method {!r} of interface {!r}", id, value, method.name,
+                    source.id,
                 )
         if input in table:
             raise DuplicateInput(
-                f"adapter {brief(id)}: duplicate entry for input {brief(input)}"
+                "adapter {!r}: duplicate entry for input {!r}", id, input
             )
-        table[input] = _lift_sets(target, output, id, input)
+        table[input] = _lift_sets(
+            target, output, ("adapter {!r}: entry {!r} output: ", id, input)
+        )
     return Adapter(id, source, target, dict(sorted(table.items())), default)
 
 
@@ -336,7 +331,7 @@ class AdapterGraph:
             return self.interfaces[interface_id]
         except KeyError:
             raise UnknownInterface(
-                f"interface {brief(interface_id)} is not declared in the graph"
+                "interface {!r} is not declared in the graph", interface_id
             ) from None
 
 
@@ -351,23 +346,23 @@ def build_graph(
     interface_map: dict[str, Interface] = {}
     for interface in interfaces:
         if interface.id in interface_map:
-            raise DuplicateId(f"interface {brief(interface.id)} declared twice")
+            raise DuplicateId("interface {!r} declared twice", interface.id)
         interface_map[interface.id] = interface
     adapter_map: dict[str, Adapter] = {}
     for adapter in adapters:
         if adapter.id in adapter_map:
-            raise DuplicateId(f"adapter {brief(adapter.id)} declared twice")
+            raise DuplicateId("adapter {!r} declared twice", adapter.id)
         for endpoint in (adapter.source, adapter.target):
             declared = interface_map.get(endpoint.id)
             if declared is None:
                 raise UnknownInterface(
-                    f"adapter {brief(adapter.id)} references undeclared "
-                    f"interface {brief(endpoint.id)}"
+                    "adapter {!r} references undeclared interface {!r}",
+                    adapter.id, endpoint.id,
                 )
             if declared != endpoint:
                 raise InterfaceMismatch(
-                    f"adapter {brief(adapter.id)} disagrees with the "
-                    f"declaration of interface {brief(endpoint.id)}"
+                    "adapter {!r} disagrees with the declaration of interface "
+                    "{!r}", adapter.id, endpoint.id,
                 )
         adapter_map[adapter.id] = adapter
     return AdapterGraph(interface_map, adapter_map)

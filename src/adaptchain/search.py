@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidParams, NoChain, ReservedName, TooLarge, brief, clip
+from .errors import InvalidParams, NoChain, ReservedName, TooLarge
 from .model import (
     BOT,
     Adapter,
@@ -46,17 +46,12 @@ from .semantics import (
 DEFAULT_ORACLE_GUARD = 10**6
 
 
-def _weight_key(interface: str, method: str, value: str) -> str:
-    """A weight key for an error message, written as in a weight file:
-    ``interface.method.value``, each part clipped but not quoted."""
-    return ".".join(clip(str(part)) for part in (interface, method, value))
-
-
 @dataclass(frozen=True)
 class WeightMap:
     """Per-abstract-value weights for scoring, keyed by
     (interface id, method name, value name). Unlisted entries weigh 1.0;
-    "bot" always weighs 0 and cannot be overridden."""
+    "bot" always weighs 0 and cannot be overridden. Error messages write a
+    key as a weight file does, ``interface.method.value``, unquoted."""
 
     weights: Mapping[tuple[str, str, str], float] = field(default_factory=dict)
 
@@ -64,13 +59,13 @@ class WeightMap:
         for (interface, method, value), weight in self.weights.items():
             if value == BOT:
                 raise ReservedName(
-                    f"weight for 'bot' is fixed at 0 "
-                    f"({_weight_key(interface, method, value)})"
+                    "weight for 'bot' is fixed at 0 ({}.{}.{})",
+                    interface, method, value,
                 )
             if not 0 <= weight < math.inf:
-                key = _weight_key(interface, method, value)
                 raise InvalidParams(
-                    f"weight {weight} for {key} is not finite and non-negative"
+                    "weight {} for {}.{}.{} is not finite and non-negative",
+                    weight, interface, method, value,
                 )
 
     def weight(self, interface: str, method: str, value: str) -> float:
@@ -132,8 +127,7 @@ def _check_query(
             m.name == method and value in m.domain for m in interface.methods
         ):
             raise InvalidParams(
-                f"weight for {_weight_key(interface_id, method, value)}: "
-                f"no such value"
+                "weight for {}.{}.{}: no such value", interface_id, method, value
             )
     return source_ids
 
@@ -188,7 +182,7 @@ def greedy_chain(
                 ),
             )
     raise NoChain(
-        f"no acyclic chain reaches {target!r} from any of {ordered_sources}"
+        "no acyclic chain reaches {!r} from any of {}", target, ordered_sources
     )
 
 
@@ -251,7 +245,7 @@ def chain_pipeline(graph: AdapterGraph, chain: Iterable[str], source: str) -> Ad
     adapters = []
     for adapter_id in chain:
         if adapter_id not in graph.adapters:
-            raise InvalidParams(f"graph has no adapter {brief(adapter_id)}")
+            raise InvalidParams("graph has no adapter {!r}", adapter_id)
         adapters.append(graph.adapters[adapter_id])
     end = adapters[-1].target if adapters else graph.require_interface(source)
     pipeline = identity_pipeline(end)
@@ -259,7 +253,7 @@ def chain_pipeline(graph: AdapterGraph, chain: Iterable[str], source: str) -> Ad
         pipeline = prepend(adapter, pipeline)
     if pipeline.source.id != source:
         raise InvalidParams(
-            f"chain starts at {pipeline.source.id!r}, expected {source!r}"
+            "chain starts at {!r}, expected {!r}", pipeline.source.id, source
         )
     return pipeline
 
@@ -288,9 +282,9 @@ def oracle_optimal(
             candidates += 1
             if candidates > guard:
                 raise TooLarge(
-                    f"more than {guard} candidate chains; greedy search "
-                    f"('chain' without '--oracle') returns an optimal chain, "
-                    f"and library callers can pass a larger guard="
+                    "more than {} candidate chains; greedy search ('chain' "
+                    "without '--oracle') returns an optimal chain, and library "
+                    "callers can pass a larger guard=", guard,
                 )
             del vectors[kept + 1:]
             for adapter in path[kept:]:
@@ -308,6 +302,6 @@ def oracle_optimal(
                 best = ChainResult(chain, src, target, vectors[-1], score)
     if best is None:
         raise NoChain(
-            f"no acyclic chain reaches {target!r} from any of {source_ids}"
+            "no acyclic chain reaches {!r} from any of {}", target, source_ids
         )
     return best

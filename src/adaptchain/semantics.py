@@ -41,8 +41,8 @@ TABULATE_CAP_ENV = "ADAPTCHAIN_TABULATE_CAP"
 def _check_same_interface(u: AvailabilityVector, v: AvailabilityVector) -> None:
     if u.interface_id != v.interface_id:
         raise InterfaceMismatch(
-            f"vectors belong to different interfaces: "
-            f"{u.interface_id!r} vs {v.interface_id!r}"
+            "vectors belong to different interfaces: {!r} vs {!r}",
+            u.interface_id, v.interface_id,
         )
 
 
@@ -74,8 +74,8 @@ def apply_adaptation(adapter: Adapter, p: AvailabilityVector) -> AvailabilityVec
     """
     if p.interface_id != adapter.source.id:
         raise InterfaceMismatch(
-            f"vector is over {p.interface_id!r}, adapter {adapter.id!r} "
-            f"expects source {adapter.source.id!r}"
+            "vector is over {!r}, adapter {!r} expects source {!r}",
+            p.interface_id, adapter.id, adapter.source.id,
         )
     outputs = set(map(adapter.lookup, itertools.product(*p.components)))
     return AvailabilityVector(
@@ -120,11 +120,6 @@ class AdaptationPipeline:
         default_factory=dict, repr=False
     )
 
-    def __post_init__(self) -> None:
-        if self._tail is None:  # the identity: the root of a fresh index
-            self._index[self.source.id] = 0
-            object.__setattr__(self, "_mask", 1)
-
     @property
     def adapters(self) -> tuple[Adapter, ...]:
         """The adapters in application order. O(length)."""
@@ -156,7 +151,7 @@ class AdaptationPipeline:
 def identity_pipeline(interface: Interface) -> AdaptationPipeline:
     """The empty chain at an interface; applying it is the identity. It is
     the root of a fresh interface index (see AdaptationPipeline)."""
-    return AdaptationPipeline(interface, interface)
+    return AdaptationPipeline(interface, interface, _index={interface.id: 0}, _mask=1)
 
 
 def prepend(adapter: Adapter, pipeline: AdaptationPipeline) -> AdaptationPipeline:
@@ -168,15 +163,15 @@ def prepend(adapter: Adapter, pipeline: AdaptationPipeline) -> AdaptationPipelin
     """
     if adapter.target.id != pipeline.source.id:
         raise EndpointMismatch(
-            f"adapter {adapter.id!r} targets {adapter.target.id!r}, "
-            f"pipeline starts at {pipeline.source.id!r}"
+            "adapter {!r} targets {!r}, pipeline starts at {!r}",
+            adapter.id, adapter.target.id, pipeline.source.id,
         )
     index = pipeline._index
     bit = index.setdefault(adapter.source.id, len(index))
     if pipeline._mask >> bit & 1:
         raise CycleDetected(
-            f"prepending adapter {adapter.id!r} revisits interface "
-            f"{adapter.source.id!r}"
+            "prepending adapter {!r} revisits interface {!r}",
+            adapter.id, adapter.source.id,
         )
     return AdaptationPipeline(
         adapter.source, pipeline.target, adapter, pipeline, index,
@@ -187,8 +182,8 @@ def prepend(adapter: Adapter, pipeline: AdaptationPipeline) -> AdaptationPipelin
 def _check_start(pipeline: AdaptationPipeline, p: AvailabilityVector) -> None:
     if p.interface_id != pipeline.source.id:
         raise InterfaceMismatch(
-            f"vector is over {p.interface_id!r}, pipeline starts at "
-            f"{pipeline.source.id!r}"
+            "vector is over {!r}, pipeline starts at {!r}",
+            p.interface_id, pipeline.source.id,
         )
 
 
@@ -268,7 +263,7 @@ def tabulation_cap() -> int:
         cap = 0
     if cap <= 0:
         raise InvalidParams(
-            f"{TABULATE_CAP_ENV} must be a positive integer, got {raw!r}"
+            "{} must be a positive integer, got {!r}", TABULATE_CAP_ENV, raw
         )
     return cap
 
@@ -286,8 +281,8 @@ def tabulate_adaptation(
     _, raw_size = function_sizes(adapter)
     if raw_size > cap:
         raise CapExceeded(
-            f"adaptation table for adapter {adapter.id!r} would have "
-            f"{raw_size} elements, exceeding the cap of {cap}",
+            "adaptation table for adapter {!r} would have {} elements, "
+            "exceeding the cap of {}", adapter.id, raw_size, cap,
             required_size=raw_size,
             cap=cap,
         )

@@ -174,6 +174,111 @@ class TestBadInput:
         ])
         assert (status, err) == (1, "error: weight for Nope.m.x: no such value\n")
 
+    @pytest.mark.parametrize("case", [
+        "eval-endpoints", "chain-greedy", "chain-oracle", "gen-output",
+        "graph-path", "document-version", "fixture-name", "tabulate-cap",
+    ])
+    def test_huge_value_gives_a_short_line(self, tmp_path, monkeypatch, case):
+        huge = "H" * 100_000
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["interfaces"][0]["id"] = doc["adapters"][0]["source"] = huge + "A"
+        doc["interfaces"][1]["id"] = doc["adapters"][0]["target"] = huge + "B"
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(doc))
+        version = tmp_path / "v.json"
+        version.write_text(json.dumps({**MINIMAL, "version": huge}))
+        if case == "tabulate-cap":
+            monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "9" * 100_000 + "x")
+        chain = ["chain", "--graph", str(graph), "--source", huge + "B",
+                 "--target", huge + "A"]
+        gen = ["gen", "--interfaces", "2", "--adapters", "1"]
+        argv, shown = {
+            "eval-endpoints": (
+                ["eval", "--graph", str(graph), "--chain", "AtoB,AtoB", "--vector", ""],
+                "adapter 'AtoB' targets 'HHH",
+            ),
+            "chain-greedy": (chain, "no acyclic chain reaches 'HHH"),
+            "chain-oracle": ([*chain, "--oracle"], "no acyclic chain reaches 'HHH"),
+            "gen-output": ([*gen, "--output", str(tmp_path / huge)], "cannot write '"),
+            "graph-path": (
+                ["validate", "--graph", str(tmp_path / huge)],
+                "cannot read graph file '",
+            ),
+            "document-version": (
+                ["validate", "--graph", str(version)],
+                "unsupported format version 'HHH",
+            ),
+            "fixture-name": (
+                ["validate", "--graph", "\x01" * 100],
+                "no bundled fixture named '\\x01\\x01",
+            ),
+            "tabulate-cap": (
+                gen, "ADAPTCHAIN_TABULATE_CAP must be a positive integer, got '999"
+            ),
+        }[case]
+        status, out, err = run(argv)
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: {shown}"), err[:300]
+        assert len(err) < 300 and err.count("\n") == 1 and " characters)" in err
+
+    @pytest.mark.parametrize("argv,shown", [
+        (["validate", "--graph", "a\0b"], "no bundled fixture named 'a\\x00b'"),
+        (["validate", "--graph", "a/\0b.json"],
+         "cannot read graph file 'a/\\x00b.json': embedded null byte"),
+        (["chain", "--graph", "video-example", "--source", "Video1",
+          "--target", "Video2", "--weights", "w\0"],
+         "cannot read weights file 'w\\x00': embedded null byte"),
+        (["gen", "--interfaces", "2", "--adapters", "1", "--output", "o\0"],
+         "cannot write 'o\\x00': embedded null byte"),
+    ], ids=["graph-fixture", "graph-path", "weights", "output"])
+    def test_nul_byte_in_a_path(self, argv, shown):
+        # No real argv carries a NUL byte, but a library caller can pass one.
+        assert run(argv) == (1, "", f"error: {shown}\n")
+
+    def test_overlong_fixture_name_from_a_shell(self):
+        # Too long for a file name: looking it up fails with ENAMETOOLONG.
+        src = Path(adaptchain.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "adaptchain.cli",
+             "validate", "--graph", "x" * 5000],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: no bundled fixture named 'xxx")
+        assert proc.stderr.endswith("(5002 characters)\n")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["no-chain", "endpoints", "weight-key", "document"])
+    def test_braces_show_verbatim(self, tmp_path, case):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["interfaces"][1]["id"] = doc["adapters"][0]["target"] = "{0}"
+        doc["adapters"][0]["id"] = "{}"
+        if case == "document":
+            doc["adapters"][0]["source"] = "}{"
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(doc))
+        weights = tmp_path / "w.txt"
+        weights.write_text("{0}.n.{x} = 1\n")
+        argv, shown = {
+            "no-chain": (
+                ["chain", "--source", "{0}", "--target", "A"],
+                "no acyclic chain reaches 'A' from any of ['{0}']",
+            ),
+            "endpoints": (
+                ["eval", "--chain", "{},{}", "--vector", ""],
+                "adapter '{}' targets '{0}', pipeline starts at 'A'",
+            ),
+            "weight-key": (
+                ["chain", "--source", "A", "--target", "{0}", "--weights", str(weights)],
+                "weight for {0}.n.{x}: no such value",
+            ),
+            "document": (
+                ["validate"], "adapter '{}' references undeclared interface '}{'"
+            ),
+        }[case]
+        assert run([*argv, "--graph", str(graph)]) == (1, "", f"error: {shown}\n")
+
 
 # Arguments that each --graph subcommand needs besides --graph.
 GRAPH_COMMANDS = {
