@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .document import load_fixture, parse_document, serialize_graph
-from .errors import AdapterChainError, GraphSyntaxError, InvalidParams
+from .errors import AdapterChainError, GraphSyntaxError, InvalidParams, digits
 from .generator import GenParams, random_instance
 from .model import AdapterGraph, AvailabilityVector, Interface, normalize_vector
 from .search import (
@@ -171,11 +171,22 @@ def _cmd_enumerate(args, graph: AdapterGraph) -> tuple[dict, str]:
     ) or "(no chains)"
 
 
+def _size(size: int) -> int | str:
+    """A function size for both renderings: the int, or the string of its
+    digits when it has too many for the interpreter (and ``json``) to turn
+    into text."""
+    try:
+        str(size)
+    except ValueError:
+        return digits(size)
+    return size
+
+
 def _cmd_stats(args, graph: AdapterGraph) -> tuple[dict, str]:
     rows = []
     for adapter_id in sorted(graph.adapters):
         dep, adap = function_sizes(graph.adapters[adapter_id])
-        rows.append((adapter_id, dep, adap))
+        rows.append((adapter_id, _size(dep), _size(adap)))
     width = max((len(r[0]) for r in rows), default=7)
     lines = [f"{'adapter':<{width}}  dependency_size  adaptation_size"]
     for adapter_id, dep, adap in rows:

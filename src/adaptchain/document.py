@@ -111,6 +111,11 @@ def parse_document(data: bytes | str) -> AdapterGraph:
     except RecursionError:
         # The decoder recurses once per nested array or object.
         raise GraphSyntaxError("document nests too deeply to parse") from None
+    except ValueError:
+        # An integer literal past the interpreter's int-from-text digit limit.
+        raise GraphSyntaxError(
+            "document holds a number with too many digits to parse"
+        ) from None
     if not isinstance(doc, dict):
         raise GraphSyntaxError("document root must be an object")
     version = _require(doc, "version", str, "document")

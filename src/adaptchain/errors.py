@@ -6,6 +6,7 @@ break it) and the outside values it names, which only
 :class:`AdapterChainError` turns into text, each clipped to a short line.
 """
 
+import decimal
 import string
 
 BRIEF_CHARS = 80
@@ -25,14 +26,34 @@ def brief(value: object) -> str:
     return clip(repr(value))
 
 
+def digits(value: int) -> str:
+    """The decimal digits of an int, also past the interpreter's limit on
+    int-to-text conversion (4300 digits by default), which ``decimal``
+    does not apply."""
+    return str(decimal.Decimal(value))
+
+
+def _escaped(text: str) -> str:
+    """``text`` with each character that is not printable (a newline, a
+    control character) as its backslash escape, so it stays on one line."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 class _Shown(string.Formatter):
     """``{!r}`` shows :func:`brief` of a value, ``{}`` :func:`clip` of its
-    ``str``; an int is shown whole either way."""
+    ``str`` with unprintable characters escaped; an int is shown whole
+    either way, unless it has too many digits to turn into text, when
+    :func:`clip` cuts its :func:`digits`."""
 
     def convert_field(self, value, conversion):
         if isinstance(value, int):
-            return value
-        return brief(value) if conversion == "r" else clip(str(value))
+            try:
+                return str(value)
+            except ValueError:
+                return clip(digits(value))
+        return brief(value) if conversion == "r" else clip(_escaped(str(value)))
 
 
 class AdapterChainError(Exception):

@@ -6,10 +6,13 @@ Bottom is implicit everywhere: callers never need to write it, and every
 constructor injects it into domains, output sets, and availability vectors.
 
 An adapter stores its abstract dependency function once, in the dict
-``Adapter.table``; lookup and serialization both read that table.
+``Adapter.table``, whose rows keep the order they were given in; lookup
+reads that table, and serialization orders its rows.
 
 All values here are immutable after construction (their dicts are never
-written once built); concurrent readers are safe.
+written once built; a value cached on first use, such as a graph's
+adjacency, is the same whichever reader computes it); concurrent readers
+are safe.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ class Adapter:
 
     ``table`` holds the listed rows once: it maps each input tuple (one
     abstract value per source method) to its output sets (one per target
-    method, each containing "bot"), in canonical input order. Any unlisted
+    method, each containing "bot"), in the order given. Any unlisted
     input tuple maps to ``default_output`` (canonically the all-{bot}
     tuple), so lookup is total over the product of the source domains.
     The table takes part in equality but not in the hash.
@@ -252,10 +255,10 @@ def build_adapter(
 ) -> Adapter:
     """Declare an adapter from (input tuple, output sets) dependency rows.
 
-    The rows become the adapter's one table, sorted by input tuple whatever
-    order they arrive in. The induced function is total: unlisted inputs
-    map to ``default_output`` (all-{bot} when omitted). "bot" is injected
-    into every output set.
+    The rows become the adapter's one table, kept in the order they arrive
+    in. The induced function is total: unlisted inputs map to
+    ``default_output`` (all-{bot} when omitted). "bot" is injected into
+    every output set.
     """
     if default_output is None:
         default = (_BOT_SET,) * target.arity
@@ -287,38 +290,33 @@ def build_adapter(
         table[input] = _lift_sets(
             target, output, ("adapter {!r}: entry {!r} output: ", id, input)
         )
-    return Adapter(id, source, target, dict(sorted(table.items())), default)
+    return Adapter(id, source, target, table, default)
 
 
 @dataclass(frozen=True)
 class AdapterGraph:
     """Directed multigraph: interfaces are nodes, adapters are edges.
 
-    Adjacency is indexed once at construction; ``outgoing`` and
-    ``incoming`` list adapters in declaration order.
+    Construction only validates. The first ``outgoing`` or ``incoming``
+    call indexes adjacency; both list adapters in declaration order.
     """
 
     interfaces: Mapping[str, Interface]
     adapters: Mapping[str, Adapter]
-    _outgoing: Mapping[str, tuple[Adapter, ...]] = field(
-        compare=False, repr=False, default_factory=dict
-    )
-    _incoming: Mapping[str, tuple[Adapter, ...]] = field(
-        compare=False, repr=False, default_factory=dict
-    )
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def _outgoing(self) -> dict[str, list[Adapter]]:
         outgoing: dict[str, list[Adapter]] = {}
-        incoming: dict[str, list[Adapter]] = {}
         for a in self.adapters.values():
             outgoing.setdefault(a.source.id, []).append(a)
+        return outgoing
+
+    @cached_property
+    def _incoming(self) -> dict[str, list[Adapter]]:
+        incoming: dict[str, list[Adapter]] = {}
+        for a in self.adapters.values():
             incoming.setdefault(a.target.id, []).append(a)
-        object.__setattr__(
-            self, "_outgoing", {k: tuple(v) for k, v in outgoing.items()}
-        )
-        object.__setattr__(
-            self, "_incoming", {k: tuple(v) for k, v in incoming.items()}
-        )
+        return incoming
 
     def outgoing(self, interface_id: str) -> list[Adapter]:
         return list(self._outgoing.get(interface_id, ()))

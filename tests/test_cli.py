@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import adaptchain
 from adaptchain.cli import run_cli
 from adaptchain.document import parse_document, serialize_graph
-from adaptchain.errors import ArityMismatch, UnknownInterface, UnknownValue
+from adaptchain.errors import ArityMismatch, EmptyDomain, UnknownInterface, UnknownValue
 from conftest import MINIMAL, lossless_path, mutated
 from test_search import complete_graph
 
@@ -91,12 +92,14 @@ class TestBadInput:
          ["'AtoB'", "('X', 'X',", "(500000 characters)", "100000 components"]),
         (SOURCE, "A" * 100_000, UnknownInterface,
          ["'AtoB'", "'AAA", "(100002 characters)"]),
+        (("interfaces", 0, "id"), "", EmptyDomain,
+         ["error: interface id must be nonempty\n"]),
     ], ids=[
         "values-mixed", "values-int", "values-nested", "output-int",
         "output-string", "output-unhashable", "output-object", "output-mixed",
         "default-int", "default-string", "output-huge-arity",
         "output-huge-value", "input-huge-value", "input-huge-arity",
-        "source-huge-id",
+        "source-huge-id", "interface-empty-id",
     ])
     def test_bad_value_in_document(self, tmp_path, field, value, error, named):
         doc = mutated(json.loads(json.dumps(MINIMAL)), field, value)
@@ -124,6 +127,34 @@ class TestBadInput:
         assert status == 1 and err.startswith("error:")
         assert str(weights) in err
         assert ("UTF-8" if kind == "non-utf8" else "cannot read weights file") in err
+
+    @pytest.mark.parametrize("path", ["w.txt", "nl\nx/w.txt"], ids=["plain", "newline"])
+    def test_weights_line_without_equals(self, tmp_path, monkeypatch, path):
+        # A newline in the path is shown escaped: the error stays one line.
+        monkeypatch.chdir(tmp_path)
+        weights = tmp_path / path
+        weights.parent.mkdir(exist_ok=True)
+        weights.write_text("garbage\n")
+        status, out, err = run([
+            "chain", "--graph", "video-example",
+            "--source", "Video1", "--target", "Video2", "--weights", path,
+        ])
+        assert (status, out) == (1, "")
+        shown = path.replace("\n", "\\n")
+        assert err == f"error: {shown}:1: expected 'interface.method.value = weight'\n"
+
+    @pytest.mark.parametrize("argv,shown", [
+        (["eval", "--chain", ",", "--vector", ""],
+         "--chain must list at least one adapter id"),
+        (["eval", "--chain", "Nope", "--vector", ""], "graph has no adapter 'Nope'"),
+        (["chain", "--target", "Video2"], "one of --source or --sources is required"),
+    ], ids=["eval-empty-chain", "eval-unknown-adapter", "chain-no-source"])
+    def test_bad_argument(self, argv, shown):
+        assert run([*argv, "--graph", "video-example"]) == (1, "", f"error: {shown}\n")
+
+    def test_gen_bad_range(self):
+        argv = ["gen", "--interfaces", "1", "--adapters", "1", "--methods", "x"]
+        assert run(argv) == (1, "", "error: range 'x' must be N or LO:HI\n")
 
     def test_deeply_nested_document(self, tmp_path):
         path = tmp_path / "deep.json"
@@ -442,6 +473,13 @@ class TestEnumerate:
             ["Video1toVideo2", "Video2toVideo3"],
         ]
 
+    def test_no_chains_text(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(MINIMAL))
+        assert run([
+            "enumerate", "--graph", str(path), "--source", "B", "--target", "A",
+        ]) == (0, "(no chains)\n", "")
+
 
 class TestStats:
     def test_fixture_sizes(self):
@@ -461,6 +499,37 @@ class TestStats:
             "Video3toAudio": (40, 2048),
             "Video3toVideo1": (40, 2048),
         }
+
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory):
+        """One adapter on an interface of 5000 two-value methods: its
+        adaptation size, 2**15000, has more digits (4516) than the
+        interpreter turns into text."""
+        methods = [{"name": f"m{i}", "values": ["a", "b"]} for i in range(5000)]
+        path = tmp_path_factory.mktemp("stats") / "wide.json"
+        path.write_text(json.dumps({
+            "version": "1",
+            "interfaces": [{"id": "I", "methods": methods}],
+            "adapters": [{"id": "A", "source": "I", "target": "I", "entries": []}],
+        }))
+        return str(path)
+
+    def test_huge_sizes_in_text(self, wide):
+        status, out, err = run(["stats", "--graph", wide])
+        assert (status, err) == (0, "")
+        header, row = out.splitlines()
+        assert header == "adapter  dependency_size  adaptation_size"
+        id, dependency, adaptation = row.split("  ")
+        assert (id, dependency, len(adaptation)) == ("A", str(3**5000), 4516)
+        assert Decimal(adaptation) == 2**15000
+
+    def test_huge_sizes_in_json(self, wide):
+        status, out, err = run(["stats", "--graph", wide, "--format", "json"])
+        assert (status, err) == (0, "")
+        (row,) = json.loads(out)["adapters"]
+        adaptation = row.pop("adaptation_size")
+        assert row == {"id": "A", "dependency_size": 3**5000}
+        assert isinstance(adaptation, str) and Decimal(adaptation) == 2**15000
 
 
 class TestGen:
@@ -488,6 +557,18 @@ class TestGen:
         ])
         assert (status, out) == (1, "")
         assert err.startswith("error:") and "43046721" in err
+
+    def test_gen_size_past_the_digit_limit(self):
+        status, out, err = run([
+            "gen", "--interfaces", "1", "--adapters", "1",
+            "--methods", "15000", "--values", "1",
+        ])
+        assert (status, out) == (1, "")
+        first_80_digits = 2**15000 // 10 ** (4516 - 80)
+        assert err == (
+            f"error: adapter A0 from 'I0' would draw over {first_80_digits}... "
+            "(4516 characters) input tuples, exceeding the cap of 1048576\n"
+        )
 
 
 class TestClosedPipe:

@@ -81,8 +81,19 @@ def test_row_order_does_not_change_the_serialization():
         adapter["entries"].reverse()
     graph = parse_document(json.dumps(doc))
     assert serialize_graph(graph) == text
-    for adapter in graph.adapters.values():
-        assert list(adapter.table) == sorted(adapter.table)
+
+
+def test_default_output_round_trips():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["interfaces"][1]["methods"][0]["values"] = ["W", "Z"]
+    doc["adapters"][0]["default_output"] = [["W"]]
+    text = serialize_graph(parse_document(json.dumps(doc)))
+    assert json.loads(text)["adapters"][0]["default_output"] == [["W"]]
+    graph = parse_document(text)
+    assert serialize_graph(graph) == text
+    adapter = graph.adapters["AtoB"]
+    assert adapter.lookup(("Y",)) == (frozenset({"bot", "W"}),)
+    assert adapter.lookup(("X",)) == (frozenset({"bot", "Z"}),)
 
 
 def test_bot_explicit_or_omitted():
@@ -104,6 +115,12 @@ def test_syntax_error_has_location():
 def test_deep_nesting_is_a_syntax_error(data):
     with pytest.raises(GraphSyntaxError, match="nests too deeply"):
         parse_document(data)
+
+
+def test_number_past_the_digit_limit_is_a_syntax_error():
+    with pytest.raises(GraphSyntaxError) as exc:
+        parse_document('{"version": "1", "interfaces": [' + "1" * 5000 + "]}")
+    assert str(exc.value) == "document holds a number with too many digits to parse"
 
 
 def test_non_utf8_is_a_syntax_error():

@@ -98,6 +98,11 @@ class TestChainPipeline:
         with pytest.raises(InvalidParams, match="'NoSuchAdapter'"):
             chain_pipeline(video_graph, ["Video1toVideo2", "NoSuchAdapter"], "Video1")
 
+    def test_chain_from_another_source_is_invalid_params(self, video_graph):
+        with pytest.raises(InvalidParams) as exc:
+            chain_pipeline(video_graph, ["Video2toVideo3"], "Video1")
+        assert str(exc.value) == "chain starts at 'Video2', expected 'Video1'"
+
 
 class TestCountAbstract:
     def test_single_adapter(self, video_graph):
