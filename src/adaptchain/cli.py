@@ -187,7 +187,7 @@ def _cmd_stats(args, graph: AdapterGraph) -> tuple[dict, str]:
     for adapter_id in sorted(graph.adapters):
         dep, adap = function_sizes(graph.adapters[adapter_id])
         rows.append((adapter_id, _size(dep), _size(adap)))
-    width = max((len(r[0]) for r in rows), default=7)
+    width = max([len("adapter"), *(len(r[0]) for r in rows)])
     lines = [f"{'adapter':<{width}}  dependency_size  adaptation_size"]
     for adapter_id, dep, adap in rows:
         lines.append(f"{adapter_id:<{width}}  {dep:>15}  {adap:>15}")

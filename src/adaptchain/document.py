@@ -11,13 +11,17 @@ Schema (all field names fixed):
 The token "bot" denotes bottom. It may be written explicitly anywhere a
 value is expected, or omitted: parsing normalizes either way. Serialization
 is canonical (ids sorted, values bot-less and lexicographic, entries sorted
-by input tuple), so parse -> serialize -> parse is the identity.
+by input tuple), so parse -> serialize -> parse is the identity. The text is
+written directly from the model, in one pass, and equals
+``json.dumps(graph_to_document(graph), indent=2)`` plus a final newline;
+``graph_to_document`` is that text, parsed.
 """
 
 from __future__ import annotations
 
 import json
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _encode
 
 from .errors import GraphSyntaxError, UnknownInterface
 from .model import (
@@ -31,6 +35,7 @@ from .model import (
 )
 
 FORMAT_VERSION = "1"
+_BOT_SET = frozenset((BOT,))
 
 
 def _require(obj: dict, key: str, kind: type, where: str, *values):
@@ -134,49 +139,77 @@ def parse_document(data: bytes | str) -> AdapterGraph:
     return build_graph(interfaces, adapters)
 
 
-def _values_out(values) -> list[str]:
-    return sorted(set(values) - {BOT})
+# Line breaks plus the indent of each nesting depth, as json.dumps(indent=2)
+# writes them; the document nests seven levels deep.
+_BREAK = tuple("\n" + "  " * depth for depth in range(8))
 
 
-def _adapter_to_obj(adapter: Adapter) -> dict:
-    obj = {
-        "id": adapter.id,
-        "source": adapter.source.id,
-        "target": adapter.target.id,
+def _array(items: list[str], depth: int) -> str:
+    """A JSON array of encoded ``items`` whose opening bracket sits ``depth``
+    levels deep, laid out as ``json.dumps(..., indent=2)`` lays it out."""
+    if not items:
+        return "[]"
+    pad = _BREAK[depth + 1]
+    return "[" + pad + ("," + pad).join(items) + _BREAK[depth] + "]"
+
+
+def _object(fields: dict[str, str], depth: int) -> str:
+    """A JSON object of ``fields`` (key to encoded value), ``depth`` levels deep."""
+    pad = _BREAK[depth + 1]
+    body = ("," + pad).join([f'"{key}": {value}' for key, value in fields.items()])
+    return "{" + pad + body + _BREAK[depth] + "}"
+
+
+def _strings(values, depth: int) -> str:
+    return _array([_encode(v) for v in values], depth)
+
+
+def _sets(sets, depth: int) -> str:
+    """One bot-less, lexicographic value list per set."""
+    return _array([_strings(sorted(s - _BOT_SET), depth + 1) for s in sets], depth)
+
+
+def _interface_text(interface: Interface) -> str:
+    methods = [
+        _object({
+            "name": _encode(m.name), "values": _strings(m.domain.non_bottom, 5),
+        }, 4)
+        for m in interface.methods
+    ]
+    return _object({"id": _encode(interface.id), "methods": _array(methods, 3)}, 2)
+
+
+def _adapter_text(adapter: Adapter) -> str:
+    fields = {
+        "id": _encode(adapter.id),
+        "source": _encode(adapter.source.id),
+        "target": _encode(adapter.target.id),
     }
-    if any(s != frozenset((BOT,)) for s in adapter.default_output):
-        obj["default_output"] = [_values_out(s) for s in adapter.default_output]
-    obj["entries"] = [
-        {"input": list(input), "output": [_values_out(s) for s in output]}
+    if any(s != _BOT_SET for s in adapter.default_output):
+        fields["default_output"] = _sets(adapter.default_output, 3)
+    entries = [
+        _object({"input": _strings(input, 5), "output": _sets(output, 5)}, 4)
         for input, output in sorted(adapter.table.items())
     ]
-    return obj
-
-
-def graph_to_document(graph: AdapterGraph) -> dict:
-    """Canonical plain-dict form of a graph, ready for JSON emission."""
-    return {
-        "version": FORMAT_VERSION,
-        "interfaces": [
-            {
-                "id": interface.id,
-                "methods": [
-                    {"name": m.name, "values": list(m.domain.non_bottom)}
-                    for m in interface.methods
-                ],
-            }
-            for interface in sorted(graph.interfaces.values(), key=lambda i: i.id)
-        ],
-        "adapters": [
-            _adapter_to_obj(a)
-            for a in sorted(graph.adapters.values(), key=lambda a: a.id)
-        ],
-    }
+    fields["entries"] = _array(entries, 3)
+    return _object(fields, 2)
 
 
 def serialize_graph(graph: AdapterGraph) -> str:
-    """Byte-stable canonical JSON text for a graph."""
-    return json.dumps(graph_to_document(graph), indent=2) + "\n"
+    """Byte-stable canonical JSON text for a graph, laid out as
+    ``json.dumps(..., indent=2)`` lays out its dict form, plus a newline."""
+    interfaces = [_interface_text(graph.interfaces[i]) for i in sorted(graph.interfaces)]
+    adapters = [_adapter_text(graph.adapters[a]) for a in sorted(graph.adapters)]
+    return _object({
+        "version": _encode(FORMAT_VERSION),
+        "interfaces": _array(interfaces, 1),
+        "adapters": _array(adapters, 1),
+    }, 0) + "\n"
+
+
+def graph_to_document(graph: AdapterGraph) -> dict:
+    """Canonical plain-dict form of a graph: its serialization, parsed."""
+    return json.loads(serialize_graph(graph))
 
 
 def load_fixture(name: str) -> AdapterGraph:

@@ -102,7 +102,8 @@ def _random_adapter(
     target = interfaces[rng.below(len(interfaces))]
     # One draw per input tuple: bound the dependency-function size (the
     # first of semantics.function_sizes) by the tabulation cap.
-    size = prod(d.size for d in source.domains)
+    domains = source.domains
+    size = prod(d.size for d in domains)
     if size > cap:
         raise CapExceeded(
             "adapter A{} from {!r} would draw over {} input tuples, exceeding "
@@ -110,13 +111,13 @@ def _random_adapter(
             required_size=size,
             cap=cap,
         )
+    pools = [d.non_bottom for d in target.domains]
     entries = []
-    for input_tuple in itertools.product(*(d.values for d in source.domains)):
+    for input_tuple in itertools.product(*(d.values for d in domains)):
         if not rng.chance(params.entry_density):
             continue
         output = []
-        for domain in target.domains:
-            pool = domain.non_bottom
+        for pool in pools:
             mask = 1 + rng.below(2 ** len(pool) - 1)  # nonempty subset
             output.append([v for k, v in enumerate(pool) if mask >> k & 1])
         entries.append((input_tuple, output))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -519,9 +520,20 @@ class TestStats:
         assert (status, err) == (0, "")
         header, row = out.splitlines()
         assert header == "adapter  dependency_size  adaptation_size"
-        id, dependency, adaptation = row.split("  ")
+        id, dependency, adaptation = row.split()
         assert (id, dependency, len(adaptation)) == ("A", str(3**5000), 4516)
         assert Decimal(adaptation) == 2**15000
+
+    def test_short_ids_keep_sizes_under_their_headings(self, tmp_path):
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps(MINIMAL))
+        status, out, err = run(["stats", "--graph", str(path)])
+        assert (status, err) == (0, "")
+        header, row = out.splitlines()
+        assert row.split() == ["AtoB", "3", "8"]
+        for heading, size in (("dependency_size", "3"), ("adaptation_size", "8")):
+            end = header.index(heading) + len(heading)
+            assert row[:end].endswith(" " + size)
 
     def test_huge_sizes_in_json(self, wide):
         status, out, err = run(["stats", "--graph", wide, "--format", "json"])
@@ -549,6 +561,21 @@ class TestGen:
             "gen", "--interfaces", "3", "--adapters", "4", "--seed", "42",
         ]
         assert run(args)[1] == run(args)[1]
+
+    def test_gen_at_scale_is_pinned(self, tmp_path):
+        """A 1200-interface, 1199-adapter instance, byte for byte: the
+        generator's draws and the document writer at a size the small gen
+        goldens do not reach."""
+        path = tmp_path / "g.json"
+        status, _, _ = run([
+            "gen", "--interfaces", "1200", "--adapters", "1199",
+            "--methods", "1", "--values", "3", "--density", "0.5",
+            "--seed", "5", "--output", str(path),
+        ])
+        assert status == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "85a33d8d52217da7bb1b7fb733cf8c5ec670bc9b7144fd3bdde452a249bdcd2f"
+        )
 
     def test_gen_over_cap_is_a_domain_error(self):
         status, out, err = run([
