@@ -76,7 +76,7 @@ def _parse_weights(path: str) -> WeightMap:
         if not line:
             continue
         key, sep, value = line.partition("=")
-        parts = key.strip().split(".")
+        parts = key.strip().rsplit(".", 2)  # interface ids may hold dots
         if not sep or len(parts) != 3:
             raise InvalidParams(
                 "{}:{}: expected 'interface.method.value = weight'", path, lineno
@@ -261,8 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="find the loss-optimal chain")
     common(p)
-    p.add_argument("--source", help="single source interface id")
-    p.add_argument("--sources", help="comma-separated source interface ids")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--source", help="single source interface id")
+    given.add_argument("--sources", help="comma-separated source interface ids")
     p.add_argument("--target", required=True)
     p.add_argument("--oracle", action="store_true",
                    help="brute-force search instead of greedy")

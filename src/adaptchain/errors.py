@@ -132,7 +132,7 @@ class NoChain(AdapterChainError):
 
 
 class TooLarge(AdapterChainError):
-    """Instance exceeds the exhaustive-search guard."""
+    """A chain walk extends more partial chains than the tabulation cap."""
 
 
 class InvalidParams(AdapterChainError):

@@ -14,9 +14,9 @@ Scoring is incremental: each pipeline remembers the vector full capability
 becomes through it, so scoring an extension ``a·P`` adapts ``full(a.source)``
 once and walks ``P`` only until a remembered vector matches, which after a
 lossless step is ``P`` itself. Enumeration and the oracle share one
-iterative depth-first search, so chain length is not bounded by Python's
-recursion limit; the oracle adapts forward along the search path and only
-for prefixes of chains that reach the target.
+iterative depth-first search, bounded by the tabulation cap and not by
+Python's recursion limit; the oracle adapts forward along the search path
+and only for prefixes of chains that reach the target.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from .semantics import (
     apply_memoized,
     identity_pipeline,
     prepend,
+    tabulation_cap,
 )
-
-DEFAULT_ORACLE_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -195,15 +194,17 @@ def _chains_depth_first(
     Yields ``(path, kept)`` per chain: ``path`` is the live adapter list
     (valid until the next step) and ``kept`` is how many of its leading
     adapters are unchanged since the previous chain yielded. Callers check
-    that both endpoints are declared.
+    that both endpoints are declared. Raises TooLarge once the walk extends
+    more partial chains, dead ends included, than ``tabulation_cap()``.
     """
+    cap = tabulation_cap()
     path: list[Adapter] = []
     if source == target:
         yield path, 0
         return
     visited = {source}
     branches = [iter(graph.outgoing(source))]
-    kept = 0
+    kept = steps = 0
     while branches:
         adapter = next(branches[-1], None)
         if adapter is None:
@@ -215,6 +216,13 @@ def _chains_depth_first(
         nxt = adapter.target.id
         if nxt in visited:
             continue
+        steps += 1
+        if steps > cap:
+            raise TooLarge(
+                "search from {!r} to {!r} extends more than {} partial chains; "
+                "raise ADAPTCHAIN_TABULATE_CAP or run 'chain' without '--oracle'",
+                source, target, cap,
+            )
         path.append(adapter)
         if nxt == target:
             yield path, kept
@@ -230,7 +238,8 @@ def enumerate_chains(
 ) -> list[tuple[str, ...]]:
     """All acyclic chains (no interface visited twice) from source to
     target, ordered by length then lexicographically by adapter ids.
-    source = target yields exactly the empty chain."""
+    source = target yields exactly the empty chain. Raises TooLarge once the
+    walk extends more partial chains than ``tabulation_cap()``."""
     _check_query(graph, [source], target, UNIT_WEIGHTS)
     found = [
         tuple(a.id for a in path)
@@ -263,29 +272,20 @@ def oracle_optimal(
     sources: Iterable[str],
     target: str,
     weights: WeightMap = UNIT_WEIGHTS,
-    guard: int = DEFAULT_ORACLE_GUARD,
 ) -> ChainResult:
     """Brute force: score every acyclic chain from every source and return
     a maximal one. Ties break by (length, adapter ids, source id). Refuses
-    with TooLarge as soon as the candidate count exceeds ``guard``.
+    with TooLarge past ``tabulation_cap()`` partial chains walked per source.
 
     Vectors are adapted forward along the depth-first path, and only once
     a chain through them reaches the target; chains sharing a prefix share
     its adaptations."""
     source_ids = _check_query(graph, sources, target, weights)
     target_interface = graph.interfaces[target]
-    candidates = 0
     best: ChainResult | None = None
     for src in source_ids:
         vectors = [full_vector(graph.interfaces[src])]
         for path, kept in _chains_depth_first(graph, src, target):
-            candidates += 1
-            if candidates > guard:
-                raise TooLarge(
-                    "more than {} candidate chains; greedy search ('chain' "
-                    "without '--oracle') returns an optimal chain, and library "
-                    "callers can pass a larger guard=", guard,
-                )
             del vectors[kept + 1:]
             for adapter in path[kept:]:
                 vectors.append(apply_adaptation(adapter, vectors[-1]))

@@ -8,8 +8,8 @@ takes the union only over the distinct outputs, which a sparse table keeps
 few (its rows plus the default).
 Pipelines stay intensional (a list of adapters evaluated lazily); the full
 adaptation table is only materialized through :func:`tabulate_adaptation`,
-which is guarded by a size cap because the table is exponential in the
-number of source methods.
+which :func:`tabulation_cap`, the package's one work limit, guards because
+the table is exponential in the number of source methods.
 
 All functions here are pure over immutable values. The only state is two
 caches that never change an answer: the result memo of
@@ -253,7 +253,9 @@ class TabulatedAdaptation:
 
 
 def tabulation_cap() -> int:
-    """The active tabulation cap; ADAPTCHAIN_TABULATE_CAP overrides it."""
+    """The one work cap, ADAPTCHAIN_TABULATE_CAP or 2**20: it bounds
+    tabulated rows, ``gen``'s draws per adapter and the partial chains each
+    chain walk extends (per source for the oracle)."""
     raw = os.environ.get(TABULATE_CAP_ENV)
     if raw is None:
         return DEFAULT_TABULATE_CAP
@@ -268,16 +270,13 @@ def tabulation_cap() -> int:
     return cap
 
 
-def tabulate_adaptation(
-    adapter: Adapter, cap: int | None = None
-) -> TabulatedAdaptation:
+def tabulate_adaptation(adapter: Adapter) -> TabulatedAdaptation:
     """Materialize the adapter's full adaptation table.
 
     Refused with CapExceeded when the raw size (product of 2**d_i) exceeds
-    the cap. Every row agrees with apply_adaptation on its key.
+    ``tabulation_cap()``. Every row agrees with apply_adaptation on its key.
     """
-    if cap is None:
-        cap = tabulation_cap()
+    cap = tabulation_cap()
     _, raw_size = function_sizes(adapter)
     if raw_size > cap:
         raise CapExceeded(

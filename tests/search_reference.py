@@ -25,7 +25,6 @@ from adaptchain.model import (
     full_vector,
 )
 from adaptchain.search import (
-    DEFAULT_ORACLE_GUARD,
     UNIT_WEIGHTS,
     ChainResult,
     WeightMap,
@@ -131,7 +130,7 @@ def oracle_optimal(
     sources: Iterable[str],
     target: str,
     weights: WeightMap = UNIT_WEIGHTS,
-    guard: int = DEFAULT_ORACLE_GUARD,
+    guard: int = 10**6,
 ) -> ChainResult:
     source_ids = sorted(set(sources))
     if not source_ids:

@@ -217,7 +217,7 @@ def criterion_6() -> dict:
         graph, _, _ = random_instance(GenParams(2, (1, 2), (1, 2), 1, 0.5, 30_000 + seed))
         seed += 1
         adapter = graph.adapters["A0"]
-        tab = tabulate_adaptation(adapter, cap=2**20)
+        tab = tabulate_adaptation(adapter)
         dep_size, adap_size = function_sizes(adapter)
         normalized_keys = 1
         for d in adapter.source.domains:

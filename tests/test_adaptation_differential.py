@@ -129,7 +129,7 @@ class TestAgainstReference:
             video_graph.adapters["Video1toVideo2"],
             *graph.adapters.values(),
         ):
-            tab = tabulate_adaptation(adapter, cap=2**20)
+            tab = tabulate_adaptation(adapter)
             assert tab.rows
             for key, row in tab.rows.items():
                 assert row == ref.apply_adaptation(adapter, key)

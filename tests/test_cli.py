@@ -17,6 +17,7 @@ import adaptchain
 from adaptchain.cli import run_cli
 from adaptchain.document import parse_document, serialize_graph
 from adaptchain.errors import ArityMismatch, EmptyDomain, UnknownInterface, UnknownValue
+from adaptchain.model import AdapterGraph
 from conftest import MINIMAL, lossless_path, mutated
 from test_search import complete_graph
 
@@ -422,6 +423,36 @@ class TestChain:
         assert status == 0
         assert json.loads(out)["score"] == 5.0
 
+    def test_weights_name_dotted_interface_ids(self, tmp_path):
+        # The key splits at its last two dots: the interface id keeps its own.
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["interfaces"] = [
+            {"id": f"com.example.{name}",
+             "methods": [{"name": "play", "values": ["x", "y"]}]}
+            for name in ("A", "B")
+        ]
+        doc["adapters"] = [{
+            "id": "AtoB", "source": "com.example.A", "target": "com.example.B",
+            "entries": [{"input": [v], "output": [[v]]} for v in ("x", "y")],
+        }]
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(doc))
+        weights = tmp_path / "w.txt"
+        weights.write_text("com.example.B.play.x = 3\n")
+        status, out, err = run([
+            "chain", "--graph", str(graph), "--source", "com.example.A",
+            "--target", "com.example.B", "--weights", str(weights),
+            "--format", "json",
+        ])
+        assert (status, err) == (0, "")
+        assert json.loads(out)["score"] == 4.0
+
+    def test_source_and_sources_together_is_a_usage_error(self):
+        assert run([
+            "chain", "--graph", "video-example", "--source", "Audio",
+            "--sources", "Video1", "--target", "Video2",
+        ])[0] == 2
+
     def test_bot_weight_rejected(self, tmp_path):
         weights = tmp_path / "w.txt"
         weights.write_text("Video2.play.bot = 1.0\n")
@@ -667,6 +698,121 @@ class TestUsage:
             "--source", "Video1", "--target", "Video3", "--format", "json",
         ]
         assert run(args)[1] == run(args)[1]
+
+
+def dead_end_graph(k):
+    """S -> T by the adapter Z_out, and a lossless k-clique C0..C{k-1} that
+    S enters by the adapter A_in, walked first, from which T is unreachable.
+    A walk from S extends Z_out and the sum_j (k-1)!/(k-1-j)! simple paths
+    A_in, A_in E0_1, ... into the clique: 66 partial chains for k = 5."""
+    from adaptchain.model import build_adapter, build_graph, build_interface
+
+    names = ["S", "T", *(f"C{i}" for i in range(k))]
+    interfaces = {n: build_interface(n, [("m", ["X"])]) for n in names}
+    lossless = [(("X",), [["X"]])]
+
+    def adapter(adapter_id, source, target):
+        return build_adapter(
+            adapter_id, interfaces[source], interfaces[target], lossless
+        )
+
+    adapters = [adapter("A_in", "S", "C0"), adapter("Z_out", "S", "T")]
+    adapters += [
+        adapter(f"E{i}_{j}", f"C{i}", f"C{j}")
+        for i in range(k) for j in range(k) if i != j
+    ]
+    return build_graph(list(interfaces.values()), adapters)
+
+
+class TestWorkCap:
+    """ADAPTCHAIN_TABULATE_CAP bounds the partial chains each enumerate and
+    oracle walk extends, dead ends included."""
+
+    SEARCHES = {"enumerate": ["enumerate"], "oracle": ["chain", "--oracle"]}
+
+    @pytest.fixture(scope="class")
+    def dead_end(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cap") / "dead-end.json"
+        path.write_text(serialize_graph(dead_end_graph(5)))
+        return str(path)
+
+    def walk(self, search, graph):
+        return [*self.SEARCHES[search], "--graph", graph,
+                "--source", "S", "--target", "T"]
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_dead_ends_count_against_the_cap(self, dead_end, monkeypatch, search):
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "65")
+        assert run(self.walk(search, dead_end)) == (1, "", (
+            "error: search from 'S' to 'T' extends more than 65 partial "
+            "chains; raise ADAPTCHAIN_TABULATE_CAP or run 'chain' without "
+            "'--oracle'\n"
+        ))
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_a_cap_of_all_the_steps_lets_the_walk_finish(
+        self, dead_end, monkeypatch, search
+    ):
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "66")
+        status, out, err = run(self.walk(search, dead_end))
+        assert (status, err) == (0, "")
+        assert "Z_out" in out
+
+    def test_greedy_is_not_bounded_by_the_walk(self, dead_end, monkeypatch):
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "65")
+        status, out, err = run([
+            "chain", "--graph", dead_end, "--source", "S", "--target", "T",
+        ])
+        assert (status, err) == (0, "")
+        assert "chain: Z_out\n" in out
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_walk_stops_within_cap_plus_one_extensions(
+        self, dead_end, monkeypatch, search
+    ):
+        # The walk asks for the source's adapters once, then once more per
+        # extension that does not reach the target.
+        calls = 0
+        outgoing = AdapterGraph.outgoing
+
+        def counted(self, interface_id):
+            nonlocal calls
+            calls += 1
+            return outgoing(self, interface_id)
+
+        monkeypatch.setattr(AdapterGraph, "outgoing", counted)
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "20")
+        assert run(self.walk(search, dead_end))[0] == 1
+        assert 0 < calls <= 21
+
+    def test_enumerate_refuses_a_dense_clique(self, tmp_path, monkeypatch):
+        path = tmp_path / "k7.json"
+        path.write_text(serialize_graph(complete_graph(7)))
+        # 326 chains I0 -> I6, found by 651 extensions.
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "500")
+        status, out, err = run([
+            "enumerate", "--graph", str(path), "--source", "I0", "--target", "I6",
+        ])
+        assert (status, out) == (1, "")
+        assert err.startswith("error: search from 'I0' to 'I6' extends more than 500 ")
+
+    @pytest.mark.parametrize("argv,status", [
+        (["gen", "--interfaces", "2", "--adapters", "1"], 1),
+        (["enumerate", "--graph", "video-example",
+          "--source", "Video1", "--target", "Video3"], 1),
+        (["chain", "--graph", "video-example", "--oracle",
+          "--source", "Video1", "--target", "Video3"], 1),
+        (["chain", "--graph", "video-example",
+          "--source", "Video1", "--target", "Video3"], 0),
+        (["eval", "--graph", "video-example", "--chain", "Video1toVideo2",
+          "--vector", "playVideo:MKV"], 0),
+    ], ids=["gen", "enumerate", "oracle", "greedy", "eval"])
+    def test_cap_of_one(self, monkeypatch, argv, status):
+        # Only the steps the cap bounds refuse; the error is one line.
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "1")
+        got, out, err = run(argv)
+        assert got == status
+        assert err.count("\n") == (status == 1)
 
 
 class TestDeepPath:

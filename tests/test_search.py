@@ -202,19 +202,20 @@ class TestOracle:
         with pytest.raises(NoChain):
             oracle_optimal(isolated_pair(), {"A"}, "B")
 
-    def test_guard(self, video_graph):
+    def test_guard(self, video_graph, monkeypatch):
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "1")
         with pytest.raises(TooLarge) as exc:
-            oracle_optimal(video_graph, {"Video1"}, "Video3", guard=1)
-        # The advice names what works: the CLI has no way to raise the guard.
+            oracle_optimal(video_graph, {"Video1"}, "Video3")
+        # The advice names both ways out: a larger cap, or greedy search.
         assert str(exc.value) == (
-            "more than 1 candidate chains; greedy search ('chain' without "
-            "'--oracle') returns an optimal chain, and library callers can "
-            "pass a larger guard="
+            "search from 'Video1' to 'Video3' extends more than 1 partial "
+            "chains; raise ADAPTCHAIN_TABULATE_CAP or run 'chain' without "
+            "'--oracle'"
         )
 
     def test_guard_stops_the_enumeration(self, monkeypatch):
         # 13,700 simple I0 -> I8 paths in the 9-clique; the search must give
-        # up after guard + 1 of them, not after enumerating them all.
+        # up after cap + 1 steps, not after enumerating them all.
         graph = complete_graph(9)
         calls = 0
         outgoing = AdapterGraph.outgoing
@@ -225,8 +226,9 @@ class TestOracle:
             return outgoing(self, interface_id)
 
         monkeypatch.setattr(AdapterGraph, "outgoing", counted)
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "100")
         with pytest.raises(TooLarge):
-            oracle_optimal(graph, {"I0"}, "I8", guard=100)
+            oracle_optimal(graph, {"I0"}, "I8")
         assert calls <= 200
 
     def test_score_is_count_abstract_of_chain(self, video_graph):

@@ -198,21 +198,24 @@ class TestSizes:
 
 
 class TestTabulation:
-    def test_video1tovideo2_row_counts(self, video_graph):
-        tab = tabulate_adaptation(video_graph.adapters["Video1toVideo2"], cap=2**20)
+    def test_video1tovideo2_row_counts(self, video_graph, monkeypatch):
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", str(2**20))
+        tab = tabulate_adaptation(video_graph.adapters["Video1toVideo2"])
         assert tab.size == 256
         assert len(tab.rows) == 64  # bot-normalized keys: 2^3 * 2^3
 
-    def test_cap_exceeded_reports_size(self, video_graph):
+    def test_cap_exceeded_reports_size(self, video_graph, monkeypatch):
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "1024")
         with pytest.raises(CapExceeded) as exc:
-            tabulate_adaptation(video_graph.adapters["Video2toVideo3"], cap=1024)
+            tabulate_adaptation(video_graph.adapters["Video2toVideo3"])
         assert exc.value.required_size == 2048
 
-    def test_one_method_adapter_fully_enumerated(self):
+    def test_one_method_adapter_fully_enumerated(self, monkeypatch):
         s = build_interface("S", [("m", ["A"])])
         t = build_interface("T", [("m", ["B"])])
         adapter = build_adapter("a", s, t, [(("A",), [["B"]])])
-        tab = tabulate_adaptation(adapter, cap=16)
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "16")
+        tab = tabulate_adaptation(adapter)
         assert tab.size == 4
         assert len(tab.rows) == 2
         for key, row in tab.rows.items():
