@@ -97,18 +97,22 @@ def _random_adapter(
     interfaces: list[Interface],
     params: GenParams,
     cap: int,
-) -> Adapter:
+    drawn: int,
+) -> tuple[Adapter, int]:
+    """Draw adapter A<index> after ``drawn`` input tuples of earlier
+    adapters; return it with the run's new total."""
     source = interfaces[rng.below(len(interfaces))]
     target = interfaces[rng.below(len(interfaces))]
-    # One draw per input tuple: bound the dependency-function size (the
-    # first of semantics.function_sizes) by the tabulation cap.
+    # One draw per input tuple: the run's total of dependency-function sizes
+    # (the first of semantics.function_sizes) is bounded by the tabulation
+    # cap, checked before this adapter draws any.
     domains = source.domains
-    size = prod(d.size for d in domains)
-    if size > cap:
+    drawn += prod(d.size for d in domains)
+    if drawn > cap:
         raise CapExceeded(
             "adapter A{} from {!r} would draw over {} input tuples, exceeding "
-            "the cap of {}", index, source.id, size, cap,
-            required_size=size,
+            "the cap of {}", index, source.id, drawn, cap,
+            required_size=drawn,
             cap=cap,
         )
     pools = [d.non_bottom for d in target.domains]
@@ -116,31 +120,37 @@ def _random_adapter(
     for input_tuple in itertools.product(*(d.values for d in domains)):
         if not rng.chance(params.entry_density):
             continue
-        output = []
-        for pool in pools:
-            mask = 1 + rng.below(2 ** len(pool) - 1)  # nonempty subset
-            output.append([v for k, v in enumerate(pool) if mask >> k & 1])
-        entries.append((input_tuple, output))
-    return build_adapter(f"A{index}", source, target, entries)
+        entries.append((input_tuple, [_subset(rng, pool) for pool in pools]))
+    return build_adapter(f"A{index}", source, target, entries), drawn
+
+
+def _subset(rng: SplitMix64, pool: tuple[str, ...]) -> list[str]:
+    """A nonempty subset of ``pool`` in pool order: bit k of a mask in
+    [1, 2**len(pool)) picks pool[k]. A draw is below 2**64, so for any
+    wider pool the modulus 2**65 - 1 gives the same mask as
+    2**len(pool) - 1, and the mask has at most 65 bits to visit."""
+    mask = 1 + rng.below(2 ** min(len(pool), 65) - 1)
+    return [pool[k] for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def random_instance(params: GenParams) -> tuple[AdapterGraph, str, str]:
     """Generate a validated graph plus suggested (source, target) ids.
 
     Deterministic in the seed; the suggestions are distinct whenever the
-    instance has at least two interfaces. An adapter whose source has more
-    input tuples than the tabulation cap raises CapExceeded before drawing
-    them.
+    instance has at least two interfaces. Each adapter draws once per
+    input tuple of its source; the first adapter that would take the run's
+    total past the tabulation cap raises CapExceeded before drawing any.
     """
     rng = SplitMix64(params.seed)
     cap = tabulation_cap()
     interfaces = [
         _random_interface(rng, i, params) for i in range(params.interface_count)
     ]
-    adapters = [
-        _random_adapter(rng, j, interfaces, params, cap)
-        for j in range(params.adapter_count)
-    ]
+    adapters = []
+    drawn = 0
+    for j in range(params.adapter_count):
+        adapter, drawn = _random_adapter(rng, j, interfaces, params, cap, drawn)
+        adapters.append(adapter)
     graph = build_graph(interfaces, adapters)
     source = interfaces[0].id
     target = interfaces[-1].id

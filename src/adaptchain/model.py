@@ -42,10 +42,16 @@ class AbstractDomain:
     """A method's lifted abstract argument domain.
 
     ``values`` is canonically ordered: "bot" first, then the remaining
-    names lexicographically. Size is therefore always >= 2.
+    names lexicographically. Size is therefore always >= 2. The same
+    values are kept as a set, outside equality, hash and repr, so
+    membership is one lookup.
     """
 
     values: tuple[str, ...]
+    _members: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_members", frozenset(self.values))
 
     @classmethod
     def from_names(cls, names: Iterable[str], *, context=("",)) -> AbstractDomain:
@@ -81,7 +87,10 @@ class AbstractDomain:
         return self.values[1:]
 
     def __contains__(self, name: object) -> bool:
-        return name in self.values
+        try:
+            return name in self._members
+        except TypeError:  # unhashable, so not a value name
+            return False
 
 
 @dataclass(frozen=True)
@@ -116,7 +125,7 @@ class Interface:
     @cached_property
     def _full(self) -> AvailabilityVector:
         return AvailabilityVector(
-            self.id, tuple(frozenset(m.domain.values) for m in self.methods)
+            self.id, tuple(m.domain._members for m in self.methods)
         )
 
 
@@ -212,7 +221,7 @@ def _lift_sets(
                 where[0] + "method {!r} of interface {!r} needs a list of value "
                 "names, got {!r}", *where[1:], method.name, interface.id, values,
             ) from None
-        unknown = values.difference(method.domain.values)
+        unknown = values - method.domain._members
         if unknown:
             raise UnknownValue(
                 where[0] + "value {!r} is not in the domain of method {!r} of "
@@ -260,6 +269,8 @@ def build_adapter(
     ``default_output`` (all-{bot} when omitted). "bot" is injected into
     every output set.
     """
+    if not id:
+        raise EmptyDomain("adapter id must be nonempty")
     if default_output is None:
         default = (_BOT_SET,) * target.arity
     else:
@@ -298,31 +309,31 @@ class AdapterGraph:
     """Directed multigraph: interfaces are nodes, adapters are edges.
 
     Construction only validates. The first ``outgoing`` or ``incoming``
-    call indexes adjacency; both list adapters in declaration order.
+    call indexes both directions in one pass; every later call, from any
+    search, returns the same tuple of adapters in declaration order.
     """
 
     interfaces: Mapping[str, Interface]
     adapters: Mapping[str, Adapter]
 
     @cached_property
-    def _outgoing(self) -> dict[str, list[Adapter]]:
+    def _adjacency(self) -> tuple[dict[str, tuple[Adapter, ...]], ...]:
+        """(outgoing, incoming): interface id -> adapters, in declaration order."""
         outgoing: dict[str, list[Adapter]] = {}
-        for a in self.adapters.values():
-            outgoing.setdefault(a.source.id, []).append(a)
-        return outgoing
-
-    @cached_property
-    def _incoming(self) -> dict[str, list[Adapter]]:
         incoming: dict[str, list[Adapter]] = {}
         for a in self.adapters.values():
+            outgoing.setdefault(a.source.id, []).append(a)
             incoming.setdefault(a.target.id, []).append(a)
-        return incoming
+        return tuple(
+            {id: tuple(adapters) for id, adapters in index.items()}
+            for index in (outgoing, incoming)
+        )
 
-    def outgoing(self, interface_id: str) -> list[Adapter]:
-        return list(self._outgoing.get(interface_id, ()))
+    def outgoing(self, interface_id: str) -> tuple[Adapter, ...]:
+        return self._adjacency[0].get(interface_id, ())
 
-    def incoming(self, interface_id: str) -> list[Adapter]:
-        return list(self._incoming.get(interface_id, ()))
+    def incoming(self, interface_id: str) -> tuple[Adapter, ...]:
+        return self._adjacency[1].get(interface_id, ())
 
     def require_interface(self, interface_id: str) -> Interface:
         try:

@@ -114,6 +114,15 @@ class TestBadInput:
         assert status == 1 and err.startswith("error:") and len(err) < 300
         assert all(name in err for name in named), err
 
+    def test_empty_adapter_id(self, tmp_path):
+        # An empty id would print as "(no chains)" or a blank chain line.
+        path = tmp_path / "bad.json"
+        doc = mutated(json.loads(json.dumps(MINIMAL)), ("adapters", 0, "id"), "")
+        path.write_text(json.dumps(doc))
+        assert run(["validate", "--graph", str(path)]) == (
+            1, "", "error: adapter id must be nonempty\n"
+        )
+
     @pytest.mark.parametrize("kind", ["directory", "missing", "non-utf8"])
     def test_unreadable_weights(self, tmp_path, kind):
         weights = tmp_path / "w.txt"
@@ -615,6 +624,18 @@ class TestGen:
         ])
         assert (status, out) == (1, "")
         assert err.startswith("error:") and "43046721" in err
+
+    def test_gen_cap_bounds_the_whole_run(self, monkeypatch):
+        # Three adapters of 9 input tuples each: the third takes the run
+        # to 27 draws, past a cap of 20, and is refused before it draws.
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "20")
+        status, out, err = run([
+            "gen", "--interfaces", "2", "--adapters", "3",
+            "--methods", "2:2", "--values", "2:2", "--seed", "4",
+        ])
+        assert (status, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: adapter A2 ") and "27" in err
 
     def test_gen_size_past_the_digit_limit(self):
         status, out, err = run([

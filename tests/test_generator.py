@@ -6,7 +6,7 @@ import pytest
 
 from adaptchain import BOT, greedy_chain, oracle_optimal, serialize_graph
 from adaptchain.errors import CapExceeded, InvalidParams
-from adaptchain.generator import GenParams, SplitMix64, random_instance
+from adaptchain.generator import GenParams, SplitMix64, _subset, random_instance
 
 
 class TestSplitMix64:
@@ -91,7 +91,8 @@ class TestRandomInstance:
 
 class TestDrawGuard:
     """An adapter draws once per tuple of its source's lifted domains, so
-    the generator refuses sources above the tabulation cap before drawing."""
+    the generator refuses the first adapter that would take the run's
+    total past the tabulation cap, before it draws."""
 
     def test_over_cap_refused_with_exact_size(self):
         # 8 methods of 8 values: 9**8 = 43,046,721 tuples > 2**20
@@ -102,12 +103,26 @@ class TestDrawGuard:
         assert "adapter A0" in str(exc.value) and "43046721" in str(exc.value)
 
     def test_cap_is_the_tabulation_cap(self, monkeypatch):
-        # 2 methods of 2 values: 3**2 = 9 tuples per adapter
+        # 2 methods of 2 values: 3**2 = 9 tuples per adapter, 27 per run
         params = GenParams(2, (2, 2), (2, 2), 3, 0.5, 4)
         expected = serialize_graph(random_instance(params)[0])
-        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "9")
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "27")
         assert serialize_graph(random_instance(params)[0]) == expected
-        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "8")
-        with pytest.raises(CapExceeded) as exc:
-            random_instance(params)
-        assert (exc.value.required_size, exc.value.cap) == (9, 8)
+        for cap, refused in ((26, (27, 26)), (8, (9, 8))):
+            monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", str(cap))
+            with pytest.raises(CapExceeded) as exc:
+                random_instance(params)
+            assert (exc.value.required_size, exc.value.cap) == refused
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 200])
+def test_subset_draw_matches_a_scan_of_the_pool(width):
+    # The draw visits only the mask's bit positions; a full scan of the
+    # pool with the unbounded modulus picks the same values.
+    pool = tuple(f"v{k}" for k in range(width))
+    fast, slow = SplitMix64(width), SplitMix64(width)
+    for _ in range(500):
+        mask = 1 + slow.below(2 ** len(pool) - 1)
+        assert _subset(fast, pool) == [
+            v for k, v in enumerate(pool) if mask >> k & 1
+        ]

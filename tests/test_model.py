@@ -68,6 +68,16 @@ class TestBuildInterface:
         with pytest.raises(EmptyDomain):
             build_interface("X", [("m", ["bot"])])
 
+    def test_membership_is_by_value_and_never_raises(self):
+        domain = video1().methods[0].domain
+        assert all(v in domain for v in domain.values)
+        assert "WAV" not in domain and 1 not in domain and [] not in domain
+        # The membership set stays out of equality, hash and repr.
+        same = build_interface("Y", [("m", ["MKV", "AVI", "MOV"])])
+        same = same.methods[0].domain
+        assert (same, hash(same), repr(same)) == (domain, hash(domain), repr(domain))
+        assert "_members" not in repr(domain)
+
     def test_duplicate_method(self):
         with pytest.raises(DuplicateMethodName):
             build_interface("X", [("m", ["A"]), ("m", ["B"])])
@@ -189,16 +199,20 @@ class TestBuildGraph:
     def test_adjacency_matches_a_scan_in_declaration_order(self, video_graph):
         adapters = list(video_graph.adapters.values())
         for interface_id in [*video_graph.interfaces, "Video9"]:
-            assert video_graph.outgoing(interface_id) == [
+            assert video_graph.outgoing(interface_id) == tuple(
                 a for a in adapters if a.source.id == interface_id
-            ]
-            assert video_graph.incoming(interface_id) == [
+            )
+            assert video_graph.incoming(interface_id) == tuple(
                 a for a in adapters if a.target.id == interface_id
-            ]
+            )
 
-    def test_adjacency_lists_are_copies(self, video_graph):
-        video_graph.outgoing("Video1").clear()
-        assert len(video_graph.outgoing("Video1")) == 2
+    def test_adjacency_is_one_shared_tuple(self, video_graph):
+        # Every caller reads the same index; a tuple cannot be changed.
+        for lookup in (video_graph.outgoing, video_graph.incoming):
+            for interface_id in [*video_graph.interfaces, "Video9"]:
+                first = lookup(interface_id)
+                assert type(first) is tuple
+                assert lookup(interface_id) is first
 
 
 class TestVectors:
