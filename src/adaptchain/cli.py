@@ -7,8 +7,8 @@ error, 141 (128 + SIGPIPE) when the reader closes stdout early.
 
 Each subcommand is a function ``(args, graph) -> (report, text)`` that
 computes its answer and nothing more. ``run_cli`` owns the boundary: it
-loads ``--graph``, renders the report as JSON or the text as is, writes
-stdout, and sets the exit status.
+parses the arguments, loads ``--graph``, renders the report as JSON or the
+text as is, writes its output and error streams, and sets the exit status.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from .document import load_fixture, parse_document, serialize_graph
@@ -295,13 +296,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: list[str], out=None, err=None) -> int:
-    """Dispatch a command line; returns the process exit status. A graph
-    error comes before any error in the command's other arguments."""
+    """Dispatch a command line; returns the process exit status. Everything
+    is written to ``out`` and ``err`` (the process streams by default),
+    argparse's usage errors and help included. A graph error comes before
+    any error in the command's other arguments."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

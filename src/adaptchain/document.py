@@ -1,6 +1,6 @@
 """Graph document format: UTF-8 JSON, parsed into validated model objects.
 
-Schema (all field names fixed):
+Schema (all field names fixed; any other field is a GraphSyntaxError):
 
     {"version": "1",
      "interfaces": [{"id": ..., "methods": [{"name": ..., "values": [...]}]}],
@@ -36,6 +36,11 @@ from .model import (
 
 FORMAT_VERSION = "1"
 _BOT_SET = frozenset((BOT,))
+_ROOT_FIELDS = frozenset(("version", "interfaces", "adapters"))
+_INTERFACE_FIELDS = frozenset(("id", "methods"))
+_METHOD_FIELDS = frozenset(("name", "values"))
+_ADAPTER_FIELDS = frozenset(("id", "source", "target", "entries", "default_output"))
+_ENTRY_FIELDS = frozenset(("input", "output"))
 
 
 def _require(obj: dict, key: str, kind: type, where: str, *values):
@@ -50,6 +55,15 @@ def _require(obj: dict, key: str, kind: type, where: str, *values):
     return value
 
 
+def _only(obj: dict, fields: frozenset[str], where: str, *values) -> None:
+    """Refuse any key of ``obj`` outside ``fields``, naming the first in
+    sorted order; ``where`` (a template) and ``values`` name ``obj``."""
+    if not obj.keys() <= fields:
+        raise GraphSyntaxError(
+            where + ": unknown field {!r}", *values, min(obj.keys() - fields)
+        )
+
+
 def _parse_interface(obj: dict) -> Interface:
     if not isinstance(obj, dict):
         raise GraphSyntaxError("each interface must be an object")
@@ -61,7 +75,9 @@ def _parse_interface(obj: dict) -> Interface:
             raise GraphSyntaxError("interface {!r}: methods must be objects", id)
         name = _require(m, "name", str, "interface {!r} method", id)
         values = _require(m, "values", list, "method {!r} of {!r}", name, id)
+        _only(m, _METHOD_FIELDS, "method {!r} of {!r}", name, id)
         methods.append((name, values))
+    _only(obj, _INTERFACE_FIELDS, "interface {!r}", id)
     return build_interface(id, methods)
 
 
@@ -83,8 +99,10 @@ def _parse_adapter(obj: dict, interfaces: dict[str, Interface]) -> Adapter:
             raise GraphSyntaxError("adapter {!r}: entries must be objects", id)
         input = _require(e, "input", list, "adapter {!r} entry", id)
         output = _require(e, "output", list, "adapter {!r} entry", id)
+        _only(e, _ENTRY_FIELDS, "adapter {!r} entry", id)
         entries.append((input, output))
     default_output = obj.get("default_output")
+    _only(obj, _ADAPTER_FIELDS, "adapter {!r}", id)
     return build_adapter(
         id,
         interfaces[source_id],
@@ -136,6 +154,7 @@ def parse_document(data: bytes | str) -> AdapterGraph:
         _parse_adapter(a, interface_map)
         for a in _require(doc, "adapters", list, "document")
     ]
+    _only(doc, _ROOT_FIELDS, "document")
     return build_graph(interfaces, adapters)
 
 

@@ -4,7 +4,9 @@ The greedy search works backward from the target: it starts with the empty
 chain (the identity at the target) and repeatedly extends the open chain
 with the highest score by prepending adapters. Because adaptation is
 monotone, extending a chain never increases its score, so the first
-complete chain popped is optimal.
+complete chain popped is optimal. Chains rank by one key, (-score, length,
+adapter ids): greedy's heap pops by it and the oracle keeps its best chain
+by it, so the two return the same chain.
 
 The score of a chain is the weighted count of non-bottom abstract values
 that survive adapting full capability through it. Bottom encodes no
@@ -29,6 +31,7 @@ from typing import Iterable, Iterator, Mapping
 from .errors import InvalidParams, NoChain, ReservedName, TooLarge
 from .model import (
     BOT,
+    AbstractDomain,
     Adapter,
     AdapterGraph,
     AvailabilityVector,
@@ -114,17 +117,22 @@ def _check_query(
     graph: AdapterGraph, sources: Iterable[str], target: str, weights: WeightMap
 ) -> list[str]:
     """The sorted distinct sources, once they, the target and every
-    weighted value are known to be declared."""
+    weighted value are known to be declared. Each weighted interface's
+    methods are indexed by name once, so the check is linear."""
     source_ids = sorted(set(sources))
     if not source_ids:
         raise InvalidParams("sources must be nonempty")
     for interface_id in (*source_ids, target):
         graph.require_interface(interface_id)
+    domains: dict[str, dict[str, AbstractDomain]] = {}
     for interface_id, method, value in weights.weights:
-        interface = graph.interfaces.get(interface_id)
-        if interface is None or not any(
-            m.name == method and value in m.domain for m in interface.methods
-        ):
+        if interface_id not in domains:
+            interface = graph.interfaces.get(interface_id)
+            domains[interface_id] = {} if interface is None else {
+                m.name: m.domain for m in interface.methods
+            }
+        domain = domains[interface_id].get(method)
+        if domain is None or value not in domain:
             raise InvalidParams(
                 "weight for {}.{}.{}: no such value", interface_id, method, value
             )
@@ -274,15 +282,18 @@ def oracle_optimal(
     weights: WeightMap = UNIT_WEIGHTS,
 ) -> ChainResult:
     """Brute force: score every acyclic chain from every source and return
-    a maximal one. Ties break by (length, adapter ids, source id). Refuses
-    with TooLarge past ``tabulation_cap()`` partial chains walked per source.
+    a maximal one. Ties break by (length, adapter ids): candidates rank by
+    ``greedy_chain``'s heap key. The source never decides, as a nonempty
+    chain's first adapter fixes it and the empty chain exists only when the
+    source is the target. Refuses with TooLarge past ``tabulation_cap()``
+    partial chains walked per source.
 
     Vectors are adapted forward along the depth-first path, and only once
     a chain through them reaches the target; chains sharing a prefix share
     its adaptations."""
     source_ids = _check_query(graph, sources, target, weights)
     target_interface = graph.interfaces[target]
-    best: ChainResult | None = None
+    best = None  # (rank, source, final vector)
     for src in source_ids:
         vectors = [full_vector(graph.interfaces[src])]
         for path, kept in _chains_depth_first(graph, src, target):
@@ -290,18 +301,13 @@ def oracle_optimal(
             for adapter in path[kept:]:
                 vectors.append(apply_adaptation(adapter, vectors[-1]))
             score = vector_score(target_interface, vectors[-1], weights)
-            if best is not None and score < best.score:
-                continue
             chain = tuple(a.id for a in path)
-            if (
-                best is None
-                or score > best.score
-                or (len(chain), chain, src)
-                < (len(best.chain), best.chain, best.source)
-            ):
-                best = ChainResult(chain, src, target, vectors[-1], score)
+            rank = (-score, len(chain), chain)
+            if best is None or rank < best[0]:
+                best = rank, src, vectors[-1]
     if best is None:
         raise NoChain(
             "no acyclic chain reaches {!r} from any of {}", target, source_ids
         )
-    return best
+    (neg_score, _, chain), src, final_vector = best
+    return ChainResult(chain, src, target, final_vector, -neg_score)

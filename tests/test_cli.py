@@ -16,7 +16,13 @@ import pytest
 import adaptchain
 from adaptchain.cli import run_cli
 from adaptchain.document import parse_document, serialize_graph
-from adaptchain.errors import ArityMismatch, EmptyDomain, UnknownInterface, UnknownValue
+from adaptchain.errors import (
+    ArityMismatch,
+    EmptyDomain,
+    GraphSyntaxError,
+    UnknownInterface,
+    UnknownValue,
+)
 from adaptchain.model import AdapterGraph
 from conftest import MINIMAL, lossless_path, mutated
 from test_search import complete_graph
@@ -96,12 +102,27 @@ class TestBadInput:
          ["'AtoB'", "'AAA", "(100002 characters)"]),
         (("interfaces", 0, "id"), "", EmptyDomain,
          ["error: interface id must be nonempty\n"]),
+        # Every object holds exactly its documented fields.
+        (("adaptors",), [], GraphSyntaxError,
+         ["error: document: unknown field 'adaptors'\n"]),
+        (("interfaces", 0, "method"), [], GraphSyntaxError,
+         ["error: interface 'A': unknown field 'method'\n"]),
+        (("interfaces", 0, "methods", 0, "value"), ["X"], GraphSyntaxError,
+         ["error: method 'm' of 'A': unknown field 'value'\n"]),
+        (("adapters", 0, "defualt_output"), [["Z"]], GraphSyntaxError,
+         ["error: adapter 'AtoB': unknown field 'defualt_output'\n"]),
+        (("adapters", 0, "entries", 0, "outputs"), [["Z"]], GraphSyntaxError,
+         ["error: adapter 'AtoB' entry: unknown field 'outputs'\n"]),
+        (("adapters", 0, "Q" * 100_000), 1, GraphSyntaxError,
+         ["'AtoB'", "unknown field 'QQQ", "(100002 characters)"]),
     ], ids=[
         "values-mixed", "values-int", "values-nested", "output-int",
         "output-string", "output-unhashable", "output-object", "output-mixed",
         "default-int", "default-string", "output-huge-arity",
         "output-huge-value", "input-huge-value", "input-huge-arity",
-        "source-huge-id", "interface-empty-id",
+        "source-huge-id", "interface-empty-id", "unknown-root-field",
+        "unknown-interface-field", "unknown-method-field",
+        "unknown-adapter-field", "unknown-entry-field", "unknown-huge-field",
     ])
     def test_bad_value_in_document(self, tmp_path, field, value, error, named):
         doc = mutated(json.loads(json.dumps(MINIMAL)), field, value)
@@ -712,6 +733,18 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert run(["stats"])[0] == 2
+
+    def test_usage_error_goes_to_the_given_err(self, capsys):
+        status, out, err = run(["stats"])
+        assert (status, out) == (2, "")
+        assert err.startswith("usage: ") and "--graph" in err
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_goes_to_the_given_out(self, capsys):
+        status, out, err = run(["--help"])
+        assert (status, err) == (0, "")
+        assert out.startswith("usage: ") and "validate" in out
+        assert capsys.readouterr() == ("", "")
 
     def test_json_output_is_stable(self):
         args = [

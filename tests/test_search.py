@@ -17,7 +17,7 @@ from adaptchain import (
 )
 from adaptchain.errors import InvalidParams, NoChain, ReservedName, TooLarge, UnknownInterface
 from adaptchain.generator import GenParams, SplitMix64, random_instance
-from adaptchain.model import AdapterGraph
+from adaptchain.model import AdapterGraph, Interface
 from adaptchain.search import WeightMap, UNIT_WEIGHTS
 from conftest import lossless_path
 
@@ -38,6 +38,33 @@ def isolated_pair():
     a = build_interface("A", [("m", ["X"])])
     b = build_interface("B", [("m", ["Y"])])
     return build_graph([a, b], [])
+
+
+def tied_chains(shortcut):
+    """Sources S1 and S2 reach T by the lossless chains (A1, B2) and
+    (A2, B1), which tie on score and length and order oppositely read from
+    either end; with ``shortcut``, S2 also reaches T by the lossless Z."""
+    names = ["S1", "S2", "M1", "M2", "T"]
+    interfaces = {n: build_interface(n, [("m", ["X"])]) for n in names}
+    edges = [
+        ("A1", "S1", "M1"), ("B2", "M1", "T"), ("A2", "S2", "M2"), ("B1", "M2", "T"),
+    ]
+    if shortcut:
+        edges.append(("Z", "S2", "T"))
+    adapters = [
+        build_adapter(id, interfaces[s], interfaces[t], [(("X",), [["X"]])])
+        for id, s, t in edges
+    ]
+    return build_graph(interfaces.values(), adapters)
+
+
+@pytest.mark.parametrize("search", [greedy_chain, oracle_optimal])
+@pytest.mark.parametrize("shortcut,chain,source", [
+    (True, ("Z",), "S2"), (False, ("A1", "B2"), "S1"),
+], ids=["shorter", "smaller-ids"])
+def test_equal_scores_break_by_length_then_adapter_ids(search, shortcut, chain, source):
+    result = search(tied_chains(shortcut), {"S1", "S2"}, "T")
+    assert (result.chain, result.source, result.score) == (chain, source, 1.0)
 
 
 class TestWeightMap:
@@ -91,6 +118,29 @@ def test_weight_on_undeclared_value_rejected(video_graph, search, key):
     weights = WeightMap({("Video2", "play", "MP4"): 2.0, key: 3.0})
     with pytest.raises(InvalidParams, match=r"\.".join(key)):
         search(video_graph, {"Video1"}, "Video2", weights)
+
+
+class CountingMethods(tuple):
+    """A method tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("search", [greedy_chain, oracle_optimal])
+def test_weight_check_passes_over_methods_independent_of_keys(search):
+    def passes(keys):
+        declared = build_interface("I", [(f"m{k}", ["v"]) for k in range(50)])
+        methods = CountingMethods(declared.methods)
+        graph = build_graph([Interface("I", methods)], [])
+        weights = WeightMap({("I", f"m{k}", "v"): 2.0 for k in range(keys)})
+        search(graph, {"I"}, "I", weights)
+        return methods.passes
+
+    assert passes(50) == passes(1)
 
 
 class TestChainPipeline:
