@@ -84,6 +84,9 @@ class TestBadInput:
         (VALUES, [["X"]], UnknownValue, ["['X']", "'m'", "'A'"]),
         (OUTPUT, [5], UnknownValue, ["'AtoB'", "('X',)", "'n'", "5"]),
         (OUTPUT, ["xy"], UnknownValue, ["'AtoB'", "('X',)", "'n'", "'xy'"]),
+        # "Z" is B's only value, so only the string check refuses it.
+        (OUTPUT, ["Z"], UnknownValue,
+         ["'AtoB'", "('X',)", "'n'", "needs a list of value names, got 'Z'"]),
         (OUTPUT, [[["Z"]]], UnknownValue, ["'AtoB'", "('X',)", "'n'", "[['Z']]"]),
         (OUTPUT, [{"Z": 1}], UnknownValue, ["'AtoB'", "('X',)", "'n'", "{'Z': 1}"]),
         (OUTPUT, [[1, "Q"]], UnknownValue, ["'AtoB'", "('X',)", "'n'", "'Q'"]),
@@ -117,7 +120,7 @@ class TestBadInput:
          ["'AtoB'", "unknown field 'QQQ", "(100002 characters)"]),
     ], ids=[
         "values-mixed", "values-int", "values-nested", "output-int",
-        "output-string", "output-unhashable", "output-object", "output-mixed",
+        "output-string", "output-bare-value", "output-unhashable", "output-object", "output-mixed",
         "default-int", "default-string", "output-huge-arity",
         "output-huge-value", "input-huge-value", "input-huge-arity",
         "source-huge-id", "interface-empty-id", "unknown-root-field",

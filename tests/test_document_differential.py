@@ -1,10 +1,17 @@
-"""The directly written canonical text against ``json.dumps(..., indent=2)``
-of the dict builder it replaced (``document_reference``): same bytes, and
-the same dict back from ``graph_to_document``."""
+"""The document layer against the code it replaced (``document_reference``).
+
+Writing: the directly written canonical text against ``json.dumps(...,
+indent=2)`` of the dict builder: same bytes, and the same dict back from
+``graph_to_document``. Reading: ``parse_document`` against the per-object
+parser on every graph here and on a seeded corpus of mutated documents:
+equal graphs, or the same error class with the same message.
+"""
 
 from __future__ import annotations
 
 import json
+import random
+from importlib import resources
 
 import pytest
 
@@ -17,9 +24,10 @@ from adaptchain import (
     parse_document,
     serialize_graph,
 )
+from adaptchain.errors import AdapterChainError
 from adaptchain.generator import GenParams, random_instance
 from conftest import lossless_path
-from document_reference import reference_document
+from document_reference import reference_document, reference_parse_document
 
 # Text that json.dumps escapes: non-ASCII (one code unit and an astral
 # pair), a quote, a backslash, control characters and a lone surrogate.
@@ -77,3 +85,137 @@ def test_odd_text_is_ascii_and_round_trips():
     text = serialize_graph(graph)
     assert text.isascii()
     assert parse_document(text.encode()) == graph
+
+
+def _same_graph(got, want) -> bool:
+    """Equal graphs whose interfaces, adapters and table rows also come in
+    the same order."""
+    return got == want and all(
+        list(a) == list(b)
+        for a, b in [
+            (got.interfaces, want.interfaces),
+            (got.adapters, want.adapters),
+            *[(got.adapters[id].table, want.adapters[id].table) for id in got.adapters],
+        ]
+    )
+
+
+def _outcome(parse, text: str):
+    try:
+        return "graph", parse(text)
+    except AdapterChainError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(text: str) -> str:
+    """Both parsers give equal graphs or the same error; returns the kind."""
+    got, want = _outcome(parse_document, text), _outcome(reference_parse_document, text)
+    if want[0] == "graph":
+        assert got[0] == "graph", got
+        assert _same_graph(got[1], want[1])
+    else:
+        assert got == want
+    return want[0] if want[0] == "graph" else want[0].__name__
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_parse_matches_reference(name):
+    text = serialize_graph(GRAPHS[name]())
+    assert _assert_same_outcome(text) == "graph"
+
+
+# -- mutation corpus -------------------------------------------------------
+
+CORPUS_SIZE = 400
+CORPUS_SEED = 16
+_FIELDS = ["version", "interfaces", "adapters", "id", "methods", "name",
+           "values", "source", "target", "entries", "default_output", "input",
+           "output", "extra"]
+
+
+def _base_documents() -> list[dict]:
+    """The bundled fixture, and a small generated instance with one
+    default output written out."""
+    fixture = resources.files("adaptchain").joinpath("fixtures", "video-example.json")
+    generated = json.loads(
+        serialize_graph(random_instance(GenParams(4, (1, 2), (1, 3), 5, 0.5, 1))[0])
+    )
+    adapter = generated["adapters"][1]
+    target = next(i for i in generated["interfaces"] if i["id"] == adapter["target"])
+    adapter["default_output"] = [m["values"][:1] for m in target["methods"]]
+    return [json.loads(fixture.read_bytes()), generated]
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _atoms(rng: random.Random, doc: dict) -> list:
+    values = [v for path in _paths(doc) if path[-1:] == ("values",)
+              for v in _at(doc, path) if isinstance(v, str)]
+    return [None, 1, True, "bot", "", [], {}, [[]], "Z" * 100_000,
+            rng.choice(values) if values else "bot"]
+
+
+def _edit(rng: random.Random, doc):
+    """One edit: a subtree replaced by an atom, a key deleted, a subtree
+    copied elsewhere (over a node or into an object), or a list item
+    duplicated. Returns the edited document."""
+    paths = list(_paths(doc))[1:]
+    if not paths:
+        return doc
+    kind = rng.randrange(4)
+    if kind == 1:
+        keyed = [p for p in paths if isinstance(p[-1], str)]
+        if keyed:
+            *parent, key = rng.choice(keyed)
+            del _at(doc, parent)[key]
+        return doc
+    if kind == 3:
+        listed = [p for p in paths if isinstance(p[-1], int)]
+        if listed:
+            *parent, index = rng.choice(listed)
+            items = _at(doc, parent)
+            items.insert(index, json.loads(json.dumps(items[index])))
+        return doc
+    if kind == 0:
+        value = rng.choice(_atoms(rng, doc))
+    else:
+        value = _at(doc, rng.choice(paths))
+    value = json.loads(json.dumps(value))
+    *parent, key = rng.choice(paths)
+    container = _at(doc, parent)
+    if kind == 2 and isinstance(container, dict) and rng.random() < 0.3:
+        key = rng.choice(_FIELDS)
+    container[key] = value
+    return doc
+
+
+def _corpus() -> list[str]:
+    rng = random.Random(CORPUS_SEED)
+    bases = [json.dumps(doc) for doc in _base_documents()]
+    texts = []
+    for _ in range(CORPUS_SIZE):
+        doc = json.loads(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            doc = _edit(rng, doc)
+        texts.append(json.dumps(doc))
+    return texts
+
+
+def test_mutation_corpus_matches_reference():
+    kinds = [_assert_same_outcome(text) for text in _corpus()]
+    # The corpus reaches both outcomes and many kinds of error.
+    assert kinds.count("graph") >= 10
+    assert len(set(kinds)) >= 6, sorted(set(kinds))
