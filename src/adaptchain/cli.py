@@ -69,8 +69,9 @@ def _parse_vector(interface: Interface, text: str) -> AvailabilityVector:
 
 def _parse_weights(path: str) -> WeightMap:
     """Weight files: one `interface.method.value = weight` per line;
-    blank lines and #-comments ignored."""
+    blank lines and #-comments ignored. A key may be given once."""
     weights: dict[tuple[str, str, str], float] = {}
+    first_line: dict[tuple[str, str, str], int] = {}
     text = _read_text(path, "weights", InvalidParams)
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -88,7 +89,14 @@ def _parse_weights(path: str) -> WeightMap:
             raise InvalidParams(
                 "{}:{}: weight {!r} is not a number", path, lineno, value.strip()
             ) from None
-        weights[tuple(parts)] = weight
+        key = tuple(parts)
+        if key in first_line:
+            raise InvalidParams(
+                "{}:{}: weight for {}.{}.{} was already given on line {}",
+                path, lineno, *key, first_line[key],
+            )
+        first_line[key] = lineno
+        weights[key] = weight
     return WeightMap(weights)
 
 

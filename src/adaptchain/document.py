@@ -15,6 +15,17 @@ by input tuple), so parse -> serialize -> parse is the identity. The text is
 written directly from the model, in one pass, and equals
 ``json.dumps(graph_to_document(graph), indent=2)`` plus a final newline;
 ``graph_to_document`` is that text, parsed.
+
+Validation costs one shape test per object on success. Each interface,
+method, adapter and entry object is checked in one expression: its exact
+type, its key set, and the types of its fields; ``model.build_adapter``
+then checks each entry's values with set operations against the domains.
+Only an object that fails its test goes through the field-by-field checks
+(``_require``, ``_only``, ``model._lift_sets``), and they word the error.
+Objects are visited in document order, so the first fault found, and its
+message, are the ones the field-by-field checks alone would give.
+Output sets are not interned: on the 1,200-interface path every entry's
+output set is different, and a per-target pool made that parse slower.
 """
 
 from __future__ import annotations
@@ -65,6 +76,28 @@ def _only(obj: dict, fields: frozenset[str], where: str, *values) -> None:
 
 
 def _parse_interface(obj: dict) -> Interface:
+    # The shape test: exact types, and exactly the documented keys (all
+    # are read, so a missing one is a KeyError; the length rules out more).
+    try:
+        shaped = (
+            type(obj) is dict and len(obj) == 2
+            and type(id := obj["id"]) is str
+            and type(raw_methods := obj["methods"]) is list
+        )
+        if shaped:
+            methods = []
+            for m in raw_methods:
+                if not (type(m) is dict and len(m) == 2
+                        and type(name := m["name"]) is str
+                        and type(values := m["values"]) is list):
+                    shaped = False
+                    break
+                methods.append((name, values))
+    except KeyError:
+        shaped = False
+    if shaped:
+        return build_interface(id, methods)
+    # The test failed: these checks word the first fault in document order.
     if not isinstance(obj, dict):
         raise GraphSyntaxError("each interface must be an object")
     id = _require(obj, "id", str, "interface")
@@ -82,6 +115,36 @@ def _parse_interface(obj: dict) -> Interface:
 
 
 def _parse_adapter(obj: dict, interfaces: dict[str, Interface]) -> Adapter:
+    # The shape test, as for interfaces; "default_output" is optional.
+    try:
+        shaped = (
+            type(obj) is dict and obj.keys() <= _ADAPTER_FIELDS
+            and type(id := obj["id"]) is str
+            and type(source_id := obj["source"]) is str
+            and type(target_id := obj["target"]) is str
+            and source_id in interfaces and target_id in interfaces
+            and type(raw_entries := obj["entries"]) is list
+        )
+        if shaped:
+            entries = []
+            for e in raw_entries:
+                if not (type(e) is dict and len(e) == 2
+                        and type(input := e["input"]) is list
+                        and type(output := e["output"]) is list):
+                    shaped = False
+                    break
+                entries.append((input, output))
+    except KeyError:
+        shaped = False
+    if shaped:
+        return build_adapter(
+            id,
+            interfaces[source_id],
+            interfaces[target_id],
+            entries,
+            obj.get("default_output"),
+        )
+    # The test failed: these checks word the first fault in document order.
     if not isinstance(obj, dict):
         raise GraphSyntaxError("each adapter must be an object")
     id = _require(obj, "id", str, "adapter")

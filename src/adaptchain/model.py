@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -35,6 +36,7 @@ from .errors import (
 
 BOT = "bot"
 _BOT_SET = frozenset((BOT,))
+_members = attrgetter("domain._members")  # a method's value set
 
 
 @dataclass(frozen=True)
@@ -61,22 +63,22 @@ class AbstractDomain:
         ``context`` (a template fragment, then its values; see ``errors``)
         ends every error message.
         """
-        where, *values = context
         seen: set[str] = set()
         for name in names:
             if not isinstance(name, str):
                 raise UnknownValue(
-                    "abstract value {!r} is not a string" + where, name, *values
+                    "abstract value {!r} is not a string" + context[0], name,
+                    *context[1:],
                 )
             if name in seen:
                 raise DuplicateAbstractValue(
-                    "duplicate abstract value {!r}" + where, name, *values
+                    "duplicate abstract value {!r}" + context[0], name, *context[1:]
                 )
             seen.add(name)
-        non_bottom = sorted(seen - {BOT})
-        if not non_bottom:
-            raise EmptyDomain("domain has no non-bottom values" + where, *values)
-        return cls((BOT, *non_bottom))
+        seen.discard(BOT)
+        if not seen:
+            raise EmptyDomain("domain has no non-bottom values" + context[0], *context[1:])
+        return cls((BOT, *sorted(seen)))
 
     @property
     def size(self) -> int:
@@ -268,39 +270,66 @@ def build_adapter(
     in. The induced function is total: unlisted inputs map to
     ``default_output`` (all-{bot} when omitted). "bot" is injected into
     every output set.
+
+    Each row costs one test: lengths, set membership against the source
+    domains, the duplicate test, and a subset test of each lifted output
+    set against its target domain, whose member sets are read once per
+    adapter. Only a row that fails it goes through the checks below it,
+    which word the fault (or, for output sets given as other collections
+    than lists, lift them).
     """
     if not id:
         raise EmptyDomain("adapter id must be nonempty")
+    inputs = tuple(map(_members, source.methods))
+    outputs = tuple(map(_members, target.methods))
+    n_in, n_out = len(inputs), len(outputs)
     if default_output is None:
-        default = (_BOT_SET,) * target.arity
+        default = (_BOT_SET,) * n_out
     else:
         default = _lift_sets(
             target, default_output, ("adapter {!r}: default output: ", id)
         )
-
     table: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
     for input_values, output in entries:
-        if len(input_values) != source.arity:
-            raise ArityMismatch(
-                "adapter {!r}: input tuple {!r} has {} components, source {!r} "
-                "has {} methods", id, tuple(input_values), len(input_values),
-                source.id, source.arity,
-            )
-        input = tuple(input_values)
-        for method, value in zip(source.methods, input):
-            if value not in method.domain:
-                raise UnknownValue(
-                    "adapter {!r}: input value {!r} is not in the domain of "
-                    "method {!r} of interface {!r}", id, value, method.name,
-                    source.id,
+        try:
+            input = tuple(input_values)
+            ok = len(input) == n_in and len(output) == n_out and input not in table
+            row = []
+            if ok:
+                for value, members in zip(input, inputs):
+                    if value not in members:
+                        ok = False
+                for values, members in zip(output, outputs):
+                    lifted = frozenset(values) | _BOT_SET
+                    # A string "Z" would pass the subset test as {"Z"}.
+                    if type(values) is not list or not lifted <= members:
+                        ok = False
+                    row.append(lifted)
+        except TypeError:  # a length-less or unhashable value
+            ok = False
+        if not ok:
+            if len(input_values) != n_in:
+                raise ArityMismatch(
+                    "adapter {!r}: input tuple {!r} has {} components, source "
+                    "{!r} has {} methods", id, tuple(input_values),
+                    len(input_values), source.id, n_in,
                 )
-        if input in table:
-            raise DuplicateInput(
-                "adapter {!r}: duplicate entry for input {!r}", id, input
+            input = tuple(input_values)
+            for method, value in zip(source.methods, input):
+                if value not in method.domain:
+                    raise UnknownValue(
+                        "adapter {!r}: input value {!r} is not in the domain of "
+                        "method {!r} of interface {!r}", id, value, method.name,
+                        source.id,
+                    )
+            if input in table:
+                raise DuplicateInput(
+                    "adapter {!r}: duplicate entry for input {!r}", id, input
+                )
+            row = _lift_sets(
+                target, output, ("adapter {!r}: entry {!r} output: ", id, input)
             )
-        table[input] = _lift_sets(
-            target, output, ("adapter {!r}: entry {!r} output: ", id, input)
-        )
+        table[input] = tuple(row)
     return Adapter(id, source, target, table, default)
 
 
@@ -368,7 +397,7 @@ def build_graph(
                     "adapter {!r} references undeclared interface {!r}",
                     adapter.id, endpoint.id,
                 )
-            if declared != endpoint:
+            if declared is not endpoint and declared != endpoint:
                 raise InterfaceMismatch(
                     "adapter {!r} disagrees with the declaration of interface "
                     "{!r}", adapter.id, endpoint.id,

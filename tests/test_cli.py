@@ -240,6 +240,21 @@ class TestBadInput:
         ])
         assert (status, err) == (1, "error: weight for Nope.m.x: no such value\n")
 
+    def test_repeated_weight_key(self, tmp_path, monkeypatch):
+        # The last weight used to win without a word.
+        monkeypatch.chdir(tmp_path)
+        Path("w.txt").write_text(
+            "Video2.play.MP4 = 5\n# again:\nVideo2.play.MP4 = 1\n"
+        )
+        status, _, err = run([
+            "chain", "--graph", "video-example",
+            "--source", "Video1", "--target", "Video2", "--weights", "w.txt",
+        ])
+        assert (status, err) == (
+            1, "error: w.txt:3: weight for Video2.play.MP4 was already given "
+            "on line 1\n",
+        )
+
     @pytest.mark.parametrize("case", [
         "eval-endpoints", "chain-greedy", "chain-oracle", "gen-output",
         "graph-path", "document-version", "fixture-name", "tabulate-cap",
