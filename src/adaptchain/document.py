@@ -24,8 +24,9 @@ Only an object that fails its test goes through the field-by-field checks
 (``_require``, ``_only``, ``model._lift_sets``), and they word the error.
 Objects are visited in document order, so the first fault found, and its
 message, are the ones the field-by-field checks alone would give.
-Output sets are not interned: on the 1,200-interface path every entry's
-output set is different, and a per-target pool made that parse slower.
+Output sets are not interned: where no two output sets of one target are
+equal, as on a long path of identity adapters, a per-target pool only adds
+lookups (README, Notes).
 """
 
 from __future__ import annotations

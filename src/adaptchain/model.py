@@ -77,7 +77,9 @@ class AbstractDomain:
             seen.add(name)
         seen.discard(BOT)
         if not seen:
-            raise EmptyDomain("domain has no non-bottom values" + context[0], *context[1:])
+            raise EmptyDomain(
+                "domain has no non-bottom values" + context[0], *context[1:]
+            )
         return cls((BOT, *sorted(seen)))
 
     @property

@@ -168,38 +168,30 @@ def _atoms(rng: random.Random, doc: dict) -> list:
             rng.choice(values) if values else "bot"]
 
 
-def _edit(rng: random.Random, doc):
-    """One edit: a subtree replaced by an atom, a key deleted, a subtree
-    copied elsewhere (over a node or into an object), or a list item
-    duplicated. Returns the edited document."""
+def _edit(rng: random.Random, doc: dict) -> None:
+    """One edit in place: a subtree replaced by an atom, a key deleted, a
+    subtree copied elsewhere (over a node or into an object under a field
+    name), or a list item duplicated."""
     paths = list(_paths(doc))[1:]
-    if not paths:
-        return doc
-    kind = rng.randrange(4)
-    if kind == 1:
-        keyed = [p for p in paths if isinstance(p[-1], str)]
-        if keyed:
-            *parent, key = rng.choice(keyed)
-            del _at(doc, parent)[key]
-        return doc
-    if kind == 3:
-        listed = [p for p in paths if isinstance(p[-1], int)]
-        if listed:
-            *parent, index = rng.choice(listed)
-            items = _at(doc, parent)
-            items.insert(index, json.loads(json.dumps(items[index])))
-        return doc
-    if kind == 0:
-        value = rng.choice(_atoms(rng, doc))
-    else:
-        value = _at(doc, rng.choice(paths))
-    value = json.loads(json.dumps(value))
-    *parent, key = rng.choice(paths)
-    container = _at(doc, parent)
-    if kind == 2 and isinstance(container, dict) and rng.random() < 0.3:
-        key = rng.choice(_FIELDS)
-    container[key] = value
-    return doc
+    keyed = [p for p in paths if isinstance(p[-1], str)]
+    listed = [p for p in paths if isinstance(p[-1], int)]
+    kind = rng.choice(["atom", "delete", "copy", "duplicate"])
+    if kind == "delete" and keyed:
+        *parent, key = rng.choice(keyed)
+        del _at(doc, parent)[key]
+    elif kind == "duplicate" and listed:
+        *parent, index = rng.choice(listed)
+        items = _at(doc, parent)
+        items.insert(index, json.loads(json.dumps(items[index])))
+    elif kind in ("atom", "copy") and paths:
+        value = rng.choice(_atoms(rng, doc)) if kind == "atom" else _at(
+            doc, rng.choice(paths)
+        )
+        *parent, key = rng.choice(paths)
+        container = _at(doc, parent)
+        if kind == "copy" and isinstance(container, dict) and rng.random() < 0.3:
+            key = rng.choice(_FIELDS)
+        container[key] = json.loads(json.dumps(value))
 
 
 def _corpus() -> list[str]:
@@ -209,7 +201,7 @@ def _corpus() -> list[str]:
     for _ in range(CORPUS_SIZE):
         doc = json.loads(rng.choice(bases))
         for _ in range(rng.randint(1, 3)):
-            doc = _edit(rng, doc)
+            _edit(rng, doc)
         texts.append(json.dumps(doc))
     return texts
 
