@@ -16,14 +16,12 @@ written directly from the model, in one pass, and equals
 ``json.dumps(graph_to_document(graph), indent=2)`` plus a final newline;
 ``graph_to_document`` is that text, parsed.
 
-Validation costs one shape test per object on success. Each interface,
-method, adapter and entry object is checked in one expression: its exact
-type, its key set, and the types of its fields; ``model.build_adapter``
-then checks each entry's values with set operations against the domains.
-Only an object that fails its test goes through the field-by-field checks
-(``_require``, ``_only``, ``model._lift_sets``), and they word the error.
-Objects are visited in document order, so the first fault found, and its
-message, are the ones the field-by-field checks alone would give.
+Validation is one pass in document order. Each field of each object is
+read once and its type tested where it is read; a failed test raises at
+once (``_refuse`` words a missing field apart from a wrong type), and the
+key-set test follows the reads. ``model.build_adapter`` then checks each
+entry's values against the domains, so the first fault found is the one
+reported. Interface ids are checked for repeats before any adapter is read.
 Output sets are not interned: where no two output sets of one target are
 equal, as on a long path of identity adapters, a per-target pool only adds
 lookups (README, Notes).
@@ -34,6 +32,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _encode
+from typing import NoReturn
 
 from .errors import GraphSyntaxError, UnknownInterface
 from .model import (
@@ -55,16 +54,14 @@ _ADAPTER_FIELDS = frozenset(("id", "source", "target", "entries", "default_outpu
 _ENTRY_FIELDS = frozenset(("input", "output"))
 
 
-def _require(obj: dict, key: str, kind: type, where: str, *values):
-    """``obj[key]``, a ``kind``; ``where`` (a template) and ``values`` name ``obj``."""
+def _refuse(obj: dict, key: str, kind: type, where: str, *values) -> NoReturn:
+    """Raise for ``obj[key]``, which is missing or not a ``kind``; ``where``
+    (a template) and ``values`` name ``obj``."""
     if key not in obj:
         raise GraphSyntaxError(where + ": missing field {!r}", *values, key)
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise GraphSyntaxError(
-            where + ": field {!r} must be a {}", *values, key, kind.__name__
-        )
-    return value
+    raise GraphSyntaxError(
+        where + ": field {!r} must be a {}", *values, key, kind.__name__
+    )
 
 
 def _only(obj: dict, fields: frozenset[str], where: str, *values) -> None:
@@ -77,102 +74,63 @@ def _only(obj: dict, fields: frozenset[str], where: str, *values) -> None:
 
 
 def _parse_interface(obj: dict) -> Interface:
-    # The shape test: exact types, and exactly the documented keys (all
-    # are read, so a missing one is a KeyError; the length rules out more).
-    try:
-        shaped = (
-            type(obj) is dict and len(obj) == 2
-            and type(id := obj["id"]) is str
-            and type(raw_methods := obj["methods"]) is list
-        )
-        if shaped:
-            methods = []
-            for m in raw_methods:
-                if not (type(m) is dict and len(m) == 2
-                        and type(name := m["name"]) is str
-                        and type(values := m["values"]) is list):
-                    shaped = False
-                    break
-                methods.append((name, values))
-    except KeyError:
-        shaped = False
-    if shaped:
-        return build_interface(id, methods)
-    # The test failed: these checks word the first fault in document order.
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise GraphSyntaxError("each interface must be an object")
-    id = _require(obj, "id", str, "interface")
-    raw_methods = _require(obj, "methods", list, "interface {!r}", id)
+    if type(id := obj.get("id")) is not str:
+        _refuse(obj, "id", str, "interface")
+    if type(raw_methods := obj.get("methods")) is not list:
+        _refuse(obj, "methods", list, "interface {!r}", id)
     methods = []
     for m in raw_methods:
-        if not isinstance(m, dict):
+        if type(m) is not dict:
             raise GraphSyntaxError("interface {!r}: methods must be objects", id)
-        name = _require(m, "name", str, "interface {!r} method", id)
-        values = _require(m, "values", list, "method {!r} of {!r}", name, id)
-        _only(m, _METHOD_FIELDS, "method {!r} of {!r}", name, id)
+        if type(name := m.get("name")) is not str:
+            _refuse(m, "name", str, "interface {!r} method", id)
+        if type(values := m.get("values")) is not list:
+            _refuse(m, "values", list, "method {!r} of {!r}", name, id)
+        if len(m) != 2:  # both fields were read, so a third is unknown
+            _only(m, _METHOD_FIELDS, "method {!r} of {!r}", name, id)
         methods.append((name, values))
-    _only(obj, _INTERFACE_FIELDS, "interface {!r}", id)
+    if len(obj) != 2:
+        _only(obj, _INTERFACE_FIELDS, "interface {!r}", id)
     return build_interface(id, methods)
 
 
 def _parse_adapter(obj: dict, interfaces: dict[str, Interface]) -> Adapter:
-    # The shape test, as for interfaces; "default_output" is optional.
-    try:
-        shaped = (
-            type(obj) is dict and obj.keys() <= _ADAPTER_FIELDS
-            and type(id := obj["id"]) is str
-            and type(source_id := obj["source"]) is str
-            and type(target_id := obj["target"]) is str
-            and source_id in interfaces and target_id in interfaces
-            and type(raw_entries := obj["entries"]) is list
-        )
-        if shaped:
-            entries = []
-            for e in raw_entries:
-                if not (type(e) is dict and len(e) == 2
-                        and type(input := e["input"]) is list
-                        and type(output := e["output"]) is list):
-                    shaped = False
-                    break
-                entries.append((input, output))
-    except KeyError:
-        shaped = False
-    if shaped:
-        return build_adapter(
-            id,
-            interfaces[source_id],
-            interfaces[target_id],
-            entries,
-            obj.get("default_output"),
-        )
-    # The test failed: these checks word the first fault in document order.
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise GraphSyntaxError("each adapter must be an object")
-    id = _require(obj, "id", str, "adapter")
-    source_id = _require(obj, "source", str, "adapter {!r}", id)
-    target_id = _require(obj, "target", str, "adapter {!r}", id)
+    if type(id := obj.get("id")) is not str:
+        _refuse(obj, "id", str, "adapter")
+    if type(source_id := obj.get("source")) is not str:
+        _refuse(obj, "source", str, "adapter {!r}", id)
+    if type(target_id := obj.get("target")) is not str:
+        _refuse(obj, "target", str, "adapter {!r}", id)
     for endpoint in (source_id, target_id):
         if endpoint not in interfaces:
             raise UnknownInterface(
                 "adapter {!r} references undeclared interface {!r}", id, endpoint
             )
-    raw_entries = _require(obj, "entries", list, "adapter {!r}", id)
+    if type(raw_entries := obj.get("entries")) is not list:
+        _refuse(obj, "entries", list, "adapter {!r}", id)
     entries = []
     for e in raw_entries:
-        if not isinstance(e, dict):
+        if type(e) is not dict:
             raise GraphSyntaxError("adapter {!r}: entries must be objects", id)
-        input = _require(e, "input", list, "adapter {!r} entry", id)
-        output = _require(e, "output", list, "adapter {!r} entry", id)
-        _only(e, _ENTRY_FIELDS, "adapter {!r} entry", id)
+        if type(input := e.get("input")) is not list:
+            _refuse(e, "input", list, "adapter {!r} entry", id)
+        if type(output := e.get("output")) is not list:
+            _refuse(e, "output", list, "adapter {!r} entry", id)
+        if len(e) != 2:
+            _only(e, _ENTRY_FIELDS, "adapter {!r} entry", id)
         entries.append((input, output))
-    default_output = obj.get("default_output")
-    _only(obj, _ADAPTER_FIELDS, "adapter {!r}", id)
+    if len(obj) != 4:  # default_output is optional
+        _only(obj, _ADAPTER_FIELDS, "adapter {!r}", id)
     return build_adapter(
         id,
         interfaces[source_id],
         interfaces[target_id],
         entries,
-        default_output,
+        obj.get("default_output"),
     )
 
 
@@ -203,21 +161,22 @@ def parse_document(data: bytes | str) -> AdapterGraph:
         raise GraphSyntaxError(
             "document holds a number with too many digits to parse"
         ) from None
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise GraphSyntaxError("document root must be an object")
-    version = _require(doc, "version", str, "document")
+    if type(version := doc.get("version")) is not str:
+        _refuse(doc, "version", str, "document")
     if version != FORMAT_VERSION:
         raise GraphSyntaxError(
             "unsupported format version {!r}, expected {!r}", version, FORMAT_VERSION
         )
-    interfaces = [
-        _parse_interface(i) for i in _require(doc, "interfaces", list, "document")
-    ]
-    interface_map = {interface.id: interface for interface in interfaces}
-    adapters = [
-        _parse_adapter(a, interface_map)
-        for a in _require(doc, "adapters", list, "document")
-    ]
+    if type(raw_interfaces := doc.get("interfaces")) is not list:
+        _refuse(doc, "interfaces", list, "document")
+    interfaces = [_parse_interface(i) for i in raw_interfaces]
+    # A repeated id is refused here, before an adapter can name either copy.
+    interface_map = build_graph(interfaces, ()).interfaces
+    if type(raw_adapters := doc.get("adapters")) is not list:
+        _refuse(doc, "adapters", list, "document")
+    adapters = [_parse_adapter(a, interface_map) for a in raw_adapters]
     _only(doc, _ROOT_FIELDS, "document")
     return build_graph(interfaces, adapters)
 

@@ -273,12 +273,11 @@ def build_adapter(
     ``default_output`` (all-{bot} when omitted). "bot" is injected into
     every output set.
 
-    Each row costs one test: lengths, set membership against the source
-    domains, the duplicate test, and a subset test of each lifted output
-    set against its target domain, whose member sets are read once per
-    adapter. Only a row that fails it goes through the checks below it,
-    which word the fault (or, for output sets given as other collections
-    than lists, lift them).
+    Each row is checked once, in order: its arity, each input value against
+    its method's member set (read once per adapter), the duplicate test,
+    then its output sets. An output set given as a list of target values
+    is lifted in place; any other output goes to ``_lift_sets``, which
+    words the fault or lifts the collection.
     """
     if not id:
         raise EmptyDomain("adapter id must be nonempty")
@@ -293,45 +292,46 @@ def build_adapter(
         )
     table: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
     for input_values, output in entries:
-        try:
-            input = tuple(input_values)
-            ok = len(input) == n_in and len(output) == n_out and input not in table
-            row = []
-            if ok:
-                for value, members in zip(input, inputs):
-                    if value not in members:
-                        ok = False
-                for values, members in zip(output, outputs):
-                    lifted = frozenset(values) | _BOT_SET
-                    # A string "Z" would pass the subset test as {"Z"}.
-                    if type(values) is not list or not lifted <= members:
-                        ok = False
-                    row.append(lifted)
-        except TypeError:  # a length-less or unhashable value
-            ok = False
-        if not ok:
-            if len(input_values) != n_in:
-                raise ArityMismatch(
-                    "adapter {!r}: input tuple {!r} has {} components, source "
-                    "{!r} has {} methods", id, tuple(input_values),
-                    len(input_values), source.id, n_in,
-                )
-            input = tuple(input_values)
-            for method, value in zip(source.methods, input):
-                if value not in method.domain:
-                    raise UnknownValue(
-                        "adapter {!r}: input value {!r} is not in the domain of "
-                        "method {!r} of interface {!r}", id, value, method.name,
-                        source.id,
-                    )
-            if input in table:
-                raise DuplicateInput(
-                    "adapter {!r}: duplicate entry for input {!r}", id, input
-                )
-            row = _lift_sets(
-                target, output, ("adapter {!r}: entry {!r} output: ", id, input)
+        input = tuple(input_values)
+        if len(input) != n_in:
+            raise ArityMismatch(
+                "adapter {!r}: input tuple {!r} has {} components, source {!r} "
+                "has {} methods", id, input, len(input), source.id, n_in,
             )
-        table[input] = tuple(row)
+        for i, members in enumerate(inputs):
+            try:
+                if input[i] in members:
+                    continue
+            except TypeError:  # unhashable, so not a value name
+                pass
+            raise UnknownValue(
+                "adapter {!r}: input value {!r} is not in the domain of method "
+                "{!r} of interface {!r}", id, input[i], source.methods[i].name,
+                source.id,
+            )
+        if input in table:
+            raise DuplicateInput(
+                "adapter {!r}: duplicate entry for input {!r}", id, input
+            )
+        try:
+            if len(output) == n_out:
+                row = []
+                for values, members in zip(output, outputs):
+                    # A string "Z" would pass the subset test as {"Z"}.
+                    if type(values) is not list:
+                        break
+                    lifted = frozenset(values) | _BOT_SET
+                    if not lifted <= members:
+                        break
+                    row.append(lifted)
+                else:
+                    table[input] = tuple(row)
+                    continue
+        except TypeError:  # a length-less output or an unhashable value
+            pass
+        table[input] = _lift_sets(
+            target, output, ("adapter {!r}: entry {!r} output: ", id, input)
+        )
     return Adapter(id, source, target, table, default)
 
 

@@ -5,11 +5,11 @@ replaced them.
 replaced: ``json.dumps(reference_document(graph), indent=2) + "\\n"`` is the
 canonical text the library writes directly.
 
-``reference_parse_document`` is the per-object parser that
-``parse_document``'s one-test-per-object path replaced: every field of every
-object goes through ``_require``/``_only``, and every entry value through
-the domain's own membership test and ``_lift_sets``. Both must accept the
-same documents, build equal graphs, and refuse the rest with the same error.
+``reference_parse_document`` is a field-by-field parser: every field of
+every object goes through ``_require``/``_only``, and every entry value
+through the domain's own membership test and ``_lift_sets``. It and
+``parse_document`` must accept the same documents, build equal graphs, and
+refuse the rest with the same error.
 """
 
 from __future__ import annotations
@@ -243,7 +243,8 @@ def reference_parse_document(data: bytes | str) -> AdapterGraph:
     interfaces = [
         _parse_interface(i) for i in _require(doc, "interfaces", list, "document")
     ]
-    interface_map = {interface.id: interface for interface in interfaces}
+    # A repeated interface id is refused before any adapter is read.
+    interface_map = build_graph(interfaces, ()).interfaces
     adapters = [
         _parse_adapter(a, interface_map)
         for a in _require(doc, "adapters", list, "document")

@@ -1,23 +1,28 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 from decimal import Decimal
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import adaptchain
+from adaptchain import cli
 from adaptchain.cli import run_cli
 from adaptchain.document import parse_document, serialize_graph
 from adaptchain.errors import (
     ArityMismatch,
+    DuplicateId,
     EmptyDomain,
     GraphSyntaxError,
     UnknownInterface,
@@ -118,6 +123,12 @@ class TestBadInput:
          ["error: adapter 'AtoB' entry: unknown field 'outputs'\n"]),
         (("adapters", 0, "Q" * 100_000), 1, GraphSyntaxError,
          ["'AtoB'", "unknown field 'QQQ", "(100002 characters)"]),
+        # The adapter's "X" is in the first A's domain, not the second's.
+        (("interfaces",), [
+            {"id": "A", "methods": [{"name": "m", "values": ["X"]}]},
+            {"id": "A", "methods": [{"name": "m", "values": ["Y"]}]},
+            {"id": "B", "methods": [{"name": "n", "values": ["Z"]}]},
+        ], DuplicateId, ["error: interface 'A' declared twice\n"]),
     ], ids=[
         "values-mixed", "values-int", "values-nested", "output-int",
         "output-string", "output-bare-value", "output-unhashable", "output-object", "output-mixed",
@@ -126,6 +137,7 @@ class TestBadInput:
         "source-huge-id", "interface-empty-id", "unknown-root-field",
         "unknown-interface-field", "unknown-method-field",
         "unknown-adapter-field", "unknown-entry-field", "unknown-huge-field",
+        "interface-declared-twice",
     ])
     def test_bad_value_in_document(self, tmp_path, field, value, error, named):
         doc = mutated(json.loads(json.dumps(MINIMAL)), field, value)
@@ -743,6 +755,39 @@ class TestReadme:
         status, out, err = run(argv)
         assert (status, err) == (0, ""), err
         assert out
+
+
+def text_mutations(text: bytes) -> list[bytes]:
+    """Seeded byte-level damage to a document: every 7th-byte truncation,
+    JSON punctuation and bad UTF-8 bytes inserted at random offsets, a
+    byte-order mark, and nesting 100,000 levels deep."""
+    rng = random.Random(9)
+    texts = [text[:end] for end in range(0, len(text), 7)]
+    for byte in [b"{", b"[", b"]", b"}", b'"', b"\\", b"\xff", b"\xc3", b"\x00"]:
+        texts += [text[:at] + byte + text[at:] for at in rng.sample(range(len(text)), 12)]
+    return texts + [
+        b"\xef\xbb\xbf" + text,
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"a": ' * 100_000 + b"1" + b"}" * 100_000,
+    ]
+
+
+class TestTextMutations:
+    def test_damaged_text_is_one_error_line(self, tmp_path, monkeypatch):
+        # One parser serves every call; building it per call would make
+        # argparse most of this test's time.
+        monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+        fixture = resources.files("adaptchain").joinpath("fixtures", "video-example.json")
+        statuses = []
+        for i, text in enumerate(text_mutations(fixture.read_bytes())):
+            path = tmp_path / f"{i}.json"
+            path.write_bytes(text)
+            status, _, err = run(["validate", "--graph", str(path)])
+            statuses.append(status)
+            assert status in (0, 1, 2), (text[:80], status)
+            if status == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert statuses.count(1) > 1000
 
 
 class TestUsage:

@@ -26,7 +26,7 @@ from adaptchain import (
 )
 from adaptchain.errors import AdapterChainError
 from adaptchain.generator import GenParams, random_instance
-from conftest import lossless_path
+from conftest import DELETE, MINIMAL, lossless_path, mutated
 from document_reference import reference_document, reference_parse_document
 
 # Text that json.dumps escapes: non-ASCII (one code unit and an astral
@@ -211,3 +211,64 @@ def test_mutation_corpus_matches_reference():
     # The corpus reaches both outcomes and many kinds of error.
     assert kinds.count("graph") >= 10
     assert len(set(kinds)) >= 6, sorted(set(kinds))
+
+
+# -- error order -----------------------------------------------------------
+
+A0 = ("interfaces", 0)
+ENTRIES = ("adapters", 0, "entries")
+ENTRY = (*ENTRIES, 0)
+
+
+# Documents with two faults, or with a field that is null rather than
+# missing: the first fault in document order is the one reported, and the
+# corpus above reaches such pairs only by chance. Each case is a list of
+# (path, value) changes to the minimal document, then the error expected.
+@pytest.mark.parametrize("changes,error", [
+    ([(A0, {"extra": 1, "id": "A", "methods": [{"name": "m", "values": 5}]})],
+     "method 'm' of 'A': field 'values' must be a list"),
+    ([(("adapters", 0, "extra"), 1), ((*ENTRY, "output"), "Z")],
+     "adapter 'AtoB' entry: field 'output' must be a list"),
+    ([(("extra",), 1), (("adapters", 0, "source"), "Nope")],
+     "adapter 'AtoB' references undeclared interface 'Nope'"),
+    ([((*A0, "id"), None)], "interface: field 'id' must be a str"),
+    ([((*A0, "id"), DELETE)], "interface: missing field 'id'"),
+    ([((*A0, "methods", 0, "values"), None)],
+     "method 'm' of 'A': field 'values' must be a list"),
+    ([((*A0, "methods", 0, "values"), DELETE)],
+     "method 'm' of 'A': missing field 'values'"),
+    ([((*ENTRY, "output"), None)], "adapter 'AtoB' entry: field 'output' must be a list"),
+    ([((*ENTRY, "output"), DELETE)], "adapter 'AtoB' entry: missing field 'output'"),
+    ([(("adapters",), None)], "document: field 'adapters' must be a list"),
+    ([(("adapters",), DELETE)], "document: missing field 'adapters'"),
+    ([((*ENTRY, "input"), [["X"]])],
+     "adapter 'AtoB': input value ['X'] is not in the domain of method 'm' "
+     "of interface 'A'"),
+    ([((*ENTRY, "input"), ["X", "Y"]), ((*ENTRY, "output"), [["Q"]])],
+     "adapter 'AtoB': input tuple ('X', 'Y') has 2 components, source 'A' "
+     "has 1 methods"),
+    ([(ENTRIES, [{"input": ["X"], "output": [["Z"]]},
+                 {"input": ["X"], "output": [["Q"]]}])],
+     "adapter 'AtoB': duplicate entry for input ('X',)"),
+    ([(("adapters", 0, "default_output"), [["Q"]]), ((*ENTRY, "input"), ["Q"])],
+     "adapter 'AtoB': default output: value 'Q' is not in the domain of "
+     "method 'n' of interface 'B'"),
+    ([(("adapters", 0, "default_output"), [["Q"]]), (ENTRIES, [5])],
+     "adapter 'AtoB': entries must be objects"),
+], ids=[
+    "unknown-interface-key-then-bad-method", "unknown-adapter-key-then-bad-entry",
+    "unknown-root-key-then-bad-adapter", "null-id", "missing-id",
+    "null-values", "missing-values", "null-output", "missing-output",
+    "null-adapters", "missing-adapters", "unhashable-input",
+    "input-arity-then-bad-output", "duplicate-input-then-bad-output",
+    "bad-default-then-bad-row", "bad-default-then-bad-entry-object",
+])
+def test_first_fault_wins(changes, error):
+    doc = json.loads(json.dumps(MINIMAL))
+    for path, value in changes:
+        doc = mutated(doc, path, value)
+    text = json.dumps(doc)
+    _assert_same_outcome(text)
+    with pytest.raises(AdapterChainError) as exc:
+        parse_document(text)
+    assert str(exc.value) == error

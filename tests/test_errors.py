@@ -20,7 +20,7 @@ DOMAIN_ERRORS = {
     if isinstance(obj, type) and issubclass(obj, AdapterChainError)
 }
 # Callables that receive a template fragment and its values.
-FRAGMENT_TAKERS = {"_require", "_lift_sets", "from_names"}
+FRAGMENT_TAKERS = {"_refuse", "_lift_sets", "from_names"}
 
 
 def _name(func: ast.expr) -> str | None:

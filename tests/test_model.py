@@ -148,6 +148,27 @@ class TestBuildAdapter:
         with pytest.raises(ArityMismatch):
             build_adapter("bad", video1(), video2(), [(("MOV",), [[], [], [], []])])
 
+    def test_generator_input_is_checked_like_a_list(self):
+        # The input is read once, so a bad output is worded, not a TypeError.
+        with pytest.raises(UnknownValue) as exc:
+            build_adapter("g", video1(), video2(), [
+                ((v for v in ["MOV", "MP3"]), [["RM"], [], [], []]),
+            ])
+        assert str(exc.value) == (
+            "adapter 'g': entry ('MOV', 'MP3') output: value 'RM' is not in "
+            "the domain of method 'play' of interface 'Video2'"
+        )
+        adapter = build_adapter("g", video1(), video2(), [
+            ((v for v in ["MOV", "MP3"]), [["MP4"], [], [], []]),
+        ])
+        assert adapter.lookup(("MOV", "MP3"))[0] == {"bot", "MP4"}
+
+    def test_generator_output_set_keeps_its_values(self):
+        adapter = build_adapter("g", video1(), video2(), [
+            (("MOV", "MP3"), [(v for v in ["MP4"]), [], [], ()]),
+        ])
+        assert adapter.lookup(("MOV", "MP3"))[0] == {"bot", "MP4"}
+
     def test_lookup_is_total_with_bot_everywhere(self):
         import itertools
 
