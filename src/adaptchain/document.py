@@ -5,7 +5,7 @@ Schema (all field names fixed; any other field is a GraphSyntaxError):
     {"version": "1",
      "interfaces": [{"id": ..., "methods": [{"name": ..., "values": [...]}]}],
      "adapters": [{"id": ..., "source": ..., "target": ...,
-                   "default_output": [[...], ...],          # optional
+                   "default_output": [[...], ...],          # optional, not null
                    "entries": [{"input": [...], "output": [[...], ...]}]}]}
 
 The token "bot" denotes bottom. It may be written explicitly anywhere a
@@ -123,14 +123,13 @@ def _parse_adapter(obj: dict, interfaces: dict[str, Interface]) -> Adapter:
         if len(e) != 2:
             _only(e, _ENTRY_FIELDS, "adapter {!r} entry", id)
         entries.append((input, output))
-    if len(obj) != 4:  # default_output is optional
+    default_output = None
+    if len(obj) != 4:  # default_output is optional; past _only, it is here
         _only(obj, _ADAPTER_FIELDS, "adapter {!r}", id)
+        if (default_output := obj["default_output"]) is None:
+            _refuse(obj, "default_output", list, "adapter {!r}", id)
     return build_adapter(
-        id,
-        interfaces[source_id],
-        interfaces[target_id],
-        entries,
-        obj.get("default_output"),
+        id, interfaces[source_id], interfaces[target_id], entries, default_output
     )
 
 

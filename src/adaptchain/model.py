@@ -17,6 +17,7 @@ are safe.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -89,6 +90,22 @@ class AbstractDomain:
     @property
     def non_bottom(self) -> tuple[str, ...]:
         return self.values[1:]
+
+    @cached_property
+    def _subsets(self) -> tuple[tuple[frozenset[str], ...], tuple]:
+        """Every subset that holds bot, by count of other values and then in
+        ``itertools.combinations`` order, and each one's split: for two or
+        more other values, the positions of the subset without its last
+        value and of bot with that value alone, whose union it is; for an
+        atom ({bot} or {bot, v}), None. Built on first use and shared."""
+        position: dict[tuple[str, ...], int] = {}
+        subsets, splits = [], []
+        for r in range(self.size):
+            for c in itertools.combinations(self.non_bottom, r):
+                position[c] = len(subsets)
+                subsets.append(frozenset((BOT, *c)))
+                splits.append((position[c[:-1]], position[c[-1:]]) if r > 1 else None)
+        return tuple(subsets), tuple(splits)
 
     def __contains__(self, name: object) -> bool:
         try:
@@ -273,11 +290,12 @@ def build_adapter(
     ``default_output`` (all-{bot} when omitted). "bot" is injected into
     every output set.
 
-    Each row is checked once, in order: its arity, each input value against
-    its method's member set (read once per adapter), the duplicate test,
-    then its output sets. An output set given as a list of target values
-    is lifted in place; any other output goes to ``_lift_sets``, which
-    words the fault or lifts the collection.
+    Each row is checked once, in order: that it is a pair with an iterable
+    input (else ``ArityMismatch`` naming the row), its arity, each input
+    value against its method's member set (read once per adapter), the
+    duplicate test, then its output sets. An output set given as a list of
+    target values is lifted in place; any other output goes to
+    ``_lift_sets``, which words the fault or lifts the collection.
     """
     if not id:
         raise EmptyDomain("adapter id must be nonempty")
@@ -291,8 +309,15 @@ def build_adapter(
             target, default_output, ("adapter {!r}: default output: ", id)
         )
     table: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
-    for input_values, output in entries:
-        input = tuple(input_values)
+    for row in entries:
+        try:
+            input_values, output = row
+            input = tuple(input_values)
+        except (TypeError, ValueError):  # not a pair, or a non-iterable input
+            raise ArityMismatch(
+                "adapter {!r}: entry {!r} is not a pair of an input tuple and "
+                "output sets", id, row,
+            ) from None
         if len(input) != n_in:
             raise ArityMismatch(
                 "adapter {!r}: input tuple {!r} has {} components, source {!r} "

@@ -11,10 +11,18 @@ adaptation table is only materialized through :func:`tabulate_adaptation`,
 which :func:`tabulation_cap`, the package's one work limit, guards because
 the table is exponential in the number of source methods.
 
-All functions here are pure over immutable values. The only state is two
+Tabulation uses the split law: if component i of p holds a value v besides
+bot and at least one other value, A(p) is the componentwise union of A(p
+with v taken out of component i) and A(p with component i set to {bot,
+v}), since the two products cover p's. So only atom rows, whose every
+component is {bot} or {bot, v}, are adapted; every other row is one union
+of two rows built before it. Equal rows share one vector object.
+
+All functions here are pure over immutable values. The only state is
 caches that never change an answer: the result memo of
-:func:`apply_memoized` and the interface index behind each pipeline's
-visited-interface bitmask.
+:func:`apply_memoized`, the interface index behind each pipeline's
+visited-interface bitmask, and each domain's subset list with its splits,
+which tabulation builds on first use.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from math import prod
+from operator import attrgetter
 from typing import Mapping
 
 from .errors import (
@@ -36,6 +45,7 @@ from .model import BOT, Adapter, AvailabilityVector, Interface
 
 DEFAULT_TABULATE_CAP = 2**20
 TABULATE_CAP_ENV = "ADAPTCHAIN_TABULATE_CAP"
+_subsets = attrgetter("domain._subsets")  # a method's subsets and splits
 
 
 def _check_same_interface(u: AvailabilityVector, v: AvailabilityVector) -> None:
@@ -242,6 +252,12 @@ class TabulatedAdaptation:
     ``rows`` is keyed by bot-normalized source vectors, of which there are
     the product of 2**(d_i - 1); ``size`` reports the raw count (product of
     2**d_i) of subsets that collapse onto those keys under bot injection.
+    Keys run in ``itertools.product`` order over each method's subsets
+    (by count of values, then in ``itertools.combinations`` order). Rows
+    follow the split law (see the module docstring), and equal rows are
+    one shared vector, so a table holds only as many result vectors as it
+    has distinct results (99 of 4,096 rows for the wide-interface
+    benchmark's ``N0`` at seed 1).
     """
 
     adapter_id: str
@@ -253,9 +269,10 @@ class TabulatedAdaptation:
 
 
 def tabulation_cap() -> int:
-    """The one work cap, ADAPTCHAIN_TABULATE_CAP or 2**20: it bounds
-    tabulated rows, ``gen``'s draws per adapter and the partial chains each
-    chain walk extends (per source for the oracle)."""
+    """The one work cap, ADAPTCHAIN_TABULATE_CAP or 2**20: it bounds an
+    adaptation table's raw size, the total draws of one ``gen`` run (over
+    all its adapters) and the partial chains each chain walk extends (per
+    source for the oracle)."""
     raw = os.environ.get(TABULATE_CAP_ENV)
     if raw is None:
         return DEFAULT_TABULATE_CAP
@@ -273,8 +290,12 @@ def tabulation_cap() -> int:
 def tabulate_adaptation(adapter: Adapter) -> TabulatedAdaptation:
     """Materialize the adapter's full adaptation table.
 
-    Refused with CapExceeded when the raw size (product of 2**d_i) exceeds
-    ``tabulation_cap()``. Every row agrees with apply_adaptation on its key.
+    Refused with CapExceeded, before any row is built, when the raw size
+    (product of 2**d_i) exceeds ``tabulation_cap()``. Every row agrees with
+    apply_adaptation on its key. Only atom rows call it, so tabulating
+    costs prod(2 * d_i - 1) lookups; each other row is the union of two
+    earlier ones, done a block at a time along the first axis whose subset
+    is not an atom, memoized by the identity of its two operands.
     """
     cap = tabulation_cap()
     _, raw_size = function_sizes(adapter)
@@ -285,16 +306,44 @@ def tabulate_adaptation(adapter: Adapter) -> TabulatedAdaptation:
             required_size=raw_size,
             cap=cap,
         )
-    rows: dict[AvailabilityVector, AvailabilityVector] = {}
-    subset_choices = [
-        [frozenset(c) | {BOT} for r in range(len(d.non_bottom) + 1)
-         for c in itertools.combinations(d.non_bottom, r)]
-        for d in adapter.source.domains
-    ]
-    for components in itertools.product(*subset_choices):
-        key = AvailabilityVector(adapter.source.id, tuple(components))
-        rows[key] = apply_adaptation(adapter, key)
-    return TabulatedAdaptation(adapter.id, rows, raw_size)
+    subsets, splits = zip(*map(_subsets, adapter.source.methods))
+    source_id, target_id = adapter.source.id, adapter.target.id
+    keys = [AvailabilityVector(source_id, c) for c in itertools.product(*subsets)]
+    results: list = [None] * len(keys)
+    shared: dict[tuple[frozenset[str], ...], AvailabilityVector] = {}
+    unions: dict[tuple[int, int], AvailabilityVector] = {}
+
+    def union(x: AvailabilityVector, y: AvailabilityVector) -> AvailabilityVector:
+        # Every operand stays alive in ``results``, so ids are never reused.
+        pair = id(x), id(y)
+        z = unions.get(pair)
+        if z is None:
+            c = tuple(map(frozenset.union, x.components, y.components))
+            z = unions[pair] = shared.setdefault(c, AvailabilityVector(target_id, c))
+        return z
+
+    def fill(axis: int, base: int, stride: int) -> None:
+        """The rows from ``base`` whose earlier axes hold atoms; subset j
+        of ``axis`` starts ``j * stride`` rows in (stride 1 on the last)."""
+        for j, split in enumerate(splits[axis]):
+            at = base + j * stride
+            if split is None:
+                if stride > 1:
+                    fill(axis + 1, at, stride // len(splits[axis + 1]))
+                else:
+                    p = apply_adaptation(adapter, keys[at])
+                    results[at] = shared.setdefault(p.components, p)
+                continue
+            a, b = base + split[0] * stride, base + split[1] * stride
+            if stride > 1:
+                results[at:at + stride] = map(
+                    union, results[a:a + stride], results[b:b + stride]
+                )
+            else:  # one row: slicing costs more than the union on tiny tables
+                results[at] = union(results[a], results[b])
+
+    fill(0, 0, len(keys) // len(splits[0]))
+    return TabulatedAdaptation(adapter.id, dict(zip(keys, results)), raw_size)
 
 
 __all__ = [

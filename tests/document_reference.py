@@ -207,6 +207,10 @@ def _parse_adapter(obj, interfaces: dict[str, Interface]) -> Adapter:
         entries.append((input, output))
     default_output = obj.get("default_output")
     _only(obj, _ADAPTER_FIELDS, "adapter {!r}", id)
+    if "default_output" in obj and default_output is None:
+        raise GraphSyntaxError(
+            "adapter {!r}: field 'default_output' must be a list", id
+        )
     return _build_adapter(
         id, interfaces[source_id], interfaces[target_id], entries, default_output
     )

@@ -2,12 +2,14 @@
 library replaced, kept as test oracles.
 
 ``apply_adaptation`` accumulates every lookup's output into per-method
-sets, one product tuple at a time; ``greedy_chain`` rescores every
+sets, one product tuple at a time; ``tabulate_adaptation`` adapts every row
+of the table from scratch; ``greedy_chain`` rescores every
 extension by adapting full capability through the whole chain;
 ``enumerate_chains`` recurses once per interface; ``oracle_optimal``
 enumerates every source's chains, sorts them and evaluates each from
 scratch. Differential tests compare the library against these on adapted
-vectors, and on chain, source, final vector and score.
+vectors, on tabulated rows and sizes, and on chain, source, final vector
+and score.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import heapq
 import itertools
 from typing import Iterable
 
-from adaptchain.errors import InvalidParams, NoChain, TooLarge
+from adaptchain.errors import CapExceeded, InvalidParams, NoChain, TooLarge
 from adaptchain.model import (
     BOT,
     Adapter,
@@ -33,9 +35,12 @@ from adaptchain.search import (
 )
 from adaptchain.semantics import (
     AdaptationPipeline,
+    TabulatedAdaptation,
     apply_pipeline,
+    function_sizes,
     identity_pipeline,
     prepend,
+    tabulation_cap,
 )
 
 
@@ -47,6 +52,28 @@ def apply_adaptation(adapter: Adapter, p: AvailabilityVector) -> AvailabilityVec
     return AvailabilityVector(
         adapter.target.id, tuple(frozenset(c) for c in result)
     )
+
+
+def tabulate_adaptation(adapter: Adapter) -> TabulatedAdaptation:
+    cap = tabulation_cap()
+    _, raw_size = function_sizes(adapter)
+    if raw_size > cap:
+        raise CapExceeded(
+            "adaptation table for adapter {!r} would have {} elements, "
+            "exceeding the cap of {}", adapter.id, raw_size, cap,
+            required_size=raw_size,
+            cap=cap,
+        )
+    rows: dict[AvailabilityVector, AvailabilityVector] = {}
+    subset_choices = [
+        [frozenset(c) | {BOT} for r in range(len(d.non_bottom) + 1)
+         for c in itertools.combinations(d.non_bottom, r)]
+        for d in adapter.source.domains
+    ]
+    for components in itertools.product(*subset_choices):
+        key = AvailabilityVector(adapter.source.id, tuple(components))
+        rows[key] = apply_adaptation(adapter, key)
+    return TabulatedAdaptation(adapter.id, rows, raw_size)
 
 
 def rescore(pipeline: AdaptationPipeline, weights: WeightMap = UNIT_WEIGHTS) -> float:

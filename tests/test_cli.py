@@ -97,6 +97,8 @@ class TestBadInput:
         (OUTPUT, [[1, "Q"]], UnknownValue, ["'AtoB'", "('X',)", "'n'", "'Q'"]),
         (DEFAULT, 5, ArityMismatch, ["'AtoB'", "default output", "5"]),
         (DEFAULT, "Z", UnknownValue, ["'AtoB'", "default output", "'n'", "'Z'"]),
+        (DEFAULT, None, GraphSyntaxError,
+         ["error: adapter 'AtoB': field 'default_output' must be a list\n"]),
         # Huge values are cut to 80 characters and their length.
         (OUTPUT, [[]] * 100_000, ArityMismatch,
          ["'AtoB'", "('X',)", "'B'", "[[], [],", "(400000 characters)"]),
@@ -132,7 +134,7 @@ class TestBadInput:
     ], ids=[
         "values-mixed", "values-int", "values-nested", "output-int",
         "output-string", "output-bare-value", "output-unhashable", "output-object", "output-mixed",
-        "default-int", "default-string", "output-huge-arity",
+        "default-int", "default-string", "default-null", "output-huge-arity",
         "output-huge-value", "input-huge-value", "input-huge-arity",
         "source-huge-id", "interface-empty-id", "unknown-root-field",
         "unknown-interface-field", "unknown-method-field",

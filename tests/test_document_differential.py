@@ -255,6 +255,12 @@ ENTRY = (*ENTRIES, 0)
      "method 'n' of interface 'B'"),
     ([(("adapters", 0, "default_output"), [["Q"]]), (ENTRIES, [5])],
      "adapter 'AtoB': entries must be objects"),
+    ([(("adapters", 0, "default_output"), None)],
+     "adapter 'AtoB': field 'default_output' must be a list"),
+    ([(("adapters", 0, "default_output"), None), ((*ENTRY, "input"), ["Q"])],
+     "adapter 'AtoB': field 'default_output' must be a list"),
+    ([(("adapters", 0, "default_output"), None), (ENTRIES, [5])],
+     "adapter 'AtoB': entries must be objects"),
 ], ids=[
     "unknown-interface-key-then-bad-method", "unknown-adapter-key-then-bad-entry",
     "unknown-root-key-then-bad-adapter", "null-id", "missing-id",
@@ -262,6 +268,8 @@ ENTRY = (*ENTRIES, 0)
     "null-adapters", "missing-adapters", "unhashable-input",
     "input-arity-then-bad-output", "duplicate-input-then-bad-output",
     "bad-default-then-bad-row", "bad-default-then-bad-entry-object",
+    "null-default-output", "null-default-then-bad-row",
+    "null-default-then-bad-entry-object",
 ])
 def test_first_fault_wins(changes, error):
     doc = json.loads(json.dumps(MINIMAL))

@@ -169,6 +169,24 @@ class TestBuildAdapter:
         ])
         assert adapter.lookup(("MOV", "MP3"))[0] == {"bot", "MP4"}
 
+    @pytest.mark.parametrize("row,shown", [
+        ((5, [["MP4"], [], [], []]), "(5, [['MP4'], [], [], []])"),
+        ((["MOV", "MP3"],), "(['MOV', 'MP3'],)"),
+        ((("MOV", "MP3"), [["MP4"], [], [], []], "x"),
+         "(('MOV', 'MP3'), [['MP4'], [], [], []], 'x')"),
+        (7, "7"),
+        (None, "None"),
+    ], ids=["input-int", "one-item", "three-items", "int", "none"])
+    def test_row_that_is_not_a_pair_is_named(self, row, shown):
+        # Documents hand over only lists; library callers may pass anything.
+        good = (("MOV", "MP3"), [["MP4"], [], [], []])
+        with pytest.raises(ArityMismatch) as exc:
+            build_adapter("r", video1(), video2(), [good, row])
+        assert str(exc.value) == (
+            f"adapter 'r': entry {shown} is not a pair of an input tuple and "
+            "output sets"
+        )
+
     def test_lookup_is_total_with_bot_everywhere(self):
         import itertools
 
