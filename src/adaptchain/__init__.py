@@ -1,11 +1,6 @@
 """Loss analysis and optimal chain search for lossy interface adapters."""
 
-from .document import (
-    graph_to_document,
-    load_fixture,
-    parse_document,
-    serialize_graph,
-)
+from .document import load_fixture, parse_document, serialize_graph
 from .errors import AdapterChainError
 from .generator import GenParams, random_instance
 from .model import (
@@ -16,7 +11,6 @@ from .model import (
     AvailabilityVector,
     Interface,
     MethodSpec,
-    bottom_vector,
     build_adapter,
     build_graph,
     build_interface,
@@ -41,8 +35,6 @@ from .semantics import (
     identity_pipeline,
     prepend,
     tabulate_adaptation,
-    tuple_subset,
-    tuple_union,
 )
 
 __version__ = "0.1.0"

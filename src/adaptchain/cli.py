@@ -139,7 +139,7 @@ def _cmd_eval(args, graph: AdapterGraph) -> tuple[dict, str]:
 
 
 def _cmd_chain(args, graph: AdapterGraph) -> tuple[dict, str]:
-    if args.sources:
+    if args.sources is not None:
         sources = [s for s in args.sources.split(",") if s]
     elif args.source:
         sources = [args.source]

@@ -12,9 +12,8 @@ The token "bot" denotes bottom. It may be written explicitly anywhere a
 value is expected, or omitted: parsing normalizes either way. Serialization
 is canonical (ids sorted, values bot-less and lexicographic, entries sorted
 by input tuple), so parse -> serialize -> parse is the identity. The text is
-written directly from the model, in one pass, and equals
-``json.dumps(graph_to_document(graph), indent=2)`` plus a final newline;
-``graph_to_document`` is that text, parsed.
+written directly from the model, in one pass, and equals ``json.dumps(doc,
+indent=2)`` plus a final newline, where ``doc`` is ``json.loads(text)``.
 
 Validation is one pass in document order. Each field of each object is
 read once and its type tested where it is read; a failed test raises at
@@ -246,11 +245,6 @@ def serialize_graph(graph: AdapterGraph) -> str:
         "interfaces": _array(interfaces, 1),
         "adapters": _array(adapters, 1),
     }, 0) + "\n"
-
-
-def graph_to_document(graph: AdapterGraph) -> dict:
-    """Canonical plain-dict form of a graph: its serialization, parsed."""
-    return json.loads(serialize_graph(graph))
 
 
 def load_fixture(name: str) -> AdapterGraph:

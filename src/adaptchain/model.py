@@ -18,10 +18,10 @@ are safe.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -33,6 +33,7 @@ from .errors import (
     InterfaceMismatch,
     UnknownInterface,
     UnknownValue,
+    ValidationError,
 )
 
 BOT = "bot"
@@ -64,6 +65,11 @@ class AbstractDomain:
         ``context`` (a template fragment, then its values; see ``errors``)
         ends every error message.
         """
+        if isinstance(names, (str, dict)) or not isinstance(names, Iterable):
+            raise UnknownValue(
+                "domain {!r} is not a list of value names" + context[0], names,
+                *context[1:],
+            )
         seen: set[str] = set()
         for name in names:
             if not isinstance(name, str):
@@ -136,10 +142,6 @@ class Interface:
         return len(self.methods)
 
     @property
-    def method_names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.methods)
-
-    @property
     def domains(self) -> tuple[AbstractDomain, ...]:
         return tuple(m.domain for m in self.methods)
 
@@ -175,13 +177,25 @@ def build_interface(
 
     Domains are lifted: "bot" is injected and canonical order applied.
     """
+    if not isinstance(id, str):
+        raise ValidationError("interface id {!r} is not a string", id)
     if not id:
         raise EmptyDomain("interface id must be nonempty")
     if not methods:
         raise EmptyDomain("interface {!r} must declare at least one method", id)
     specs: list[MethodSpec] = []
     names_seen: set[str] = set()
-    for name, values in methods:
+    for method in methods:
+        try:
+            name, values = method
+        except (TypeError, ValueError):  # not a pair
+            raise ArityMismatch(
+                "interface {!r}: method {!r} is not a (name, values) pair", id, method
+            ) from None
+        if not isinstance(name, str):
+            raise ValidationError(
+                "interface {!r}: method name {!r} is not a string", id, name
+            )
         if name in names_seen:
             raise DuplicateMethodName(
                 "interface {!r} declares method {!r} twice", id, name
@@ -198,11 +212,6 @@ def full_vector(interface: Interface) -> AvailabilityVector:
     """The full-capability vector: every component is the whole lifted
     domain. Built once per interface and shared."""
     return interface._full
-
-
-def bottom_vector(interface: Interface) -> AvailabilityVector:
-    """The all-{bot} vector: no method can handle anything."""
-    return AvailabilityVector(interface.id, (_BOT_SET,) * interface.arity)
 
 
 def normalize_vector(
@@ -297,6 +306,8 @@ def build_adapter(
     target values is lifted in place; any other output goes to
     ``_lift_sets``, which words the fault or lifts the collection.
     """
+    if not isinstance(id, str):
+        raise ValidationError("adapter id {!r} is not a string", id)
     if not id:
         raise EmptyDomain("adapter id must be nonempty")
     inputs = tuple(map(_members, source.methods))

@@ -58,17 +58,23 @@ class WeightMap:
     weights: Mapping[tuple[str, str, str], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for (interface, method, value), weight in self.weights.items():
-            if value == BOT:
-                raise ReservedName(
-                    "weight for 'bot' is fixed at 0 ({}.{}.{})",
-                    interface, method, value,
-                )
-            if not 0 <= weight < math.inf:
+        for key, weight in self.weights.items():
+            if not isinstance(key, tuple) or len(key) != 3:
                 raise InvalidParams(
-                    "weight {} for {}.{}.{} is not finite and non-negative",
-                    weight, interface, method, value,
+                    "weight key {!r} is not an (interface, method, value) triple", key
                 )
+            if key[2] == BOT:
+                raise ReservedName("weight for 'bot' is fixed at 0 ({}.{}.{})", *key)
+            try:
+                if 0 <= weight < math.inf:
+                    continue
+            except TypeError:
+                raise InvalidParams(
+                    "weight {!r} for {}.{}.{} is not a number", weight, *key
+                ) from None
+            raise InvalidParams(
+                "weight {} for {}.{}.{} is not finite and non-negative", weight, *key
+            )
 
     def weight(self, interface: str, method: str, value: str) -> float:
         if value == BOT:

@@ -1,4 +1,4 @@
-"""Tuple algebra, adaptation application, pipeline composition, size formulas.
+"""Adaptation application, pipeline composition, size formulas, tabulation.
 
 Adaptation lifts an adapter's dependency function to availability vectors:
 the result is the componentwise union of the dependency outputs over every
@@ -48,29 +48,6 @@ TABULATE_CAP_ENV = "ADAPTCHAIN_TABULATE_CAP"
 _subsets = attrgetter("domain._subsets")  # a method's subsets and splits
 
 
-def _check_same_interface(u: AvailabilityVector, v: AvailabilityVector) -> None:
-    if u.interface_id != v.interface_id:
-        raise InterfaceMismatch(
-            "vectors belong to different interfaces: {!r} vs {!r}",
-            u.interface_id, v.interface_id,
-        )
-
-
-def tuple_union(u: AvailabilityVector, v: AvailabilityVector) -> AvailabilityVector:
-    """Componentwise union of two vectors over the same interface."""
-    _check_same_interface(u, v)
-    return AvailabilityVector(
-        u.interface_id,
-        tuple(a | b for a, b in zip(u.components, v.components)),
-    )
-
-
-def tuple_subset(u: AvailabilityVector, v: AvailabilityVector) -> bool:
-    """True iff every component of u is a subset of v's."""
-    _check_same_interface(u, v)
-    return all(a <= b for a, b in zip(u.components, v.components))
-
-
 def apply_adaptation(adapter: Adapter, p: AvailabilityVector) -> AvailabilityVector:
     """Adapt an availability vector through one adapter.
 
@@ -115,9 +92,7 @@ class AdaptationPipeline:
     index (``_index``, interface id -> bit position). The identity creates
     the index and every pipeline prepended from it shares it, so the index
     only holds the interfaces one search touches. Like ``_memo``, it is a
-    cache that never changes an answer. :meth:`visits` tests a bit;
-    :attr:`visited` rebuilds the set from the chain and is kept for
-    inspection only.
+    cache that never changes an answer. :meth:`visits` tests a bit.
     """
 
     source: Interface
@@ -143,14 +118,6 @@ class AdaptationPipeline:
     @property
     def chain(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.adapters)
-
-    @property
-    def visited(self) -> frozenset[str]:
-        """Ids of every interface the chain touches, endpoints included.
-        O(length); searches test single interfaces with :meth:`visits`."""
-        return frozenset(
-            [self.source.id, *[a.target.id for a in self.adapters]]
-        )
 
     def visits(self, interface_id: str) -> bool:
         """Does the chain touch ``interface_id``? One bit test."""
@@ -264,9 +231,6 @@ class TabulatedAdaptation:
     rows: Mapping[AvailabilityVector, AvailabilityVector]
     size: int
 
-    def lookup(self, p: AvailabilityVector) -> AvailabilityVector:
-        return self.rows[p]
-
 
 def tabulation_cap() -> int:
     """The one work cap, ADAPTCHAIN_TABULATE_CAP or 2**20: it bounds an
@@ -345,20 +309,3 @@ def tabulate_adaptation(adapter: Adapter) -> TabulatedAdaptation:
     fill(0, 0, len(keys) // len(splits[0]))
     return TabulatedAdaptation(adapter.id, dict(zip(keys, results)), raw_size)
 
-
-__all__ = [
-    "AdaptationPipeline",
-    "TabulatedAdaptation",
-    "apply_adaptation",
-    "apply_memoized",
-    "apply_pipeline",
-    "function_sizes",
-    "identity_pipeline",
-    "prepend",
-    "tabulate_adaptation",
-    "tabulation_cap",
-    "tuple_subset",
-    "tuple_union",
-    "DEFAULT_TABULATE_CAP",
-    "TABULATE_CAP_ENV",
-]

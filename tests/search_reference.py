@@ -1,6 +1,12 @@
 """Reference adaptation and chain searches: the simple implementations the
 library replaced, kept as test oracles.
 
+``tuple_union`` and ``tuple_subset`` state the paper's tuple algebra on
+availability vectors (componentwise union and the subset order), which the
+library only takes inline; ``bottom_vector`` is the all-{bot} vector and
+``visited`` the set of interfaces a pipeline touches, against which the
+library's visited-interface bitmask is checked.
+
 ``apply_adaptation`` accumulates every lookup's output into per-method
 sets, one product tuple at a time; ``tabulate_adaptation`` adapts every row
 of the table from scratch; ``greedy_chain`` rescores every
@@ -24,6 +30,7 @@ from adaptchain.model import (
     Adapter,
     AdapterGraph,
     AvailabilityVector,
+    Interface,
     full_vector,
 )
 from adaptchain.search import (
@@ -42,6 +49,30 @@ from adaptchain.semantics import (
     prepend,
     tabulation_cap,
 )
+
+
+def tuple_union(u: AvailabilityVector, v: AvailabilityVector) -> AvailabilityVector:
+    """Componentwise union of two vectors over the same interface."""
+    assert u.interface_id == v.interface_id
+    return AvailabilityVector(
+        u.interface_id, tuple(a | b for a, b in zip(u.components, v.components))
+    )
+
+
+def tuple_subset(u: AvailabilityVector, v: AvailabilityVector) -> bool:
+    """True iff every component of u is a subset of v's."""
+    assert u.interface_id == v.interface_id
+    return all(a <= b for a, b in zip(u.components, v.components))
+
+
+def bottom_vector(interface: Interface) -> AvailabilityVector:
+    """The all-{bot} vector: no method can handle anything."""
+    return AvailabilityVector(interface.id, (frozenset((BOT,)),) * interface.arity)
+
+
+def visited(pipeline: AdaptationPipeline) -> frozenset[str]:
+    """Ids of every interface the chain touches, endpoints included."""
+    return frozenset([pipeline.source.id, *[a.target.id for a in pipeline.adapters]])
 
 
 def apply_adaptation(adapter: Adapter, p: AvailabilityVector) -> AvailabilityVector:
@@ -113,7 +144,7 @@ def greedy_chain(
         if pipeline.source.id in source_ids:
             return _result(pipeline, weights)
         for adapter in graph.incoming(pipeline.source.id):
-            if adapter.source.id in pipeline.visited:
+            if adapter.source.id in visited(pipeline):
                 continue
             extended = prepend(adapter, pipeline)
             pipelines[extended.chain] = extended

@@ -29,7 +29,6 @@ from adaptchain import (
     oracle_optimal,
     prepend,
     tabulate_adaptation,
-    tuple_subset,
 )
 from adaptchain.cli import run_cli
 from adaptchain.errors import NoChain
@@ -37,6 +36,7 @@ from adaptchain.generator import GenParams, SplitMix64, random_instance
 from adaptchain.model import BOT, AvailabilityVector
 from adaptchain.search import UNIT_WEIGHTS, WeightMap
 from conftest import VIDEO1_TO_VIDEO2_ROWS, random_subvector
+from search_reference import tuple_subset, visited
 
 DURATIONS: dict[str, float] = {}
 
@@ -138,7 +138,7 @@ def criterion_4() -> dict:
                 options = [
                     a
                     for a in graph.incoming(pipe.source.id)
-                    if a.source.id not in pipe.visited
+                    if a.source.id not in visited(pipe)
                 ]
                 if not options:
                     break

@@ -25,7 +25,7 @@ from adaptchain import (
 )
 from adaptchain.errors import CapExceeded
 from adaptchain.generator import GenParams, SplitMix64, random_instance
-from adaptchain.model import Adapter, bottom_vector
+from adaptchain.model import Adapter
 from conftest import random_subvector
 
 
@@ -60,7 +60,7 @@ def wide_adapter(seed: int, entries: int = 200, shape=(6, 5)) -> Adapter:
 def vectors(rng: SplitMix64, adapter: Adapter, count: int):
     """The full and the all-{bot} vector, then ``count`` random ones."""
     yield full_vector(adapter.source)
-    yield bottom_vector(adapter.source)
+    yield ref.bottom_vector(adapter.source)
     for _ in range(count):
         yield random_subvector(rng, adapter.source)
 
@@ -115,7 +115,7 @@ class TestAgainstReference:
 
     def test_all_bot_vector_gives_the_all_bot_row(self, video_graph):
         for adapter in (*video_graph.adapters.values(), wide_adapter(7)):
-            p = bottom_vector(adapter.source)
+            p = ref.bottom_vector(adapter.source)
             q = apply_adaptation(adapter, p)
             assert q == ref.apply_adaptation(adapter, p)
             assert q.components == adapter.lookup((BOT,) * adapter.source.arity)

@@ -197,7 +197,11 @@ class TestBadInput:
          "--chain must list at least one adapter id"),
         (["eval", "--chain", "Nope", "--vector", ""], "graph has no adapter 'Nope'"),
         (["chain", "--target", "Video2"], "one of --source or --sources is required"),
-    ], ids=["eval-empty-chain", "eval-unknown-adapter", "chain-no-source"])
+        (["chain", "--target", "Video2", "--sources", ""], "sources must be nonempty"),
+    ], ids=[
+        "eval-empty-chain", "eval-unknown-adapter", "chain-no-source",
+        "chain-empty-sources",
+    ])
     def test_bad_argument(self, argv, shown):
         assert run([*argv, "--graph", "video-example"]) == (1, "", f"error: {shown}\n")
 

@@ -5,12 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adaptchain import (
-    graph_to_document,
-    load_fixture,
-    parse_document,
-    serialize_graph,
-)
+from adaptchain import load_fixture, parse_document, serialize_graph
 from adaptchain.errors import (
     AdapterChainError,
     DuplicateId,
@@ -33,7 +28,7 @@ def test_fixture_is_the_video_example():
         "Video3toVideo1",
     ]
     video2 = graph.interfaces["Video2"]
-    assert video2.method_names == ("play", "stop", "skip", "caption")
+    assert tuple(m.name for m in video2.methods) == ("play", "stop", "skip", "caption")
     assert video2.methods[0].domain.values == (
         "bot", "DIVX", "INDEO", "MP4", "THEORA",
     )
@@ -74,7 +69,7 @@ def test_adapters_from_two_parses_are_equal_and_hash_alike():
 
 
 def test_row_order_does_not_change_the_serialization():
-    doc = graph_to_document(load_fixture("video-example"))
+    doc = json.loads(serialize_graph(load_fixture("video-example")))
     text = serialize_graph(parse_document(json.dumps(doc)))
     assert all(len(a["entries"]) > 1 for a in doc["adapters"])
     for adapter in doc["adapters"]:
@@ -213,7 +208,7 @@ def test_huge_duplicate_id_is_a_short_error(kind):
 
 
 def test_document_fields_are_exact():
-    doc = graph_to_document(load_fixture("video-example"))
+    doc = json.loads(serialize_graph(load_fixture("video-example")))
     assert set(doc) == {"version", "interfaces", "adapters"}
     assert set(doc["interfaces"][0]) == {"id", "methods"}
     assert set(doc["interfaces"][0]["methods"][0]) == {"name", "values"}

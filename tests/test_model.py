@@ -20,6 +20,7 @@ from adaptchain.errors import (
     InterfaceMismatch,
     UnknownInterface,
     UnknownValue,
+    ValidationError,
     brief,
 )
 from conftest import VIDEO1_TO_VIDEO2_ROWS
@@ -85,6 +86,36 @@ class TestBuildInterface:
     def test_duplicate_value(self):
         with pytest.raises(DuplicateAbstractValue):
             build_interface("X", [("m", ["A", "A"])])
+
+    @pytest.mark.parametrize("id,methods,shown", [
+        (5, [("m", ["A"])], "interface id 5 is not a string"),
+        ("X", [(7, ["A"])], "interface 'X': method name 7 is not a string"),
+    ], ids=["interface-id", "method-name"])
+    def test_non_string_names_are_refused(self, id, methods, shown):
+        with pytest.raises(ValidationError) as exc:
+            build_interface(id, methods)
+        assert str(exc.value) == shown
+
+    @pytest.mark.parametrize("methods,shown", [
+        ([("m", ["A"], "x")], "('m', ['A'], 'x')"),
+        ("m", "'m'"),
+        ([None], "None"),
+    ], ids=["three-items", "bare-string", "none"])
+    def test_method_that_is_not_a_pair_is_named(self, methods, shown):
+        with pytest.raises(ArityMismatch) as exc:
+            build_interface("X", methods)
+        assert str(exc.value) == (
+            f"interface 'X': method {shown} is not a (name, values) pair"
+        )
+
+    @pytest.mark.parametrize("values", ["abc", {"a": 1}, 5])
+    def test_domain_that_is_not_a_list_is_refused(self, values):
+        with pytest.raises(UnknownValue) as exc:
+            build_interface("X", [("m", values)])
+        assert str(exc.value) == (
+            f"domain {values!r} is not a list of value names in method 'm' of "
+            "interface 'X'"
+        )
 
 
 class TestBuildAdapter:
@@ -186,6 +217,11 @@ class TestBuildAdapter:
             f"adapter 'r': entry {shown} is not a pair of an input tuple and "
             "output sets"
         )
+
+    def test_non_string_id_is_refused(self):
+        with pytest.raises(ValidationError) as exc:
+            build_adapter(9, video1(), video2(), [])
+        assert str(exc.value) == "adapter id 9 is not a string"
 
     def test_lookup_is_total_with_bot_everywhere(self):
         import itertools

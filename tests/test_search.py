@@ -20,6 +20,7 @@ from adaptchain.generator import GenParams, SplitMix64, random_instance
 from adaptchain.model import AdapterGraph, Interface
 from adaptchain.search import WeightMap, UNIT_WEIGHTS
 from conftest import lossless_path
+from search_reference import visited
 
 
 def complete_graph(k):
@@ -98,6 +99,24 @@ class TestWeightMap:
         with pytest.raises(InvalidParams) as exc:
             WeightMap({("I", "m", "X"): -1.0})
         assert str(exc.value) == "weight -1.0 for I.m.X is not finite and non-negative"
+
+    @pytest.mark.parametrize("key,shown", [
+        (("I", "m"), "('I', 'm')"),
+        (("I", "m", "X", "Y"), "('I', 'm', 'X', 'Y')"),
+        ("I.m.X", "'I.m.X'"),
+    ], ids=["pair", "four-items", "string"])
+    def test_key_that_is_not_a_triple_is_named(self, key, shown):
+        with pytest.raises(InvalidParams) as exc:
+            WeightMap({key: 1.0})
+        assert str(exc.value) == (
+            f"weight key {shown} is not an (interface, method, value) triple"
+        )
+
+    @pytest.mark.parametrize("weight,shown", [("x", "'x'"), (None, "None")])
+    def test_weight_that_is_not_a_number_is_named(self, weight, shown):
+        with pytest.raises(InvalidParams) as exc:
+            WeightMap({("I", "m", "X"): weight})
+        assert str(exc.value) == f"weight {shown} for I.m.X is not a number"
 
     @pytest.mark.parametrize("key,error", [
         (("I" * 100_000, "m", "bot"), ReservedName),
@@ -299,7 +318,7 @@ class TestScoreMonotonicity:
                     options = [
                         a
                         for a in graph.incoming(pipe.source.id)
-                        if a.source.id not in pipe.visited
+                        if a.source.id not in visited(pipe)
                     ]
                     if not options:
                         break
