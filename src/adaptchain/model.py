@@ -183,6 +183,13 @@ def build_interface(
         raise EmptyDomain("interface id must be nonempty")
     if not methods:
         raise EmptyDomain("interface {!r} must declare at least one method", id)
+    try:
+        methods = iter(methods)
+    except TypeError:
+        raise ArityMismatch(
+            "interface {!r}: methods {!r} are not a list of (name, values) "
+            "pairs", id, methods,
+        ) from None
     specs: list[MethodSpec] = []
     names_seen: set[str] = set()
     for method in methods:
@@ -319,6 +326,13 @@ def build_adapter(
         default = _lift_sets(
             target, default_output, ("adapter {!r}: default output: ", id)
         )
+    try:
+        entries = iter(entries)
+    except TypeError:
+        raise ArityMismatch(
+            "adapter {!r}: entries {!r} are not a list of (input tuple, output "
+            "sets) pairs", id, entries,
+        ) from None
     table: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
     for row in entries:
         try:

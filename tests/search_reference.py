@@ -5,7 +5,9 @@ library replaced, kept as test oracles.
 availability vectors (componentwise union and the subset order), which the
 library only takes inline; ``bottom_vector`` is the all-{bot} vector and
 ``visited`` the set of interfaces a pipeline touches, against which the
-library's visited-interface bitmask is checked.
+library's visited-interface bitmask is checked. ``adapters`` and ``chain``
+read a pipeline's links, and ``fold`` adapts through them one adapter at a
+time with no memo, against which the library's memoized fold is checked.
 
 ``apply_adaptation`` accumulates every lookup's output into per-method
 sets, one product tuple at a time; ``tabulate_adaptation`` adapts every row
@@ -43,7 +45,6 @@ from adaptchain.search import (
 from adaptchain.semantics import (
     AdaptationPipeline,
     TabulatedAdaptation,
-    apply_pipeline,
     function_sizes,
     identity_pipeline,
     prepend,
@@ -70,9 +71,22 @@ def bottom_vector(interface: Interface) -> AvailabilityVector:
     return AvailabilityVector(interface.id, (frozenset((BOT,)),) * interface.arity)
 
 
+def adapters(pipeline: AdaptationPipeline) -> tuple[Adapter, ...]:
+    """The pipeline's adapters in application order, read off its links."""
+    found = []
+    while pipeline._tail is not None:
+        found.append(pipeline._head)
+        pipeline = pipeline._tail
+    return tuple(found)
+
+
+def chain(pipeline: AdaptationPipeline) -> tuple[str, ...]:
+    return tuple(a.id for a in adapters(pipeline))
+
+
 def visited(pipeline: AdaptationPipeline) -> frozenset[str]:
     """Ids of every interface the chain touches, endpoints included."""
-    return frozenset([pipeline.source.id, *[a.target.id for a in pipeline.adapters]])
+    return frozenset([pipeline.source.id, *[a.target.id for a in adapters(pipeline)]])
 
 
 def apply_adaptation(adapter: Adapter, p: AvailabilityVector) -> AvailabilityVector:
@@ -107,15 +121,24 @@ def tabulate_adaptation(adapter: Adapter) -> TabulatedAdaptation:
     return TabulatedAdaptation(adapter.id, rows, raw_size)
 
 
+def fold(pipeline: AdaptationPipeline, p: AvailabilityVector) -> AvailabilityVector:
+    """Adapt p through every adapter of the pipeline in turn, remembering
+    nothing."""
+    assert p.interface_id == pipeline.source.id
+    for adapter in adapters(pipeline):
+        p = apply_adaptation(adapter, p)
+    return p
+
+
 def rescore(pipeline: AdaptationPipeline, weights: WeightMap = UNIT_WEIGHTS) -> float:
-    result = apply_pipeline(pipeline, full_vector(pipeline.source))
+    result = fold(pipeline, full_vector(pipeline.source))
     return vector_score(pipeline.target, result, weights)
 
 
 def _result(pipeline: AdaptationPipeline, weights: WeightMap) -> ChainResult:
-    final = apply_pipeline(pipeline, full_vector(pipeline.source))
+    final = fold(pipeline, full_vector(pipeline.source))
     return ChainResult(
-        chain=pipeline.chain,
+        chain=chain(pipeline),
         source=pipeline.source.id,
         target=pipeline.target.id,
         final_vector=final,
@@ -136,21 +159,21 @@ def greedy_chain(
         graph.require_interface(interface_id)
 
     start = identity_pipeline(graph.interfaces[target])
-    open_chains = [(-rescore(start, weights), 0, start.chain)]
-    pipelines = {start.chain: start}
+    open_chains = [(-rescore(start, weights), 0, chain(start))]
+    pipelines = {chain(start): start}
     while open_chains:
-        _, _, chain = heapq.heappop(open_chains)
-        pipeline = pipelines[chain]
+        _, _, ids = heapq.heappop(open_chains)
+        pipeline = pipelines[ids]
         if pipeline.source.id in source_ids:
             return _result(pipeline, weights)
         for adapter in graph.incoming(pipeline.source.id):
             if adapter.source.id in visited(pipeline):
                 continue
             extended = prepend(adapter, pipeline)
-            pipelines[extended.chain] = extended
+            ids = chain(extended)
+            pipelines[ids] = extended
             heapq.heappush(
-                open_chains,
-                (-rescore(extended, weights), len(extended.chain), extended.chain),
+                open_chains, (-rescore(extended, weights), len(ids), ids)
             )
     raise NoChain(f"no acyclic chain reaches {target!r}")
 

@@ -965,3 +965,23 @@ class TestDeepPath:
         ])
         assert (status, err) == (0, "")
         assert json.loads(out)["chain"] == self.CHAIN
+
+    def test_greedy(self, graph_file):
+        status, out, err = run([
+            "chain", "--graph", graph_file,
+            "--source", "P0000", "--target", "P1199", "--format", "json",
+        ])
+        assert (status, err) == (0, "")
+        assert json.loads(out)["chain"] == self.CHAIN
+
+    @pytest.mark.parametrize("vector", ["m:b", "m:a,b,c"])
+    def test_eval_loses_nothing(self, graph_file, vector):
+        status, out, err = run([
+            "eval", "--graph", graph_file, "--chain", ",".join(self.CHAIN),
+            "--vector", vector, "--format", "json",
+        ])
+        assert (status, err) == (0, "")
+        report = json.loads(out)
+        assert (report["source"], report["target"]) == ("P0000", "P1199")
+        assert report["output"] == report["input"]
+        assert report["output"]["m"] == ["bot", *vector[2:].split(",")]

@@ -108,6 +108,14 @@ class TestBuildInterface:
             f"interface 'X': method {shown} is not a (name, values) pair"
         )
 
+    @pytest.mark.parametrize("methods", [5, 2.5])
+    def test_methods_that_are_not_a_collection_are_named(self, methods):
+        with pytest.raises(ArityMismatch) as exc:
+            build_interface("X", methods)
+        assert str(exc.value) == (
+            f"interface 'X': methods {methods!r} are not a list of (name, values) pairs"
+        )
+
     @pytest.mark.parametrize("values", ["abc", {"a": 1}, 5])
     def test_domain_that_is_not_a_list_is_refused(self, values):
         with pytest.raises(UnknownValue) as exc:
@@ -216,6 +224,15 @@ class TestBuildAdapter:
         assert str(exc.value) == (
             f"adapter 'r': entry {shown} is not a pair of an input tuple and "
             "output sets"
+        )
+
+    @pytest.mark.parametrize("entries", [5, None])
+    def test_entries_that_are_not_a_collection_are_named(self, entries):
+        with pytest.raises(ArityMismatch) as exc:
+            build_adapter("r", video1(), video2(), entries)
+        assert str(exc.value) == (
+            f"adapter 'r': entries {entries!r} are not a list of (input tuple, "
+            "output sets) pairs"
         )
 
     def test_non_string_id_is_refused(self):

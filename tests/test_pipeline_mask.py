@@ -10,7 +10,7 @@ from adaptchain.errors import CycleDetected, NoChain
 from adaptchain.semantics import AdaptationPipeline, identity_pipeline, prepend
 from conftest import lossless_path
 from test_acceptance import seeded_instance
-from search_reference import visited
+from search_reference import adapters, chain, visited
 from test_search_differential import lossy_clique
 
 
@@ -68,7 +68,7 @@ def test_mask_matches_visited_on_lossy_cliques(monkeypatch, k):
 def test_mask_matches_visited_on_a_path(monkeypatch):
     graph = lossless_path(50)
     pipelines = built_pipelines(monkeypatch, graph, "P0000", "P0049")
-    assert max(len(p.adapters) for p in pipelines) == 49
+    assert max(len(adapters(p)) for p in pipelines) == 49
     check_masks(graph, pipelines)
 
 
@@ -116,7 +116,7 @@ def test_prepend_links_without_copying():
         extended = prepend(graph.adapters[f"E000{i}"], pipeline)
         assert extended._tail is pipeline and extended._index is pipeline._index
         pipeline = extended
-    assert pipeline.chain == ("E0000", "E0001", "E0002")
+    assert chain(pipeline) == ("E0000", "E0001", "E0002")
     assert all(pipeline.visits(i) for i in p)
     with pytest.raises(CycleDetected):
         prepend(build_adapter("back", p["P0002"], p["P0000"], []), pipeline)

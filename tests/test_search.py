@@ -112,6 +112,12 @@ class TestWeightMap:
             f"weight key {shown} is not an (interface, method, value) triple"
         )
 
+    @pytest.mark.parametrize("weights", [[(("I", "m", "X"), 1.0)], None])
+    def test_weights_that_are_not_a_mapping_are_named(self, weights):
+        with pytest.raises(InvalidParams) as exc:
+            WeightMap(weights)
+        assert str(exc.value) == f"weights {weights!r} are not a mapping"
+
     @pytest.mark.parametrize("weight,shown", [("x", "'x'"), (None, "None")])
     def test_weight_that_is_not_a_number_is_named(self, weight, shown):
         with pytest.raises(InvalidParams) as exc:

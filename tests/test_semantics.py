@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from adaptchain import (
     apply_pipeline,
     build_interface,
     build_adapter,
+    count_abstract,
     full_vector,
     function_sizes,
     identity_pipeline,
@@ -24,9 +27,9 @@ from adaptchain.errors import (
     InterfaceMismatch,
 )
 from adaptchain.generator import GenParams, SplitMix64, random_instance
-from adaptchain.semantics import apply_memoized
 from conftest import VIDEO1_TO_VIDEO2_ROWS, random_subvector
 from search_reference import bottom_vector, tuple_subset, tuple_union
+from test_acceptance import seeded_instance
 
 
 VIDEO1 = build_interface(
@@ -121,7 +124,7 @@ class TestPipelines:
     def test_prepend_unit_law(self, video_graph):
         e = video_graph.adapters["Video1toVideo2"]
         pipe = prepend(e, identity_pipeline(e.target))
-        assert pipe.chain == ("Video1toVideo2",)
+        assert ref.chain(pipe) == ("Video1toVideo2",)
         assert pipe.source.id == "Video1" and pipe.target.id == "Video2"
         p = full_vector(e.source)
         assert apply_pipeline(pipe, p) == apply_adaptation(e, p)
@@ -130,7 +133,7 @@ class TestPipelines:
         a1 = video_graph.adapters["Video1toVideo2"]
         a2 = video_graph.adapters["Video2toVideo3"]
         pipe = prepend(a1, prepend(a2, identity_pipeline(a2.target)))
-        assert pipe.chain == ("Video1toVideo2", "Video2toVideo3")
+        assert ref.chain(pipe) == ("Video1toVideo2", "Video2toVideo3")
         p = full_vector(a1.source)
         assert apply_pipeline(pipe, p) == apply_adaptation(a2, apply_adaptation(a1, p))
 
@@ -149,15 +152,65 @@ class TestPipelines:
         with pytest.raises(EndpointMismatch, match="Video1toVideo2"):
             prepend(a1, identity_pipeline(audio))  # Video2 is not Audio
 
-    @pytest.mark.parametrize("fold", [apply_pipeline, apply_memoized])
-    def test_vector_over_another_interface(self, video_graph, fold):
+    @pytest.mark.parametrize(
+        "warm", [False, True], ids=["apply_pipeline", "apply_memoized"]
+    )
+    def test_vector_over_another_interface(self, video_graph, warm):
+        """A fresh pipeline and one whose memo the searches' fold already
+        filled both refuse a vector over another interface."""
         a1 = video_graph.adapters["Video1toVideo2"]
         pipe = prepend(a1, identity_pipeline(a1.target))
+        if warm:
+            count_abstract(pipe)
+            assert pipe._memo
+        memo = dict(pipe._memo)
         with pytest.raises(InterfaceMismatch) as exc:
-            fold(pipe, full_vector(a1.target))
+            apply_pipeline(pipe, full_vector(a1.target))
         assert str(exc.value) == (
             "vector is over 'Video2', pipeline starts at 'Video1'"
         )
+        assert pipe._memo == memo
+
+
+class TestMemo:
+    """Each pipeline remembers what every vector it was applied to became.
+    Greedy fills the memos with full capability along shared suffixes;
+    later folds over other vectors must still agree with the plain
+    reference fold, and must leave every suffix they pass remembering its
+    own correct result."""
+
+    @staticmethod
+    def scored_pipelines(graph):
+        """Every acyclic chain into every interface, each built by
+        prepending to an already scored suffix and scored as greedy scores
+        it."""
+        pipelines = [identity_pipeline(i) for i in graph.interfaces.values()]
+        for pipeline in pipelines:  # grows while it is walked
+            count_abstract(pipeline)
+            for adapter in graph.incoming(pipeline.source.id):
+                if not pipeline.visits(adapter.source.id):
+                    pipelines.append(prepend(adapter, pipeline))
+        return pipelines
+
+    @pytest.mark.parametrize("seed", range(0, 200, 4))
+    def test_memo_agrees_with_the_reference_fold(self, seed):
+        graph, _, _, _ = seeded_instance(seed)
+        pipelines = self.scored_pipelines(graph)
+        rng = SplitMix64(seed)
+        vectors = [
+            [full_vector(p.source), *(random_subvector(rng, p.source) for _ in range(3))]
+            for p in pipelines
+        ]
+        order, shuffle = list(range(len(pipelines))), random.Random(seed).shuffle
+        for k in range(4):  # round k applies vector k to every pipeline
+            shuffle(order)
+            for i in order:
+                pipeline, p = pipelines[i], vectors[i][k]
+                assert apply_pipeline(pipeline, p) == ref.fold(pipeline, p)
+                assert p in pipeline._memo or not ref.adapters(pipeline)
+        for pipeline in pipelines:
+            for p, q in pipeline._memo.items():
+                assert q == ref.fold(pipeline, p)
 
 
 class TestSizes:
