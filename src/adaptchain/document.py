@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _encode
-from typing import NoReturn
 
 from .errors import GraphSyntaxError, UnknownInterface
 from .model import (

@@ -12,7 +12,7 @@ same instance in any implementation of this generator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from .errors import CapExceeded, InvalidParams
@@ -56,18 +56,13 @@ class SplitMix64:
         return self.next_u64() < probability * 2.0**64
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(namedtuple("GenParams", "interface_count methods_per_interface "
+                           "values_per_method adapter_count entry_density seed")):
     """Shape parameters for a random instance; ranges are inclusive."""
 
-    interface_count: int
-    methods_per_interface: tuple[int, int]
-    values_per_method: tuple[int, int]
-    adapter_count: int
-    entry_density: float
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *fields: object, **named: object) -> None:
         if self.interface_count < 1:
             raise InvalidParams("interface_count must be at least 1")
         if self.adapter_count < 0:
@@ -137,12 +132,21 @@ def random_instance(params: GenParams) -> tuple[AdapterGraph, str, str]:
     """Generate a validated graph plus suggested (source, target) ids.
 
     Deterministic in the seed; the suggestions are distinct whenever the
-    instance has at least two interfaces. Each adapter draws once per
-    input tuple of its source; the first adapter that would take the run's
-    total past the tabulation cap raises CapExceeded before drawing any.
+    instance has at least two interfaces. The tabulation cap bounds the
+    values the interfaces may declare (count x most methods x most values),
+    checked first, and apart from that the run's draws: each adapter draws
+    once per input tuple of its source, checked before it draws any.
     """
     rng = SplitMix64(params.seed)
     cap = tabulation_cap()
+    methods, values = params.methods_per_interface[1], params.values_per_method[1]
+    declared = params.interface_count * methods * values
+    if declared > cap:
+        raise CapExceeded(
+            "{} interfaces x {} methods x {} values would declare {} abstract "
+            "values, exceeding the cap of {}", params.interface_count, methods,
+            values, declared, cap, required_size=declared, cap=cap,
+        )
     interfaces = [
         _random_interface(rng, i, params) for i in range(params.interface_count)
     ]

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
+from types import MappingProxyType
 
 from .errors import InvalidParams, NoChain, ReservedName, TooLarge
 from .model import (
@@ -48,16 +49,15 @@ from .semantics import (
 )
 
 
-@dataclass(frozen=True)
-class WeightMap:
+class WeightMap(namedtuple("WeightMap", "weights", defaults=(MappingProxyType({}),))):
     """Per-abstract-value weights for scoring, keyed by
     (interface id, method name, value name). Unlisted entries weigh 1.0;
     "bot" always weighs 0 and cannot be overridden. Error messages write a
     key as a weight file does, ``interface.method.value``, unquoted."""
 
-    weights: Mapping[tuple[str, str, str], float] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *fields: object, **named: object) -> None:
         if not isinstance(self.weights, Mapping):
             raise InvalidParams("weights {!r} are not a mapping", self.weights)
         for key, weight in self.weights.items():
@@ -70,7 +70,7 @@ class WeightMap:
             try:
                 if 0 <= weight < math.inf:
                     continue
-            except TypeError:
+            except (TypeError, ArithmeticError):  # Decimal("NaN") raises
                 raise InvalidParams(
                     "weight {!r} for {}.{}.{} is not a number", weight, *key
                 ) from None
@@ -114,13 +114,8 @@ def count_abstract(
     return vector_score(pipeline.target, result, weights)
 
 
-@dataclass(frozen=True)
-class ChainResult:
-    chain: tuple[str, ...]
-    source: str
-    target: str
-    final_vector: AvailabilityVector
-    score: float
+class ChainResult(namedtuple("ChainResult", "chain source target final_vector score")):
+    __slots__ = ()
 
 
 def _check_query(
@@ -176,12 +171,9 @@ def greedy_chain(
     while open_chains:
         neg_score, _, chain, pipeline = heapq.heappop(open_chains)
         if pipeline.source.id in source_ids:
+            final_vector = _fold(pipeline, full_vector(pipeline.source))
             return ChainResult(
-                chain=chain,
-                source=pipeline.source.id,
-                target=target,
-                final_vector=_fold(pipeline, full_vector(pipeline.source)),
-                score=-neg_score,
+                chain, pipeline.source.id, target, final_vector, -neg_score
             )
         for adapter in graph.incoming(pipeline.source.id):
             if pipeline.visits(adapter.source.id):

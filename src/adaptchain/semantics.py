@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import prod
 from operator import attrgetter
-from typing import Mapping
 
 from .errors import (
     CapExceeded,
@@ -41,7 +40,7 @@ from .errors import (
     InterfaceMismatch,
     InvalidParams,
 )
-from .model import BOT, Adapter, AvailabilityVector, Interface
+from .model import BOT, Adapter, AvailabilityVector, Interface, _Sealed
 
 DEFAULT_TABULATE_CAP = 2**20
 TABULATE_CAP_ENV = "ADAPTCHAIN_TABULATE_CAP"
@@ -74,8 +73,7 @@ def apply_adaptation(adapter: Adapter, p: AvailabilityVector) -> AvailabilityVec
     )
 
 
-@dataclass(frozen=True, eq=False)
-class AdaptationPipeline:
+class AdaptationPipeline(_Sealed):
     """An acyclic chain of adapters usable as one adaptation function.
 
     A pipeline is a linked list: its first adapter (``_head``) feeds the
@@ -93,18 +91,11 @@ class AdaptationPipeline:
     index (``_index``, interface id -> bit position). The identity creates
     the index and every pipeline prepended from it shares it, so the index
     only holds the interfaces one search touches. Like ``_memo``, it is a
-    cache that never changes an answer. :meth:`visits` tests a bit.
+    cache that never changes an answer. :meth:`visits` tests a bit. The
+    fields are slots; both builders pass a new empty dict as ``_memo``.
     """
 
-    source: Interface
-    target: Interface
-    _head: Adapter | None = field(default=None, repr=False)
-    _tail: AdaptationPipeline | None = field(default=None, repr=False)
-    _index: dict[str, int] = field(default_factory=dict, repr=False)
-    _mask: int = field(default=0, repr=False)
-    _memo: dict[AvailabilityVector, AvailabilityVector] = field(
-        default_factory=dict, repr=False
-    )
+    __slots__ = ("source", "target", "_head", "_tail", "_index", "_mask", "_memo")
 
     def visits(self, interface_id: str) -> bool:
         """Does the chain touch ``interface_id``? One bit test."""
@@ -115,7 +106,8 @@ class AdaptationPipeline:
 def identity_pipeline(interface: Interface) -> AdaptationPipeline:
     """The empty chain at an interface; applying it is the identity. It is
     the root of a fresh interface index (see AdaptationPipeline)."""
-    return AdaptationPipeline(interface, interface, _index={interface.id: 0}, _mask=1)
+    index = {interface.id: 0}
+    return AdaptationPipeline(interface, interface, None, None, index, 1, {})
 
 
 def prepend(adapter: Adapter, pipeline: AdaptationPipeline) -> AdaptationPipeline:
@@ -139,7 +131,7 @@ def prepend(adapter: Adapter, pipeline: AdaptationPipeline) -> AdaptationPipelin
         )
     return AdaptationPipeline(
         adapter.source, pipeline.target, adapter, pipeline, index,
-        pipeline._mask | 1 << bit,
+        pipeline._mask | 1 << bit, {},
     )
 
 
@@ -191,8 +183,7 @@ def function_sizes(adapter: Adapter) -> tuple[int, int]:
     return prod(sizes), prod(2**d for d in sizes)
 
 
-@dataclass(frozen=True)
-class TabulatedAdaptation:
+class TabulatedAdaptation(namedtuple("TabulatedAdaptation", "adapter_id rows size")):
     """A fully materialized adaptation function.
 
     ``rows`` is keyed by bot-normalized source vectors, of which there are
@@ -206,9 +197,7 @@ class TabulatedAdaptation:
     benchmark's ``N0`` at seed 1).
     """
 
-    adapter_id: str
-    rows: Mapping[AvailabilityVector, AvailabilityVector]
-    size: int
+    __slots__ = ()
 
 
 def tabulation_cap() -> int:

@@ -694,6 +694,24 @@ class TestGen:
         assert err.count("\n") == 1
         assert err.startswith("error: adapter A2 ") and "27" in err
 
+    @pytest.mark.parametrize("shape,shown", [
+        (["--interfaces", "11"], "11 interfaces x 1 methods x 1 values"),
+        (["--interfaces", "1", "--values", "11:11"],
+         "1 interfaces x 1 methods x 11 values"),
+    ], ids=["interfaces", "values"])
+    def test_gen_refuses_an_oversized_instance_before_building_it(
+        self, monkeypatch, shape, shown
+    ):
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "10")
+        status, out, err = run(
+            ["gen", "--adapters", "0", "--methods", "1", "--values", "1", *shape]
+        )
+        assert (status, out) == (1, "")
+        assert err == (
+            f"error: {shown} would declare 11 abstract values, exceeding the "
+            "cap of 10\n"
+        )
+
     def test_gen_size_past_the_digit_limit(self):
         status, out, err = run([
             "gen", "--interfaces", "1", "--adapters", "1",

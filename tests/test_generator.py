@@ -6,6 +6,7 @@ import pytest
 
 from adaptchain import BOT, greedy_chain, oracle_optimal, serialize_graph
 from adaptchain.errors import CapExceeded, InvalidParams
+from adaptchain import generator
 from adaptchain.generator import GenParams, SplitMix64, _subset, random_instance
 
 
@@ -113,6 +114,26 @@ class TestDrawGuard:
             with pytest.raises(CapExceeded) as exc:
                 random_instance(params)
             assert (exc.value.required_size, exc.value.cap) == refused
+
+
+    def test_declared_values_are_capped_before_any_interface(self, monkeypatch):
+        # 5 interfaces of up to 2 methods of up to 3 values: 30 values.
+        built = []
+        monkeypatch.setattr(generator, "build_interface", lambda *a: built.append(a))
+        params = GenParams(5, (1, 2), (1, 3), 0, 0.5, 0)
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "29")
+        with pytest.raises(CapExceeded) as exc:
+            random_instance(params)
+        assert (exc.value.required_size, exc.value.cap, built) == (30, 29, [])
+        assert str(exc.value) == (
+            "5 interfaces x 2 methods x 3 values would declare 30 abstract "
+            "values, exceeding the cap of 29"
+        )
+
+    def test_declared_values_at_the_cap_are_built(self, monkeypatch):
+        params = GenParams(5, (1, 2), (1, 3), 0, 0.5, 0)
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "30")
+        assert len(random_instance(params)[0].interfaces) == 5
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 200])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -123,6 +124,13 @@ class TestWeightMap:
         with pytest.raises(InvalidParams) as exc:
             WeightMap({("I", "m", "X"): weight})
         assert str(exc.value) == f"weight {shown} for I.m.X is not a number"
+
+    @pytest.mark.parametrize("weight", [Decimal("NaN"), Decimal("sNaN")])
+    def test_decimal_nan_is_not_a_number(self, weight):
+        # Comparing a Decimal NaN raises InvalidOperation, not TypeError.
+        with pytest.raises(InvalidParams) as exc:
+            WeightMap({("I", "m", "X"): weight})
+        assert str(exc.value) == f"weight {weight!r} for I.m.X is not a number"
 
     @pytest.mark.parametrize("key,error", [
         (("I" * 100_000, "m", "bot"), ReservedName),

@@ -1,7 +1,10 @@
 """The package's surface: every public module-level function and class in
 ``src/adaptchain`` has a caller in the package or the benchmark, so no
 helper is kept for the tests alone. Re-exports in ``__init__.py`` are not
-callers; a name's use inside its own module is. The benchmark's tracer
+callers; a name's use inside its own module is. The check sees only
+``class`` and ``def`` statements, so every value type is declared as
+``class X(namedtuple("X", ...))``, never as a module-level
+``X = namedtuple(...)``, which would slip past it. The benchmark's tracer
 also counts calls by name, and the searches stay off the one it divides
 by."""
 
