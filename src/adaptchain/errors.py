@@ -118,21 +118,12 @@ class CycleDetected(ValidationError):
 
 
 class CapExceeded(AdapterChainError):
-    """Materializing an adaptation table, or drawing a random dependency
-    function, would exceed the configured cap."""
-
-    def __init__(self, template: str, *values: object, required_size: int, cap: int):
-        super().__init__(template, *values)
-        self.required_size = required_size
-        self.cap = cap
+    """Work would pass the one cap, ``ADAPTCHAIN_TABULATE_CAP``: a table, a
+    ``gen`` run, a chain walk or greedy's pushes; the message names the cap."""
 
 
 class NoChain(AdapterChainError):
     """No acyclic adapter chain connects the requested interfaces."""
-
-
-class TooLarge(AdapterChainError):
-    """A chain walk extends more partial chains than the tabulation cap."""
 
 
 class InvalidParams(AdapterChainError):

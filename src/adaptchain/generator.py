@@ -107,8 +107,6 @@ def _random_adapter(
         raise CapExceeded(
             "adapter A{} from {!r} would draw over {} input tuples, exceeding "
             "the cap of {}", index, source.id, drawn, cap,
-            required_size=drawn,
-            cap=cap,
         )
     pools = [d.non_bottom for d in target.domains]
     entries = []
@@ -145,7 +143,7 @@ def random_instance(params: GenParams) -> tuple[AdapterGraph, str, str]:
         raise CapExceeded(
             "{} interfaces x {} methods x {} values would declare {} abstract "
             "values, exceeding the cap of {}", params.interface_count, methods,
-            values, declared, cap, required_size=declared, cap=cap,
+            values, declared, cap,
         )
     interfaces = [
         _random_interface(rng, i, params) for i in range(params.interface_count)

@@ -29,7 +29,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 
-from .errors import InvalidParams, NoChain, ReservedName, TooLarge
+from .errors import CapExceeded, InvalidParams, NoChain, ReservedName
 from .model import (
     BOT,
     AbstractDomain,
@@ -157,10 +157,13 @@ def greedy_chain(
     lexicographically smaller adapter-id sequences, so results are
     deterministic. If the target itself is a source the empty chain (the
     lossless identity) is returned. Raises NoChain when the frontier
-    exhausts without reaching any source.
+    exhausts without reaching any source, and CapExceeded on pushing more
+    partial chains than ``tabulation_cap()``; the identity at the target
+    is the first push.
     """
     ordered_sources = _check_query(graph, sources, target, weights)
     source_ids = set(ordered_sources)
+    cap, pushes = tabulation_cap(), 1
     start = identity_pipeline(graph.interfaces[target])
     # Chains are unique, so the (score, length, chain) key never ties and
     # the pipeline riding in the last slot is never compared.
@@ -178,6 +181,13 @@ def greedy_chain(
         for adapter in graph.incoming(pipeline.source.id):
             if pipeline.visits(adapter.source.id):
                 continue
+            pushes += 1
+            if pushes > cap:
+                raise CapExceeded(
+                    "search from any of {} to {!r} pushes more than {} partial "
+                    "chains; raise ADAPTCHAIN_TABULATE_CAP",
+                    ordered_sources, target, cap,
+                )
             extended = prepend(adapter, pipeline)
             heapq.heappush(
                 open_chains,
@@ -202,8 +212,8 @@ def _chains_depth_first(
     Yields ``(path, kept)`` per chain: ``path`` is the live adapter list
     (valid until the next step) and ``kept`` is how many of its leading
     adapters are unchanged since the previous chain yielded. Callers check
-    that both endpoints are declared. Raises TooLarge once the walk extends
-    more partial chains, dead ends included, than ``tabulation_cap()``.
+    that both endpoints are declared. Raises CapExceeded once the walk
+    extends more partial chains, dead ends included, than ``tabulation_cap()``.
     """
     cap = tabulation_cap()
     path: list[Adapter] = []
@@ -226,7 +236,7 @@ def _chains_depth_first(
             continue
         steps += 1
         if steps > cap:
-            raise TooLarge(
+            raise CapExceeded(
                 "search from {!r} to {!r} extends more than {} partial chains; "
                 "raise ADAPTCHAIN_TABULATE_CAP or run 'chain' without '--oracle'",
                 source, target, cap,
@@ -246,8 +256,8 @@ def enumerate_chains(
 ) -> list[tuple[str, ...]]:
     """All acyclic chains (no interface visited twice) from source to
     target, ordered by length then lexicographically by adapter ids.
-    source = target yields exactly the empty chain. Raises TooLarge once the
-    walk extends more partial chains than ``tabulation_cap()``."""
+    source = target yields exactly the empty chain. Raises CapExceeded once
+    the walk extends more partial chains than ``tabulation_cap()``."""
     _check_query(graph, [source], target, UNIT_WEIGHTS)
     found = [
         tuple(a.id for a in path)
@@ -285,7 +295,7 @@ def oracle_optimal(
     a maximal one. Ties break by (length, adapter ids): candidates rank by
     ``greedy_chain``'s heap key. The source never decides, as a nonempty
     chain's first adapter fixes it and the empty chain exists only when the
-    source is the target. Refuses with TooLarge past ``tabulation_cap()``
+    source is the target. Refuses with CapExceeded past ``tabulation_cap()``
     partial chains walked per source.
 
     Vectors are adapted forward along the depth-first path, and only once

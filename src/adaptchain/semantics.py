@@ -183,7 +183,7 @@ def function_sizes(adapter: Adapter) -> tuple[int, int]:
     return prod(sizes), prod(2**d for d in sizes)
 
 
-class TabulatedAdaptation(namedtuple("TabulatedAdaptation", "adapter_id rows size")):
+class TabulatedAdaptation(namedtuple("TabulatedAdaptation", "rows size")):
     """A fully materialized adaptation function.
 
     ``rows`` is keyed by bot-normalized source vectors, of which there are
@@ -202,9 +202,9 @@ class TabulatedAdaptation(namedtuple("TabulatedAdaptation", "adapter_id rows siz
 
 def tabulation_cap() -> int:
     """The one work cap, ADAPTCHAIN_TABULATE_CAP or 2**20: it bounds an
-    adaptation table's raw size, the total draws of one ``gen`` run (over
-    all its adapters) and the partial chains each chain walk extends (per
-    source for the oracle)."""
+    adaptation table's raw size, the values and the total draws of one
+    ``gen`` run, the partial chains each chain walk extends (per source for
+    the oracle) and those greedy pushes."""
     raw = os.environ.get(TABULATE_CAP_ENV)
     if raw is None:
         return DEFAULT_TABULATE_CAP
@@ -235,8 +235,6 @@ def tabulate_adaptation(adapter: Adapter) -> TabulatedAdaptation:
         raise CapExceeded(
             "adaptation table for adapter {!r} would have {} elements, "
             "exceeding the cap of {}", adapter.id, raw_size, cap,
-            required_size=raw_size,
-            cap=cap,
         )
     subsets, splits = zip(*map(_subsets, adapter.source.methods))
     source_id, target_id = adapter.source.id, adapter.target.id
@@ -275,5 +273,5 @@ def tabulate_adaptation(adapter: Adapter) -> TabulatedAdaptation:
                 results[at] = union(results[a], results[b])
 
     fill(0, 0, len(keys) // len(splits[0]))
-    return TabulatedAdaptation(adapter.id, dict(zip(keys, results)), raw_size)
+    return TabulatedAdaptation(dict(zip(keys, results)), raw_size)
 

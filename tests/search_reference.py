@@ -26,7 +26,7 @@ import heapq
 import itertools
 from typing import Iterable
 
-from adaptchain.errors import CapExceeded, InvalidParams, NoChain, TooLarge
+from adaptchain.errors import CapExceeded, InvalidParams, NoChain
 from adaptchain.model import (
     BOT,
     Adapter,
@@ -106,8 +106,6 @@ def tabulate_adaptation(adapter: Adapter) -> TabulatedAdaptation:
         raise CapExceeded(
             "adaptation table for adapter {!r} would have {} elements, "
             "exceeding the cap of {}", adapter.id, raw_size, cap,
-            required_size=raw_size,
-            cap=cap,
         )
     rows: dict[AvailabilityVector, AvailabilityVector] = {}
     subset_choices = [
@@ -118,7 +116,7 @@ def tabulate_adaptation(adapter: Adapter) -> TabulatedAdaptation:
     for components in itertools.product(*subset_choices):
         key = AvailabilityVector(adapter.source.id, tuple(components))
         rows[key] = apply_adaptation(adapter, key)
-    return TabulatedAdaptation(adapter.id, rows, raw_size)
+    return TabulatedAdaptation(rows, raw_size)
 
 
 def fold(pipeline: AdaptationPipeline, p: AvailabilityVector) -> AvailabilityVector:
@@ -221,7 +219,7 @@ def oracle_optimal(
         for chain in enumerate_chains(graph, src, target):
             candidates.append((len(chain), chain, src))
             if len(candidates) > guard:
-                raise TooLarge(f"more than {guard} candidate chains")
+                raise CapExceeded(f"more than {guard} candidate chains")
     if not candidates:
         raise NoChain(f"no acyclic chain reaches {target!r}")
     candidates.sort()

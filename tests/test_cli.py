@@ -944,7 +944,7 @@ class TestWorkCap:
         (["chain", "--graph", "video-example", "--oracle",
           "--source", "Video1", "--target", "Video3"], 1),
         (["chain", "--graph", "video-example",
-          "--source", "Video1", "--target", "Video3"], 0),
+          "--source", "Video1", "--target", "Video3"], 1),
         (["eval", "--graph", "video-example", "--chain", "Video1toVideo2",
           "--vector", "playVideo:MKV"], 0),
     ], ids=["gen", "enumerate", "oracle", "greedy", "eval"])

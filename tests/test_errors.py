@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from adaptchain import errors
-from adaptchain.errors import AdapterChainError, CapExceeded, NoChain
+from adaptchain.errors import AdapterChainError, NoChain
 
 SRC = Path(errors.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -71,6 +71,7 @@ def test_every_domain_error_is_raised_with_a_constant_template():
         for call in _domain_raises(tree):
             where = f"{path.name}:{call.lineno}"
             assert call.args and _is_template(call.args[0]), f"{where} builds a message"
+            assert not call.keywords, f"{where} passes keyword arguments"
             template, *values = call.args
             if isinstance(template, ast.Constant) and not any(
                 isinstance(v, ast.Starred) for v in values
@@ -110,8 +111,3 @@ def test_only_errors_py_turns_values_into_text():
 def test_message_from_template_and_values(template, values, message):
     assert str(NoChain(template, *values)) == message
 
-
-def test_cap_exceeded_keeps_its_sizes():
-    exc = CapExceeded("{} > {}", 43046721, 1048576, required_size=43046721, cap=2**20)
-    assert str(exc) == "43046721 > 1048576"
-    assert (exc.required_size, exc.cap) == (43046721, 2**20)

@@ -100,8 +100,10 @@ class TestDrawGuard:
         params = GenParams(2, (8, 8), (8, 8), 1, 0.01, 0)
         with pytest.raises(CapExceeded) as exc:
             random_instance(params)
-        assert (exc.value.required_size, exc.value.cap) == (9**8, 2**20)
-        assert "adapter A0" in str(exc.value) and "43046721" in str(exc.value)
+        assert str(exc.value).startswith("adapter A0 ")
+        assert str(exc.value).endswith(
+            "would draw over 43046721 input tuples, exceeding the cap of 1048576"
+        )
 
     def test_cap_is_the_tabulation_cap(self, monkeypatch):
         # 2 methods of 2 values: 3**2 = 9 tuples per adapter, 27 per run
@@ -109,11 +111,13 @@ class TestDrawGuard:
         expected = serialize_graph(random_instance(params)[0])
         monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "27")
         assert serialize_graph(random_instance(params)[0]) == expected
-        for cap, refused in ((26, (27, 26)), (8, (9, 8))):
+        for drawn, cap in ((27, 26), (9, 8)):
             monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", str(cap))
             with pytest.raises(CapExceeded) as exc:
                 random_instance(params)
-            assert (exc.value.required_size, exc.value.cap) == refused
+            assert str(exc.value).endswith(
+                f"would draw over {drawn} input tuples, exceeding the cap of {cap}"
+            )
 
 
     def test_declared_values_are_capped_before_any_interface(self, monkeypatch):
@@ -124,7 +128,7 @@ class TestDrawGuard:
         monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "29")
         with pytest.raises(CapExceeded) as exc:
             random_instance(params)
-        assert (exc.value.required_size, exc.value.cap, built) == (30, 29, [])
+        assert built == []
         assert str(exc.value) == (
             "5 interfaces x 2 methods x 3 values would declare 30 abstract "
             "values, exceeding the cap of 29"

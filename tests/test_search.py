@@ -15,8 +15,9 @@ from adaptchain import (
     greedy_chain,
     identity_pipeline,
     oracle_optimal,
+    search,
 )
-from adaptchain.errors import InvalidParams, NoChain, ReservedName, TooLarge, UnknownInterface
+from adaptchain.errors import CapExceeded, InvalidParams, NoChain, ReservedName, UnknownInterface
 from adaptchain.generator import GenParams, SplitMix64, random_instance
 from adaptchain.model import AdapterGraph, Interface
 from adaptchain.search import WeightMap, UNIT_WEIGHTS
@@ -40,6 +41,22 @@ def isolated_pair():
     a = build_interface("A", [("m", ["X"])])
     b = build_interface("B", [("m", ["Y"])])
     return build_graph([a, b], [])
+
+
+def clique_bridge(k):
+    """S reaches the lossless k-clique C0..C{k-1} only by the bridge B0 into
+    C0, which loses one of S's four values: greedy into C1 pops every
+    equal-score chain inside the clique before any chain through B0."""
+    values = ["a", "b", "c", "d"]
+    names = ["S", *(f"C{i}" for i in range(k))]
+    interfaces = {n: build_interface(n, [("m", values)]) for n in names}
+    lossless = [((v,), [[v]]) for v in values]
+    adapters = [build_adapter("B0", interfaces["S"], interfaces["C0"], lossless[1:])]
+    adapters += [
+        build_adapter(f"K{i}{j}", interfaces[f"C{i}"], interfaces[f"C{j}"], lossless)
+        for i in range(k) for j in range(k) if i != j
+    ]
+    return build_graph(interfaces.values(), adapters)
 
 
 def tied_chains(shortcut):
@@ -243,6 +260,31 @@ class TestGreedyChain:
         ]
         assert all(r == results[0] for r in results)
 
+    def test_cap_bounds_the_partial_chains_pushed(self, monkeypatch):
+        # Every push, the identity at the target included, scores its chain
+        # once, so counting the scores counts the pushes.
+        graph = clique_bridge(6)
+        pushes = 0
+        score = search.count_abstract
+
+        def counted(*args):
+            nonlocal pushes
+            pushes += 1
+            return score(*args)
+
+        monkeypatch.setattr(search, "count_abstract", counted)
+        answer, n = greedy_chain(graph, {"S"}, "C1"), pushes
+        assert answer.chain == ("B0", "K01") and n == 391
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", str(n))
+        assert greedy_chain(graph, {"S"}, "C1") == answer
+        monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", str(n - 1))
+        with pytest.raises(CapExceeded) as exc:
+            greedy_chain(graph, {"S"}, "C1")
+        assert str(exc.value) == (
+            "search from any of ['S'] to 'C1' pushes more than 390 partial "
+            "chains; raise ADAPTCHAIN_TABULATE_CAP"
+        )
+
 
 class TestEnumerateChains:
     def test_fixture_video1_to_video3(self, video_graph):
@@ -287,7 +329,7 @@ class TestOracle:
 
     def test_guard(self, video_graph, monkeypatch):
         monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "1")
-        with pytest.raises(TooLarge) as exc:
+        with pytest.raises(CapExceeded) as exc:
             oracle_optimal(video_graph, {"Video1"}, "Video3")
         # The advice names both ways out: a larger cap, or greedy search.
         assert str(exc.value) == (
@@ -310,7 +352,7 @@ class TestOracle:
 
         monkeypatch.setattr(AdapterGraph, "outgoing", counted)
         monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "100")
-        with pytest.raises(TooLarge):
+        with pytest.raises(CapExceeded):
             oracle_optimal(graph, {"I0"}, "I8")
         assert calls <= 200
 

@@ -4,13 +4,14 @@ helper is kept for the tests alone. Re-exports in ``__init__.py`` are not
 callers; a name's use inside its own module is. The check sees only
 ``class`` and ``def`` statements, so every value type is declared as
 ``class X(namedtuple("X", ...))``, never as a module-level
-``X = namedtuple(...)``, which would slip past it. The benchmark's tracer
-also counts calls by name, and the searches stay off the one it divides
-by."""
+``X = namedtuple(...)``, which would slip past it. Every public member of
+a class is read there too. The benchmark's tracer also counts calls by
+name, and the searches stay off the one it divides by."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import sys
 from pathlib import Path
@@ -51,6 +52,64 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         and not node.name.startswith("_") and node.name not in used
     ]
     assert not unused, f"no caller outside the tests: {unused}"
+
+
+def _name(node: ast.expr) -> str | None:
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _members(cls: ast.ClassDef) -> set[str]:
+    """A class's methods and properties, its record fields, its
+    ``__slots__`` entries and the attributes its ``__init__`` sets."""
+    names = set()
+    for base in cls.bases:
+        if isinstance(base, ast.Call) and _name(base.func) == "namedtuple":
+            names.update(base.args[1].value.replace(",", " ").split())
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+            if node.name == "__init__":
+                names.update(
+                    target.attr for target in ast.walk(node)
+                    if isinstance(target, ast.Attribute)
+                    and isinstance(target.ctx, ast.Store)
+                )
+        elif isinstance(node, ast.Assign) and any(
+            _name(target) == "__slots__" for target in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    """Read as an attribute, or named in an ``attrgetter`` string. Dunders
+    and overrides of a hook a standard-library base defines are exempt."""
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and _name(node.func) == "attrgetter":
+                read.update(
+                    part for arg in node.args if isinstance(arg, ast.Constant)
+                    for part in arg.value.split(".")
+                )
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"adaptchain.{path.stem}")
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            stdlib = [
+                base for base in getattr(module, cls.name).__mro__
+                if not base.__module__.startswith("adaptchain")
+            ]
+            unread += [
+                f"{path.stem}.{cls.name}.{name}" for name in sorted(_members(cls))
+                if not name.startswith("_") and name not in read
+                and not any(name in vars(base) for base in stdlib)
+            ]
+    assert not unread, f"never read outside the tests: {unread}"
 
 
 def test_only_eval_calls_apply_pipeline(monkeypatch, video_graph):
