@@ -307,7 +307,8 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
     """Dispatch a command line; returns the process exit status. Everything
     is written to ``out`` and ``err`` (the process streams by default),
     argparse's usage errors and help included. A graph error comes before
-    any error in the command's other arguments."""
+    any error in the command's other arguments; running out of memory while
+    loading the graph or running the command is one error line too."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
@@ -321,6 +322,9 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
         report, text = args.func(args, graph)
     except AdapterChainError as exc:
         print(f"error: {exc}", file=err)
+        return 1
+    except MemoryError:
+        print(f"error: out of memory running {args.command!r}", file=err)
         return 1
     if report is not None and args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2)

@@ -49,18 +49,20 @@ from .semantics import (
 )
 
 
-class WeightMap(namedtuple("WeightMap", "weights", defaults=(MappingProxyType({}),))):
+class WeightMap(namedtuple("WeightMap", "weights")):
     """Per-abstract-value weights for scoring, keyed by
-    (interface id, method name, value name). Unlisted entries weigh 1.0;
-    "bot" always weighs 0 and cannot be overridden. Error messages write a
-    key as a weight file does, ``interface.method.value``, unquoted."""
+    (interface id, method name, value name): a read-only float copy of the
+    given mapping. Unlisted entries weigh 1.0; "bot" always weighs 0 and
+    cannot be overridden. Error messages write a key as a weight file does,
+    ``interface.method.value``, unquoted."""
 
     __slots__ = ()
 
-    def __init__(self, *fields: object, **named: object) -> None:
-        if not isinstance(self.weights, Mapping):
-            raise InvalidParams("weights {!r} are not a mapping", self.weights)
-        for key, weight in self.weights.items():
+    def __new__(cls, weights: object = MappingProxyType({})) -> WeightMap:
+        if not isinstance(weights, Mapping):
+            raise InvalidParams("weights {!r} are not a mapping", weights)
+        table: dict[tuple[str, str, str], float] = {}
+        for key, weight in weights.items():
             if not isinstance(key, tuple) or len(key) != 3:
                 raise InvalidParams(
                     "weight key {!r} is not an (interface, method, value) triple", key
@@ -68,20 +70,21 @@ class WeightMap(namedtuple("WeightMap", "weights", defaults=(MappingProxyType({}
             if key[2] == BOT:
                 raise ReservedName("weight for 'bot' is fixed at 0 ({}.{}.{})", *key)
             try:
-                if 0 <= weight < math.inf:
-                    continue
+                if not 0 <= weight < math.inf:
+                    raise InvalidParams(
+                        "weight {} for {}.{}.{} is not finite and non-negative", weight, *key
+                    )
             except (TypeError, ArithmeticError):  # Decimal("NaN") raises
                 raise InvalidParams(
                     "weight {!r} for {}.{}.{} is not a number", weight, *key
                 ) from None
-            raise InvalidParams(
-                "weight {} for {}.{}.{} is not finite and non-negative", weight, *key
-            )
-
-    def weight(self, interface: str, method: str, value: str) -> float:
-        if value == BOT:
-            return 0.0
-        return self.weights.get((interface, method, value), 1.0)
+            try:
+                table[key] = float(weight)
+            except (TypeError, ValueError, ArithmeticError):  # 10**400 overflows
+                table[key] = math.inf
+            if table[key] == math.inf:
+                raise InvalidParams("weight for {}.{}.{} has no finite float", *key)
+        return super().__new__(cls, MappingProxyType(table))
 
 
 UNIT_WEIGHTS = WeightMap()
@@ -90,15 +93,14 @@ UNIT_WEIGHTS = WeightMap()
 def vector_score(
     interface: Interface, v: AvailabilityVector, weights: WeightMap
 ) -> float:
-    """Weight-sum of the non-bottom values across all components of v.
-
-    Values are summed in canonical order, so equal vectors score the same
-    float however their sets were built.
-    """
-    total = 0.0
+    """Weight-sum of the non-bottom values across all components of v,
+    summed in canonical order, so equal vectors score the same float
+    however their sets were built."""
+    table, total = weights.weights, 0.0
     for method, component in zip(interface.methods, v.components):
         for value in sorted(component):
-            total += weights.weight(interface.id, method.name, value)
+            if value != BOT:
+                total += table.get((interface.id, method.name, value), 1.0)
     return total
 
 
@@ -133,9 +135,8 @@ def _check_query(
     for interface_id, method, value in weights.weights:
         if interface_id not in domains:
             interface = graph.interfaces.get(interface_id)
-            domains[interface_id] = {} if interface is None else {
-                m.name: m.domain for m in interface.methods
-            }
+            methods = interface.methods if interface is not None else ()
+            domains[interface_id] = {m.name: m.domain for m in methods}
         domain = domains[interface_id].get(method)
         if domain is None or value not in domain:
             raise InvalidParams(
@@ -165,11 +166,9 @@ def greedy_chain(
     source_ids = set(ordered_sources)
     cap, pushes = tabulation_cap(), 1
     start = identity_pipeline(graph.interfaces[target])
-    # Chains are unique, so the (score, length, chain) key never ties and
-    # the pipeline riding in the last slot is never compared.
-    open_chains: list[
-        tuple[float, int, tuple[str, ...], AdaptationPipeline]
-    ] = [(-count_abstract(start, weights), 0, (), start)]
+    # Entries are (-score, length, chain, pipeline). Chains are unique, so
+    # the key never ties and the pipeline in the last slot is never compared.
+    open_chains = [(-count_abstract(start, weights), 0, (), start)]
 
     while open_chains:
         neg_score, _, chain, pipeline = heapq.heappop(open_chains)
@@ -238,7 +237,7 @@ def _chains_depth_first(
         if steps > cap:
             raise CapExceeded(
                 "search from {!r} to {!r} extends more than {} partial chains; "
-                "raise ADAPTCHAIN_TABULATE_CAP or run 'chain' without '--oracle'",
+                "raise ADAPTCHAIN_TABULATE_CAP",
                 source, target, cap,
             )
         path.append(adapter)

@@ -841,6 +841,69 @@ class TestUsage:
         assert run(args)[1] == run(args)[1]
 
 
+def out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+class TestOutOfMemory:
+    """Running out of memory while loading ``--graph`` or running the
+    command is one error line naming the command, and exit 1."""
+
+    def test_while_running_the_command(self, monkeypatch):
+        monkeypatch.setattr(cli, "random_instance", out_of_memory)
+        assert run([
+            "gen", "--interfaces", "4", "--methods", "1", "--values", "1",
+            "--adapters", "0",
+        ]) == (1, "", "error: out of memory running 'gen'\n")
+
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_while_loading_the_graph(self, tmp_path, monkeypatch, command):
+        doc = tmp_path / "g.json"
+        doc.write_text(json.dumps(MINIMAL))
+        monkeypatch.setattr(cli, "parse_document", out_of_memory)
+        assert run([command, "--graph", str(doc)]) == (
+            1, "", f"error: out of memory running {command!r}\n"
+        )
+
+
+class TestDashIds:
+    """An id that begins with ``-`` is given with ``=``: argparse reads a
+    separate ``-A`` as an option."""
+
+    @pytest.fixture
+    def doc(self, tmp_path):
+        path = tmp_path / "dash.json"
+        path.write_text(json.dumps({
+            "version": "1",
+            "interfaces": [
+                {"id": "-A", "methods": [{"name": "m", "values": ["X"]}]},
+                {"id": "B", "methods": [{"name": "n", "values": ["Z"]}]},
+            ],
+            "adapters": [{
+                "id": "-AtoB", "source": "-A", "target": "B",
+                "entries": [{"input": ["X"], "output": [["Z"]]}],
+            }],
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize("argv,shown", [
+        (["chain", "--source=-A", "--target", "B"], "chain: -AtoB"),
+        (["enumerate", "--source=-A", "--target", "B"], "-AtoB"),
+        (["eval", "--chain=-AtoB", "--vector", "m:X"], "n:{bot,Z}"),
+    ], ids=["chain", "enumerate", "eval"])
+    def test_given_with_equals(self, doc, argv, shown):
+        status, out, err = run([*argv, "--graph", doc])
+        assert (status, err) == (0, "")
+        assert out.splitlines()[0] == shown
+
+    def test_given_apart_is_a_usage_error(self, doc):
+        status, out, err = run([
+            "chain", "--graph", doc, "--source", "-A", "--target", "B",
+        ])
+        assert (status, out) == (2, "")
+        assert "argument --source: expected one argument" in err
+
+
 def dead_end_graph(k):
     """S -> T by the adapter Z_out, and a lossless k-clique C0..C{k-1} that
     S enters by the adapter A_in, walked first, from which T is unreachable.
@@ -886,8 +949,7 @@ class TestWorkCap:
         monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "65")
         assert run(self.walk(search, dead_end)) == (1, "", (
             "error: search from 'S' to 'T' extends more than 65 partial "
-            "chains; raise ADAPTCHAIN_TABULATE_CAP or run 'chain' without "
-            "'--oracle'\n"
+            "chains; raise ADAPTCHAIN_TABULATE_CAP\n"
         ))
 
     @pytest.mark.parametrize("search", SEARCHES)

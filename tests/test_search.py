@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -19,8 +20,8 @@ from adaptchain import (
 )
 from adaptchain.errors import CapExceeded, InvalidParams, NoChain, ReservedName, UnknownInterface
 from adaptchain.generator import GenParams, SplitMix64, random_instance
-from adaptchain.model import AdapterGraph, Interface
-from adaptchain.search import WeightMap, UNIT_WEIGHTS
+from adaptchain.model import AdapterGraph, Interface, full_vector
+from adaptchain.search import WeightMap, UNIT_WEIGHTS, vector_score
 from conftest import lossless_path
 from search_reference import visited
 
@@ -86,16 +87,61 @@ def test_equal_scores_break_by_length_then_adapter_ids(search, shortcut, chain, 
     assert (result.chain, result.source, result.score) == (chain, source, 1.0)
 
 
+def score_of(weights, values=("X",)):
+    """The score of full capability on a one-method interface "I"."""
+    interface = build_interface("I", [("m", list(values))])
+    return vector_score(interface, full_vector(interface), weights)
+
+
 class TestWeightMap:
     def test_defaults(self):
+        # Full capability holds bot besides each value: an unlisted value
+        # weighs 1.0 and bot weighs nothing.
         w = WeightMap()
-        assert w.weight("I", "m", "X") == 1.0
-        assert w.weight("I", "m", "bot") == 0.0
+        assert score_of(w) == 1.0
+        assert score_of(w, ("X", "Y")) == 2.0
 
     def test_override(self):
         w = WeightMap({("I", "m", "X"): 2.5})
-        assert w.weight("I", "m", "X") == 2.5
-        assert w.weight("I", "m", "Y") == 1.0
+        assert score_of(w) == 2.5
+        assert score_of(w, ("Y",)) == 1.0
+        assert score_of(w, ("X", "Y")) == 3.5
+
+    def test_keeps_a_read_only_float_copy(self):
+        given = {("I", "m", "X"): 2, ("I", "m", "Y"): Decimal("0.5")}
+        weights = WeightMap(given).weights
+        given[("I", "m", "X")] = 7
+        assert weights == {("I", "m", "X"): 2.0, ("I", "m", "Y"): 0.5}
+        assert all(type(w) is float for w in weights.values())
+        with pytest.raises(TypeError):
+            weights[("I", "m", "X")] = 3.0
+
+    def test_a_later_change_to_the_mapping_leaves_the_score(self, video_graph):
+        given = {("Video2", "play", "MP4"): 2.0}
+        weights = WeightMap(given)
+        given[("Video2", "play", "MP4")] = -50
+        result = greedy_chain(video_graph, {"Video1"}, "Video2", weights)
+        assert result.score == 5.0
+
+    @pytest.mark.parametrize(
+        "weight", [Decimal("2.5"), Fraction(5, 2)], ids=["decimal", "fraction"]
+    )
+    def test_an_exact_weight_scores_as_its_float(self, video_graph, weight):
+        key = ("Video2", "play", "MP4")
+        as_float = greedy_chain(video_graph, {"Video1"}, "Video2", WeightMap({key: 2.5}))
+        for search in (greedy_chain, oracle_optimal):
+            result = search(video_graph, {"Video1"}, "Video2", WeightMap({key: weight}))
+            assert result == as_float and type(result.score) is float
+        assert as_float.score == 5.5
+
+    @pytest.mark.parametrize(
+        "weight", [10**400, Decimal("1e400"), Fraction(10**400, 3)],
+        ids=["int", "decimal", "fraction"],
+    )
+    def test_weight_past_the_float_range_is_refused(self, weight):
+        with pytest.raises(InvalidParams) as exc:
+            WeightMap({("I", "m", "X"): weight})
+        assert str(exc.value) == "weight for I.m.X has no finite float"
 
     def test_bot_rejected(self):
         with pytest.raises(ReservedName):
@@ -331,11 +377,11 @@ class TestOracle:
         monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", "1")
         with pytest.raises(CapExceeded) as exc:
             oracle_optimal(video_graph, {"Video1"}, "Video3")
-        # The advice names both ways out: a larger cap, or greedy search.
+        # The advice names the one way out: greedy is metered by the same
+        # cap, so only a larger cap lets the walk finish.
         assert str(exc.value) == (
             "search from 'Video1' to 'Video3' extends more than 1 partial "
-            "chains; raise ADAPTCHAIN_TABULATE_CAP or run 'chain' without "
-            "'--oracle'"
+            "chains; raise ADAPTCHAIN_TABULATE_CAP"
         )
 
     def test_guard_stops_the_enumeration(self, monkeypatch):
