@@ -21,6 +21,8 @@ once (``_refuse`` words a missing field apart from a wrong type), and the
 key-set test follows the reads. ``model.build_adapter`` then checks each
 entry's values against the domains, so the first fault found is the one
 reported. Interface ids are checked for repeats before any adapter is read.
+Each parse builds one ``AbstractDomain`` per distinct value list, shared by
+every interface that declares it; a list seen before is not checked again.
 Output sets are not interned: where no two output sets of one target are
 equal, as on a long path of identity adapters, a per-target pool only adds
 lookups (README, Notes).
@@ -38,9 +40,9 @@ from .model import (
     Adapter,
     AdapterGraph,
     Interface,
+    _build_interface,
     build_adapter,
     build_graph,
-    build_interface,
 )
 
 FORMAT_VERSION = "1"
@@ -71,7 +73,7 @@ def _only(obj: dict, fields: frozenset[str], where: str, *values) -> None:
         )
 
 
-def _parse_interface(obj: dict) -> Interface:
+def _parse_interface(obj: dict, domains: dict) -> Interface:
     if type(obj) is not dict:
         raise GraphSyntaxError("each interface must be an object")
     if type(id := obj.get("id")) is not str:
@@ -91,7 +93,7 @@ def _parse_interface(obj: dict) -> Interface:
         methods.append((name, values))
     if len(obj) != 2:
         _only(obj, _INTERFACE_FIELDS, "interface {!r}", id)
-    return build_interface(id, methods)
+    return _build_interface(id, methods, domains)
 
 
 def _parse_adapter(obj: dict, interfaces: dict[str, Interface]) -> Adapter:
@@ -168,7 +170,8 @@ def parse_document(data: bytes | str) -> AdapterGraph:
         )
     if type(raw_interfaces := doc.get("interfaces")) is not list:
         _refuse(doc, "interfaces", list, "document")
-    interfaces = [_parse_interface(i) for i in raw_interfaces]
+    domains = {}  # raw value list -> its one domain, for this parse only
+    interfaces = [_parse_interface(i, domains) for i in raw_interfaces]
     # A repeated id is refused here, before an adapter can name either copy.
     interface_map = build_graph(interfaces, ()).interfaces
     if type(raw_adapters := doc.get("adapters")) is not list:

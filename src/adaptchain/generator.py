@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Iterable
 from math import prod
 
 from .errors import CapExceeded, InvalidParams
@@ -75,6 +76,10 @@ class GenParams(namedtuple("GenParams", "interface_count methods_per_interface "
                 raise InvalidParams("{} range {} is empty or below 1", name, (lo, hi))
         if not 0.0 <= self.entry_density <= 1.0:
             raise InvalidParams("entry_density must be within [0, 1]")
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> GenParams:
+        return cls(*fields)  # through __init__; _replace calls this too
 
 
 def _random_interface(rng: SplitMix64, index: int, params: GenParams) -> Interface:

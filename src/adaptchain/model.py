@@ -12,7 +12,9 @@ reads that table, and serialization orders its rows.
 All values here are immutable after construction (no field can be
 assigned; what a value keeps beside its fields, such as a domain's member
 set or a graph's adjacency cached on first use, is the same whichever
-reader computes it); concurrent readers are safe.
+reader computes it); concurrent readers are safe. Equal domains may be one
+object: a parse shares one ``AbstractDomain`` per distinct value list. A
+record's ``_make`` and ``_replace`` go through its constructor.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ class AbstractDomain(namedtuple("AbstractDomain", "values")):
 
     def __init__(self, values: tuple[str, ...]) -> None:
         self._members = frozenset(values)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> AbstractDomain:
+        return cls(*fields)  # through __init__; _replace calls this too
 
     @classmethod
     def from_names(cls, names: Iterable[str], *, context=("",)) -> AbstractDomain:
@@ -163,6 +169,19 @@ def build_interface(
 
     Domains are lifted: "bot" is injected and canonical order applied.
     """
+    return _build_interface(id, methods, {})
+
+
+def _build_interface(
+    id: str,
+    methods: Sequence[tuple[str, Sequence[str]]],
+    domains: dict[tuple, AbstractDomain],
+) -> Interface:
+    """``build_interface``, sharing domains through ``domains`` (a value
+    list's tuple -> its domain), which ``parse_document`` keeps for one
+    parse. Only a ``list`` not seen before is lifted, and worded if bad, by
+    ``from_names``; a list seen before was valid, so the error found is the
+    one found without sharing."""
     if not isinstance(id, str):
         raise ValidationError("interface id {!r} is not a string", id)
     if not id:
@@ -194,9 +213,17 @@ def build_interface(
                 "interface {!r} declares method {!r} twice", id, name
             )
         names_seen.add(name)
-        domain = AbstractDomain.from_names(
-            values, context=(" in method {!r} of interface {!r}", name, id)
-        )
+        key = tuple(values) if type(values) is list else None
+        try:
+            domain = domains.get(key)
+        except TypeError:  # an unhashable value, which from_names words
+            domain = key = None
+        if domain is None:
+            domain = AbstractDomain.from_names(
+                values, context=(" in method {!r} of interface {!r}", name, id)
+            )
+            if key is not None:
+                domains[key] = domain
         specs.append(MethodSpec(name, domain))
     return Interface(id, tuple(specs))
 

@@ -86,6 +86,10 @@ class WeightMap(namedtuple("WeightMap", "weights")):
                 raise InvalidParams("weight for {}.{}.{} has no finite float", *key)
         return super().__new__(cls, MappingProxyType(table))
 
+    @classmethod
+    def _make(cls, fields: Iterable) -> WeightMap:
+        return cls(*fields)  # through __new__; _replace calls this too
+
 
 UNIT_WEIGHTS = WeightMap()
 

@@ -68,6 +68,43 @@ def test_adapters_from_two_parses_are_equal_and_hash_alike():
     assert len({*first.adapters.values(), *second.adapters.values()}) == 6
 
 
+def _interfaces_document(*value_lists) -> str:
+    """A document of one-method interfaces I0, I1, ... declaring
+    ``value_lists`` in order, and no adapters."""
+    return json.dumps({
+        "version": "1",
+        "interfaces": [
+            {"id": f"I{k}", "methods": [{"name": "m", "values": values}]}
+            for k, values in enumerate(value_lists)
+        ],
+        "adapters": [],
+    })
+
+
+def test_equal_value_lists_share_one_domain_within_a_parse():
+    text = _interfaces_document(["X", "Y"], ["Z"], ["X", "Y"], ["Y", "X"])
+    graph = parse_document(text)
+    first, other, again, reordered = (
+        graph.interfaces[f"I{k}"].methods[0].domain for k in range(4)
+    )
+    assert again is first and other is not first
+    assert reordered == first
+    # The dict dies with the parse: a second parse builds its own.
+    assert parse_document(text).interfaces["I0"].methods[0].domain is not first
+
+
+@pytest.mark.parametrize("bad,shown", [
+    (["A", "A"], "duplicate abstract value 'A'"),
+    (["A", 1], "abstract value 1 is not a string"),
+    ([], "domain has no non-bottom values"),
+    (["A", ["B"]], "abstract value ['B'] is not a string"),
+], ids=["duplicate", "non-string", "empty", "unhashable"])
+def test_a_repeated_bad_value_list_fails_at_its_first_occurrence(bad, shown):
+    with pytest.raises(AdapterChainError) as exc:
+        parse_document(_interfaces_document(["A"], ["A"], bad, bad))
+    assert str(exc.value) == f"{shown} in method 'm' of interface 'I2'"
+
+
 def test_row_order_does_not_change_the_serialization():
     doc = json.loads(serialize_graph(load_fixture("video-example")))
     text = serialize_graph(parse_document(json.dumps(doc)))

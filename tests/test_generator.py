@@ -37,6 +37,14 @@ class TestGenParams:
         with pytest.raises(InvalidParams):
             GenParams(1, (1, 1), (1, 1), 0, 1.5, 0)
 
+    def test_make_and_replace_go_through_the_checks(self):
+        fields = [-5, (1, 1), (1, 1), 0, 0.5, 0]
+        with pytest.raises(InvalidParams, match="interface_count"):
+            GenParams._make(fields)
+        with pytest.raises(InvalidParams, match="interface_count"):
+            GenParams(1, (1, 1), (1, 1), 0, 0.5, 0)._replace(interface_count=-5)
+        assert GenParams._make([5, *fields[1:]]) == GenParams(5, *fields[1:])
+
 
 class TestRandomInstance:
     def test_seed_determinism(self):

@@ -4,6 +4,7 @@ import pytest
 
 from adaptchain import (
     BOT,
+    AbstractDomain,
     build_adapter,
     build_graph,
     build_interface,
@@ -78,6 +79,22 @@ class TestBuildInterface:
         same = same.methods[0].domain
         assert (same, hash(same), repr(same)) == (domain, hash(domain), repr(domain))
         assert "_members" not in repr(domain)
+
+    def test_make_and_replace_keep_membership(self):
+        domain = AbstractDomain._make([("bot", "a")])
+        assert "a" in domain and "b" not in domain
+        other = domain._replace(values=("bot", "b"))
+        assert "b" in other and "a" not in other
+        assert other == build_interface("X", [("m", ["b"])]).methods[0].domain
+
+    def test_each_call_builds_its_own_domains(self):
+        first, second = (
+            build_interface("X", [("m", ["A", "B"]), ("n", ["A", "B"])])
+            for _ in range(2)
+        )
+        assert first == second
+        assert first.methods[0].domain is first.methods[1].domain
+        assert first.methods[0].domain is not second.methods[0].domain
 
     def test_duplicate_method(self):
         with pytest.raises(DuplicateMethodName):

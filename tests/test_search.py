@@ -143,6 +143,19 @@ class TestWeightMap:
             WeightMap({("I", "m", "X"): weight})
         assert str(exc.value) == "weight for I.m.X has no finite float"
 
+    def test_make_and_replace_go_through_the_checks(self):
+        bad = {("Video2", "play", "MP4"): -50}
+        for build in (lambda: WeightMap._make([bad]),
+                      lambda: WeightMap()._replace(weights=bad)):
+            with pytest.raises(InvalidParams) as exc:
+                build()
+            assert str(exc.value) == (
+                "weight -50 for Video2.play.MP4 is not finite and non-negative"
+            )
+        copy = WeightMap()._replace(weights={("I", "m", "X"): 2})
+        assert copy == WeightMap({("I", "m", "X"): 2.0})
+        assert type(copy.weights[("I", "m", "X")]) is float
+
     def test_bot_rejected(self):
         with pytest.raises(ReservedName):
             WeightMap({("I", "m", "bot"): 1.0})
