@@ -15,10 +15,13 @@ capability, so its weight is pinned to zero.
 Scoring is incremental: each pipeline remembers the vector full capability
 becomes through it, so scoring an extension ``a·P`` adapts ``full(a.source)``
 once and walks ``P`` only until a remembered vector matches, which after a
-lossless step is ``P`` itself. Enumeration and the oracle share one
-iterative depth-first search, bounded by the tabulation cap and not by
-Python's recursion limit; the oracle adapts forward along the search path
-and only for prefixes of chains that reach the target.
+lossless step is ``P`` itself. Every step of that walk goes through the
+search's adaptation table (``semantics._adapt``), so one search adapts each
+(adapter, vector) pair once, however many chains share it. Enumeration and
+the oracle share one iterative depth-first search, bounded by the
+tabulation cap and not by Python's recursion limit; the oracle adapts
+forward along the search path, through its own table, and only for
+prefixes of chains that reach the target. No table outlives its search.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from .model import (
 )
 from .semantics import (
     AdaptationPipeline,
+    _adapt,
     _fold,
-    apply_adaptation,
     identity_pipeline,
     prepend,
     tabulation_cap,
@@ -303,16 +306,18 @@ def oracle_optimal(
 
     Vectors are adapted forward along the depth-first path, and only once
     a chain through them reaches the target; chains sharing a prefix share
-    its adaptations."""
+    its adaptations, and one adaptation table per call (``semantics._adapt``)
+    adapts each (adapter, vector) pair once."""
     source_ids = _check_query(graph, sources, target, weights)
     target_interface = graph.interfaces[target]
     best = None  # (rank, source, final vector)
+    table: dict = {}
     for src in source_ids:
         vectors = [full_vector(graph.interfaces[src])]
         for path, kept in _chains_depth_first(graph, src, target):
             del vectors[kept + 1:]
             for adapter in path[kept:]:
-                vectors.append(apply_adaptation(adapter, vectors[-1]))
+                vectors.append(_adapt(table, adapter, vectors[-1]))
             score = vector_score(target_interface, vectors[-1], weights)
             chain = tuple(a.id for a in path)
             rank = (-score, len(chain), chain)

@@ -19,10 +19,13 @@ component is {bot} or {bot, v}, are adapted; every other row is one union
 of two rows built before it. Equal rows share one vector object.
 
 All functions here are pure over immutable values. The only state is
-caches that never change an answer: each pipeline's result memo, which
-:func:`apply_pipeline` and the searches fill through one fold, the
-interface index behind each pipeline's visited-interface bitmask, and each
-domain's subset list with its splits, which tabulation builds on first use.
+caches that never change an answer: each search's adaptation table, which
+maps an (adapter, input vector) pair to its adapted vector so that one
+search adapts each pair once; each pipeline's result memo; the interface
+index behind each pipeline's visited-interface bitmask; and each domain's
+subset list with its splits, which tabulation builds on first use.
+:func:`apply_adaptation` and :func:`tabulate_adaptation` keep no memo, and
+no table outlives the pipelines of one search.
 """
 
 from __future__ import annotations
@@ -81,21 +84,25 @@ class AdaptationPipeline(_Sealed):
     ``target``) has neither. Only :func:`identity_pipeline` and
     :func:`prepend` build pipelines, and prepending shares the tail rather
     than copying it, so a chain of length L costs O(L) to build and to
-    hold. Only :func:`_fold` walks the links, one step at a time, and each
-    pipeline remembers (``_memo``) what every input vector it was applied
-    to became, for as long as it lives. No interface is visited twice.
-    Pipelines compare by identity.
+    hold. Only :func:`_fold` walks the links, one step at a time. No
+    interface is visited twice. Pipelines compare by identity.
 
-    Acyclicity costs O(1) per :func:`prepend`: every pipeline carries the
-    interfaces it touches as one int bitmask (``_mask``) over an interface
-    index (``_index``, interface id -> bit position). The identity creates
-    the index and every pipeline prepended from it shares it, so the index
-    only holds the interfaces one search touches. Like ``_memo``, it is a
-    cache that never changes an answer. :meth:`visits` tests a bit. The
-    fields are slots; both builders pass a new empty dict as ``_memo``.
+    Three caches never change an answer. The identity creates the first
+    two, and every pipeline prepended from it shares them:
+    - ``_index`` (interface id -> bit position) holds only the interfaces
+      one search touches. Every pipeline carries the interfaces it touches
+      as one int bitmask (``_mask``) over it, so acyclicity costs O(1) per
+      :func:`prepend`, and :meth:`visits` tests a bit;
+    - ``_table`` is the search's adaptation table (see :func:`_adapt`), so
+      one search adapts each (adapter, vector) pair once;
+    - ``_memo``, each pipeline's own, remembers what every input vector
+      this pipeline was folded from became, for as long as it lives.
+    The fields are slots; both builders pass a new empty dict as ``_memo``.
     """
 
-    __slots__ = ("source", "target", "_head", "_tail", "_index", "_mask", "_memo")
+    __slots__ = (
+        "source", "target", "_head", "_tail", "_index", "_mask", "_table", "_memo"
+    )
 
     def visits(self, interface_id: str) -> bool:
         """Does the chain touch ``interface_id``? One bit test."""
@@ -105,9 +112,10 @@ class AdaptationPipeline(_Sealed):
 
 def identity_pipeline(interface: Interface) -> AdaptationPipeline:
     """The empty chain at an interface; applying it is the identity. It is
-    the root of a fresh interface index (see AdaptationPipeline)."""
+    the root of a fresh interface index and adaptation table (see
+    AdaptationPipeline)."""
     index = {interface.id: 0}
-    return AdaptationPipeline(interface, interface, None, None, index, 1, {})
+    return AdaptationPipeline(interface, interface, None, None, index, 1, {}, {})
 
 
 def prepend(adapter: Adapter, pipeline: AdaptationPipeline) -> AdaptationPipeline:
@@ -131,7 +139,7 @@ def prepend(adapter: Adapter, pipeline: AdaptationPipeline) -> AdaptationPipelin
         )
     return AdaptationPipeline(
         adapter.source, pipeline.target, adapter, pipeline, index,
-        pipeline._mask | 1 << bit, {},
+        pipeline._mask | 1 << bit, pipeline._table, {},
     )
 
 
@@ -150,26 +158,37 @@ def apply_pipeline(
     return _fold(pipeline, p)
 
 
+def _adapt(table: dict, adapter: Adapter, p: AvailabilityVector) -> AvailabilityVector:
+    """``apply_adaptation(adapter, p)`` through a search's table, calling
+    it only for a pair the table has not seen. The key is the adapter's
+    identity and p; the entry also holds the adapter, so no other adapter
+    (one with the same id string included) can take its identity while
+    the table lives."""
+    key = id(adapter), p
+    entry = table.get(key)
+    if entry is None:
+        entry = table[key] = adapter, apply_adaptation(adapter, p)
+    return entry[1]
+
+
 def _fold(pipeline: AdaptationPipeline, p: AvailabilityVector) -> AvailabilityVector:
-    """The one fold: adapt p along the chain one adapter at a time,
-    stopping at the first suffix whose memo holds the vector in hand; every
-    suffix passed on the way remembers the result. After a pipeline has
-    been applied to full capability, a pipeline prepended to it costs one
-    adaptation whenever the new first adapter loses nothing. p must be over
-    the pipeline's source."""
-    pending: list[tuple[AdaptationPipeline, AvailabilityVector]] = []
-    node = pipeline
+    """The one fold: adapt p along the chain one adapter at a time through
+    the search's table, stopping at the first suffix whose memo holds the
+    vector in hand. Only the pipeline it was called on remembers the
+    result. Greedy scores each pipeline it pushes, so scoring ``a·P``
+    costs one table step and a memo hit on ``P`` whenever ``a`` loses
+    nothing. p must be over the pipeline's source."""
+    table, node, q = pipeline._table, pipeline, p
     while node._tail is not None:
-        hit = node._memo.get(p)
+        hit = node._memo.get(q)
         if hit is not None:
-            p = hit
+            q = hit
             break
-        pending.append((node, p))
-        p = apply_adaptation(node._head, p)
+        q = _adapt(table, node._head, q)
         node = node._tail
-    for node, q in pending:
-        node._memo[q] = p
-    return p
+    if node is not pipeline:
+        pipeline._memo[p] = q
+    return q
 
 
 def function_sizes(adapter: Adapter) -> tuple[int, int]:

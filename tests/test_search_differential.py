@@ -1,6 +1,7 @@
 """The library's chain search against the simple implementations it
 replaced (``search_reference``), plus machine-independent bounds on how
-many adaptations a search performs."""
+many adaptations a search performs: one per distinct (adapter, vector)
+pair, and none carried from one search into the next."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from adaptchain.errors import NoChain
 from adaptchain.search import UNIT_WEIGHTS, WeightMap
 from conftest import lossless_path
 from test_acceptance import seeded_instance
+from test_search import clique_bridge
 
 
 def lossy_clique(k: int):
@@ -94,17 +96,19 @@ def test_path():
 
 @pytest.fixture
 def adaptations(monkeypatch):
-    """Counts apply_adaptation calls made through either module."""
-    count = [0]
+    """Records the (adapter, vector) pair of every apply_adaptation call
+    made through either module. The list holds each adapter, so the
+    identities of the recorded adapters are never reused."""
+    calls = []
     original = semantics.apply_adaptation
 
     def counted(adapter, p):
-        count[0] += 1
+        calls.append((adapter, p))
         return original(adapter, p)
 
     monkeypatch.setattr(semantics, "apply_adaptation", counted)
     monkeypatch.setattr(search, "apply_adaptation", counted, raising=False)
-    return count
+    return calls
 
 
 @pytest.mark.parametrize("n", [2, 50, 200])
@@ -112,7 +116,7 @@ def test_greedy_adapts_linearly_on_a_lossless_path(adaptations, n):
     graph = lossless_path(n)
     result = search.greedy_chain(graph, {"P0000"}, f"P{n - 1:04d}")
     assert len(result.chain) == n - 1
-    assert adaptations[0] <= 2 * n + 2
+    assert len(adaptations) <= 2 * n + 2
 
 
 @pytest.mark.parametrize("k", [3, 6])
@@ -120,4 +124,27 @@ def test_oracle_adapts_no_more_than_one_pass_per_chain(adaptations, k):
     graph = lossy_clique(k)
     chains = ref.enumerate_chains(graph, "S", f"C{k - 1}")
     search.oracle_optimal(graph, {"S"}, f"C{k - 1}")
-    assert 0 < adaptations[0] <= sum(len(c) for c in chains)
+    assert 0 < len(adaptations) <= sum(len(c) for c in chains)
+
+
+@pytest.mark.parametrize(
+    "new, old",
+    [(search.greedy_chain, ref.greedy_chain), (search.oracle_optimal, ref.oracle_optimal)],
+    ids=["greedy", "oracle"],
+)
+def test_each_search_adapts_each_pair_once(adaptations, new, old):
+    """On a lossy bridge into a lossless 6-clique, where many chains share
+    each step, a search adapts each distinct (adapter, vector) pair exactly
+    once. A second search on the same graph repeats every adaptation, so
+    nothing is cached from one search to the next, and both answers are
+    the reference's."""
+    graph = clique_bridge(6)
+    expected = old(graph, {"S"}, "C1")  # adapts through its own function
+    counts = []
+    for _ in range(2):
+        adaptations.clear()
+        assert new(graph, {"S"}, "C1") == expected
+        counts.append(len(adaptations))
+        pairs = {(id(adapter), p) for adapter, p in adaptations}
+        assert 0 < len(adaptations) == len(pairs)
+    assert counts[0] == counts[1]

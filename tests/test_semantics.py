@@ -27,7 +27,7 @@ from adaptchain.errors import (
     InterfaceMismatch,
 )
 from adaptchain.generator import GenParams, SplitMix64, random_instance
-from conftest import VIDEO1_TO_VIDEO2_ROWS, random_subvector
+from conftest import VIDEO1_TO_VIDEO2_ROWS, lossless_path, random_subvector
 from search_reference import bottom_vector, tuple_subset, tuple_union
 from test_acceptance import seeded_instance
 
@@ -173,11 +173,25 @@ class TestPipelines:
 
 
 class TestMemo:
-    """Each pipeline remembers what every vector it was applied to became.
-    Greedy fills the memos with full capability along shared suffixes;
-    later folds over other vectors must still agree with the plain
-    reference fold, and must leave every suffix they pass remembering its
-    own correct result."""
+    """Each pipeline remembers what every vector it was folded from
+    became. Greedy fills the memos with full capability along shared
+    suffixes; later folds over other vectors must still agree with the
+    plain reference fold, and must leave the pipeline they were called on
+    remembering its own correct result."""
+
+    def test_a_fold_writes_only_its_own_memo(self):
+        """A one-shot evaluation of a fresh chain leaves one memo entry, on
+        the pipeline it folded, and none on the suffixes it passed."""
+        graph = lossless_path(20)
+        pipeline = identity_pipeline(graph.interfaces["P0019"])
+        suffixes = [pipeline]
+        for k in range(18, -1, -1):
+            pipeline = prepend(graph.adapters[f"E{k:04d}"], pipeline)
+            suffixes.append(pipeline)
+        p = full_vector(pipeline.source)
+        assert apply_pipeline(pipeline, p) == ref.fold(pipeline, p)
+        assert pipeline._memo == {p: ref.fold(pipeline, p)}
+        assert not any(s._memo for s in suffixes[:-1])
 
     @staticmethod
     def scored_pipelines(graph):
@@ -211,6 +225,48 @@ class TestMemo:
         for pipeline in pipelines:
             for p, q in pipeline._memo.items():
                 assert q == ref.fold(pipeline, p)
+
+
+class TestAdaptationTable:
+    """Pipelines prepended from one identity share one adaptation table,
+    keyed by adapter identity. Adapters that share an id string and
+    endpoints but not a table never read each other's entries."""
+
+    SOURCE = build_interface("S", [("m", ["a", "b", "c"])])
+    TARGET = build_interface("T", [("m", ["a", "b", "c"])])
+
+    @classmethod
+    def twin(cls, shift: int):
+        """Adapter "X" from S to T that maps value i to value i + shift."""
+        values = ["a", "b", "c"]
+        rows = [((v,), [[values[(i + shift) % 3]]]) for i, v in enumerate(values)]
+        return build_adapter("X", cls.SOURCE, cls.TARGET, rows)
+
+    def test_twins_on_one_identity_fold_apart(self):
+        identity = identity_pipeline(self.TARGET)
+        pipelines = [prepend(self.twin(shift), identity) for shift in (0, 1)]
+        vectors = [
+            full_vector(self.SOURCE),
+            normalize_vector(self.SOURCE, [{"a"}]),
+            normalize_vector(self.SOURCE, [{"b", "c"}]),
+        ]
+        for p in vectors:
+            for pipeline in pipelines:  # each in turn, one shared table
+                assert apply_pipeline(pipeline, p) == ref.fold(pipeline, p)
+        assert apply_pipeline(pipelines[0], vectors[1]) != apply_pipeline(
+            pipelines[1], vectors[1]
+        )
+
+    def test_a_dropped_adapter_keeps_its_identity_while_the_table_lives(self):
+        """Each twin is dropped before the next is built. Its table entry
+        keeps it alive, so no later twin can reuse its identity and read
+        its entry."""
+        identity = identity_pipeline(self.TARGET)
+        p = normalize_vector(self.SOURCE, [{"a"}])
+        for shift in [0, 1, 2] * 20:
+            pipeline = prepend(self.twin(shift), identity)
+            assert apply_pipeline(pipeline, p) == ref.fold(pipeline, p)
+            del pipeline
 
 
 class TestSizes:
