@@ -6,12 +6,13 @@ error, 141 (128 + SIGPIPE) when the reader closes stdout early.
 ``--format=json`` emits byte-stable reports with sorted keys.
 
 Each subcommand is a function ``(args, graph) -> (report, text)`` that
-computes its answer and nothing more. ``run_cli`` owns the boundary: it
-parses the arguments, loads ``--graph``, renders the report as JSON or the
-text as is, writes its output and error streams, and sets the exit status.
-It also pauses the cyclic garbage collector for the command: the package
-builds no reference cycles, so collections during a parse would free none
-of its objects; the library itself never touches ``gc``.
+computes its answer and nothing more, declared once in ``_build_parser``.
+``run_cli`` is the one boundary: it parses the arguments, loads
+``--graph``, renders the report as JSON or the text as is, writes its
+output and error streams, and sets the exit status. It also pauses the
+cyclic garbage collector for the command: the package builds no reference
+cycles, so collections during a parse would free none of its objects; the
+library itself never touches ``gc``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import AdapterChainError, GraphSyntaxError, InvalidParams, digits
 from .generator import GenParams, random_instance
 from .model import AdapterGraph, AvailabilityVector, Interface, normalize_vector
 from .search import (
+    UNIT_WEIGHTS,
     WeightMap,
     chain_pipeline,
     enumerate_chains,
@@ -149,7 +151,7 @@ def _cmd_chain(args, graph: AdapterGraph) -> tuple[dict, str]:
         sources = [args.source]
     else:
         raise InvalidParams("one of --source or --sources is required")
-    weights = _parse_weights(args.weights) if args.weights else WeightMap()
+    weights = _parse_weights(args.weights) if args.weights else UNIT_WEIGHTS
     search = oracle_optimal if args.oracle else greedy_chain
     result = search(graph, sources, args.target, weights)
     target = graph.interfaces[result.target]
@@ -251,29 +253,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, graph: bool = True) -> None:
-        if graph:
+    def command(name: str, help: str, func) -> argparse.ArgumentParser:
+        """Register subcommand ``name``, run by ``func``: every subcommand
+        takes ``--format``, and every one but ``gen`` the ``--graph``."""
+        p = sub.add_parser(name, help=help)
+        if name != "gen":
             p.add_argument(
                 "--graph", required=True,
                 help="graph document path or bundled fixture name",
             )
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="parse and validate a graph document")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
+    command("validate", "parse and validate a graph document", _cmd_validate)
 
-    p = sub.add_parser("eval", help="apply an adapter chain to a vector")
-    common(p)
+    p = command("eval", "apply an adapter chain to a vector", _cmd_eval)
     p.add_argument("--chain", required=True, help="comma-separated adapter ids")
     p.add_argument(
         "--vector", required=True,
         help='availability vector, e.g. "playVideo:MOV,MKV;playAudio:MP3"',
     )
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("chain", help="find the loss-optimal chain")
-    common(p)
+    p = command("chain", "find the loss-optimal chain", _cmd_chain)
     given = p.add_mutually_exclusive_group()
     given.add_argument("--source", help="single source interface id")
     given.add_argument("--sources", help="comma-separated source interface ids")
@@ -281,20 +283,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="brute-force search instead of greedy")
     p.add_argument("--weights", help="weight file (interface.method.value = w)")
-    p.set_defaults(func=_cmd_chain)
 
-    p = sub.add_parser("enumerate", help="list all acyclic chains")
-    common(p)
+    p = command("enumerate", "list all acyclic chains", _cmd_enumerate)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("stats", help="per-adapter function sizes")
-    common(p)
-    p.set_defaults(func=_cmd_stats)
+    command("stats", "per-adapter function sizes", _cmd_stats)
 
-    p = sub.add_parser("gen", help="generate a seeded random instance")
-    common(p, graph=False)
+    p = command("gen", "generate a seeded random instance", _cmd_gen)
     p.add_argument("--interfaces", type=int, required=True)
     p.add_argument("--methods", default="1:2", help="methods per interface (LO:HI)")
     p.add_argument("--values", default="1:2", help="non-bot values per method (LO:HI)")
@@ -302,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="write the graph document here")
-    p.set_defaults(func=_cmd_gen)
 
     return parser
 
@@ -315,41 +310,37 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
     loading the graph or running the command is one error line too.
 
     The cyclic garbage collector is paused for the command, however it
-    ends, and enabled again only once the command's objects are released;
-    a collector already disabled is left so. The package builds no
+    ends; a collector already disabled is left so. The package builds no
     reference cycles, so the pause skips only collections that would free
-    none of its objects."""
+    none of its objects. Nothing is allocated between enabling it and
+    returning, so the command's objects are freed before it next runs."""
+    out = out if out is not None else sys.stdout
+    err = err if err is not None else sys.stderr
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(argv, out, err)
+        parser = _build_parser()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
+        try:
+            graph = _load_graph(args.graph) if "graph" in args else None
+            report, text = args.func(args, graph)
+        except AdapterChainError as exc:
+            print(f"error: {exc}", file=err)
+            return 1
+        except MemoryError:
+            print(f"error: out of memory running {args.command!r}", file=err)
+            return 1
+        if report is not None and args.format == "json":
+            text = json.dumps(report, sort_keys=True, indent=2)
+        print(text, file=out)
+        return 0
     finally:
         if enabled:
             gc.enable()
-
-
-def _run(argv: list[str], out, err) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    parser = _build_parser()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        graph = _load_graph(args.graph) if "graph" in args else None
-        report, text = args.func(args, graph)
-    except AdapterChainError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except MemoryError:
-        print(f"error: out of memory running {args.command!r}", file=err)
-        return 1
-    if report is not None and args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2)
-    print(text, file=out)
-    return 0
 
 
 def main() -> None:

@@ -33,10 +33,11 @@ from __future__ import annotations
 import json
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _encode
+from typing import NoReturn
 
 from .errors import GraphSyntaxError, UnknownInterface
 from .model import (
-    BOT,
+    _BOT_SET,
     Adapter,
     AdapterGraph,
     Interface,
@@ -46,7 +47,6 @@ from .model import (
 )
 
 FORMAT_VERSION = "1"
-_BOT_SET = frozenset((BOT,))
 _ROOT_FIELDS = frozenset(("version", "interfaces", "adapters"))
 _INTERFACE_FIELDS = frozenset(("id", "methods"))
 _METHOD_FIELDS = frozenset(("name", "values"))

@@ -3,6 +3,9 @@
 Instances are structural stress tests only; no attempt is made to give the
 generated interfaces realistic semantics.
 
+``random_instance`` draws each adapter's endpoints and holds both checks
+against the tabulation cap; ``_random_adapter`` only draws the entries.
+
 Randomness comes from splitmix64 (Steele, Lea & Flood's 64-bit mixing
 generator, as published in the reference sequence of Vigna's xoshiro page)
 rather than a language-provided RNG, so the same parameters produce the
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Iterable
 from math import prod
 
 from .errors import CapExceeded, InvalidParams
@@ -21,6 +23,7 @@ from .model import (
     Adapter,
     AdapterGraph,
     Interface,
+    _Checked,
     build_adapter,
     build_graph,
     build_interface,
@@ -57,8 +60,10 @@ class SplitMix64:
         return self.next_u64() < probability * 2.0**64
 
 
-class GenParams(namedtuple("GenParams", "interface_count methods_per_interface "
-                           "values_per_method adapter_count entry_density seed")):
+class GenParams(_Checked, namedtuple(
+    "GenParams", "interface_count methods_per_interface values_per_method "
+    "adapter_count entry_density seed",
+)):
     """Shape parameters for a random instance; ranges are inclusive."""
 
     __slots__ = ()
@@ -77,10 +82,6 @@ class GenParams(namedtuple("GenParams", "interface_count methods_per_interface "
         if not 0.0 <= self.entry_density <= 1.0:
             raise InvalidParams("entry_density must be within [0, 1]")
 
-    @classmethod
-    def _make(cls, fields: Iterable) -> GenParams:
-        return cls(*fields)  # through __init__; _replace calls this too
-
 
 def _random_interface(rng: SplitMix64, index: int, params: GenParams) -> Interface:
     method_count = rng.between(*params.methods_per_interface)
@@ -92,34 +93,18 @@ def _random_interface(rng: SplitMix64, index: int, params: GenParams) -> Interfa
 
 
 def _random_adapter(
-    rng: SplitMix64,
-    index: int,
-    interfaces: list[Interface],
-    params: GenParams,
-    cap: int,
-    drawn: int,
-) -> tuple[Adapter, int]:
-    """Draw adapter A<index> after ``drawn`` input tuples of earlier
-    adapters; return it with the run's new total."""
-    source = interfaces[rng.below(len(interfaces))]
-    target = interfaces[rng.below(len(interfaces))]
-    # One draw per input tuple: the run's total of dependency-function sizes
-    # (the first of semantics.function_sizes) is bounded by the tabulation
-    # cap, checked before this adapter draws any.
-    domains = source.domains
-    drawn += prod(d.size for d in domains)
-    if drawn > cap:
-        raise CapExceeded(
-            "adapter A{} from {!r} would draw over {} input tuples, exceeding "
-            "the cap of {}", index, source.id, drawn, cap,
-        )
+    rng: SplitMix64, index: int, source: Interface, target: Interface,
+    density: float,
+) -> Adapter:
+    """Draw the entries of adapter A<index>: one draw per input tuple of
+    ``source``, and for each kept tuple one subset per ``target`` method."""
     pools = [d.non_bottom for d in target.domains]
     entries = []
-    for input_tuple in itertools.product(*(d.values for d in domains)):
-        if not rng.chance(params.entry_density):
+    for input_tuple in itertools.product(*(d.values for d in source.domains)):
+        if not rng.chance(density):
             continue
         entries.append((input_tuple, [_subset(rng, pool) for pool in pools]))
-    return build_adapter(f"A{index}", source, target, entries), drawn
+    return build_adapter(f"A{index}", source, target, entries)
 
 
 def _subset(rng: SplitMix64, pool: tuple[str, ...]) -> list[str]:
@@ -154,11 +139,15 @@ def random_instance(params: GenParams) -> tuple[AdapterGraph, str, str]:
         _random_interface(rng, i, params) for i in range(params.interface_count)
     ]
     adapters = []
-    drawn = 0
+    drawn = 0  # input tuples drawn by the run: its dependency-function sizes
     for j in range(params.adapter_count):
-        adapter, drawn = _random_adapter(rng, j, interfaces, params, cap, drawn)
-        adapters.append(adapter)
-    graph = build_graph(interfaces, adapters)
-    source = interfaces[0].id
-    target = interfaces[-1].id
-    return graph, source, target
+        source = interfaces[rng.below(len(interfaces))]
+        target = interfaces[rng.below(len(interfaces))]
+        drawn += prod(d.size for d in source.domains)
+        if drawn > cap:
+            raise CapExceeded(
+                "adapter A{} from {!r} would draw over {} input tuples, "
+                "exceeding the cap of {}", j, source.id, drawn, cap,
+            )
+        adapters.append(_random_adapter(rng, j, source, target, params.entry_density))
+    return build_graph(interfaces, adapters), interfaces[0].id, interfaces[-1].id

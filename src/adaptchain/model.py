@@ -13,8 +13,9 @@ All values here are immutable after construction (no field can be
 assigned; what a value keeps beside its fields, such as a domain's member
 set or a graph's adjacency cached on first use, is the same whichever
 reader computes it); concurrent readers are safe. Equal domains may be one
-object: a parse shares one ``AbstractDomain`` per distinct value list. A
-record's ``_make`` and ``_replace`` go through its constructor.
+object: a parse shares one ``AbstractDomain`` per distinct value list. The
+records whose constructor checks or completes them take ``_make`` from one
+base, ``_Checked``, so their ``_make`` and ``_replace`` go through it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,20 @@ _BOT_SET = frozenset((BOT,))
 _members = attrgetter("domain._members")  # a method's value set
 
 
-class AbstractDomain(namedtuple("AbstractDomain", "values")):
+class _Checked:
+    """Base of the records whose constructor checks or completes them
+    (``AbstractDomain``, ``search.WeightMap``, ``generator.GenParams``):
+    ``_make``, and ``_replace``, which calls it, go through the constructor
+    instead of ``tuple.__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> _Checked:
+        return cls(*fields)
+
+
+class AbstractDomain(_Checked, namedtuple("AbstractDomain", "values")):
     """A method's lifted abstract argument domain.
 
     ``values`` is canonically ordered: "bot" first, then the remaining
@@ -54,10 +68,6 @@ class AbstractDomain(namedtuple("AbstractDomain", "values")):
 
     def __init__(self, values: tuple[str, ...]) -> None:
         self._members = frozenset(values)
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> AbstractDomain:
-        return cls(*fields)  # through __init__; _replace calls this too
 
     @classmethod
     def from_names(cls, names: Iterable[str], *, context=("",)) -> AbstractDomain:
@@ -186,8 +196,6 @@ def _build_interface(
         raise ValidationError("interface id {!r} is not a string", id)
     if not id:
         raise EmptyDomain("interface id must be nonempty")
-    if not methods:
-        raise EmptyDomain("interface {!r} must declare at least one method", id)
     try:
         methods = iter(methods)
     except TypeError:
@@ -225,6 +233,8 @@ def _build_interface(
             if key is not None:
                 domains[key] = domain
         specs.append(MethodSpec(name, domain))
+    if not specs:
+        raise EmptyDomain("interface {!r} must declare at least one method", id)
     return Interface(id, tuple(specs))
 
 

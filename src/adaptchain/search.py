@@ -40,6 +40,7 @@ from .model import (
     AdapterGraph,
     AvailabilityVector,
     Interface,
+    _Checked,
     full_vector,
 )
 from .semantics import (
@@ -52,7 +53,7 @@ from .semantics import (
 )
 
 
-class WeightMap(namedtuple("WeightMap", "weights")):
+class WeightMap(_Checked, namedtuple("WeightMap", "weights")):
     """Per-abstract-value weights for scoring, keyed by
     (interface id, method name, value name): a read-only float copy of the
     given mapping. Unlisted entries weigh 1.0; "bot" always weighs 0 and
@@ -88,10 +89,6 @@ class WeightMap(namedtuple("WeightMap", "weights")):
             if table[key] == math.inf:
                 raise InvalidParams("weight for {}.{}.{} has no finite float", *key)
         return super().__new__(cls, MappingProxyType(table))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> WeightMap:
-        return cls(*fields)  # through __new__; _replace calls this too
 
 
 UNIT_WEIGHTS = WeightMap()

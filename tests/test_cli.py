@@ -842,6 +842,93 @@ class TestUsage:
         assert run(args)[1] == run(args)[1]
 
 
+# Each subcommand's help, command function and options, as the parser
+# holds them: (option strings, action, required, default, choices, type,
+# help). "--source" and "--sources" of "chain" form the one mutually
+# exclusive group.
+GRAPH = (("--graph",), "_StoreAction", True, None, None, None,
+         "graph document path or bundled fixture name")
+FORMAT = (("--format",), "_StoreAction", False, "text", ("text", "json"), None, None)
+SURFACE = {
+    "validate": ("parse and validate a graph document", cli._cmd_validate, [
+        GRAPH, FORMAT,
+    ]),
+    "eval": ("apply an adapter chain to a vector", cli._cmd_eval, [
+        GRAPH, FORMAT,
+        (("--chain",), "_StoreAction", True, None, None, None,
+         "comma-separated adapter ids"),
+        (("--vector",), "_StoreAction", True, None, None, None,
+         'availability vector, e.g. "playVideo:MOV,MKV;playAudio:MP3"'),
+    ]),
+    "chain": ("find the loss-optimal chain", cli._cmd_chain, [
+        GRAPH, FORMAT,
+        (("--source",), "_StoreAction", False, None, None, None,
+         "single source interface id"),
+        (("--sources",), "_StoreAction", False, None, None, None,
+         "comma-separated source interface ids"),
+        (("--target",), "_StoreAction", True, None, None, None, None),
+        (("--oracle",), "_StoreTrueAction", False, False, None, None,
+         "brute-force search instead of greedy"),
+        (("--weights",), "_StoreAction", False, None, None, None,
+         "weight file (interface.method.value = w)"),
+    ]),
+    "enumerate": ("list all acyclic chains", cli._cmd_enumerate, [
+        GRAPH, FORMAT,
+        (("--source",), "_StoreAction", True, None, None, None, None),
+        (("--target",), "_StoreAction", True, None, None, None, None),
+    ]),
+    "stats": ("per-adapter function sizes", cli._cmd_stats, [GRAPH, FORMAT]),
+    "gen": ("generate a seeded random instance", cli._cmd_gen, [
+        FORMAT,
+        (("--interfaces",), "_StoreAction", True, None, None, int, None),
+        (("--methods",), "_StoreAction", False, "1:2", None, None,
+         "methods per interface (LO:HI)"),
+        (("--values",), "_StoreAction", False, "1:2", None, None,
+         "non-bot values per method (LO:HI)"),
+        (("--adapters",), "_StoreAction", True, None, None, int, None),
+        (("--density",), "_StoreAction", False, 0.5, None, float, None),
+        (("--seed",), "_StoreAction", False, 0, None, int, None),
+        (("--output",), "_StoreAction", False, None, None, None,
+         "write the graph document here"),
+    ]),
+}
+
+
+class TestParser:
+    """The parser's declared surface, read from its objects rather than
+    from formatted help, whose layout varies with the argparse version."""
+
+    def test_top_level(self):
+        parser = cli._build_parser()
+        assert (parser.prog, parser.description) == (
+            "adaptchain", "Analyze loss in lossy interface adapter chains."
+        )
+        [sub] = [a for a in parser._actions if a.choices is not None]
+        assert (sub.dest, sub.required) == ("command", True)
+        assert list(sub.choices) == list(SURFACE)
+        assert {a.dest: a.help for a in sub._choices_actions} == {
+            name: help for name, (help, _, _) in SURFACE.items()
+        }
+
+    @pytest.mark.parametrize("name", list(SURFACE))
+    def test_subcommand(self, name):
+        [sub] = [a for a in cli._build_parser()._actions if a.choices is not None]
+        parser = sub.choices[name]
+        _, func, options = SURFACE[name]
+        assert parser.get_default("func") is func
+        assert [
+            (tuple(a.option_strings), type(a).__name__, a.required, a.default,
+             a.choices, a.type, a.help)
+            for a in parser._actions if a.dest != "help"
+        ] == options
+        groups = [
+            tuple(a.option_strings[0] for a in g._group_actions)
+            for g in parser._mutually_exclusive_groups if not g.required
+        ]
+        assert len(parser._mutually_exclusive_groups) == len(groups)
+        assert groups == ([("--source", "--sources")] if name == "chain" else [])
+
+
 def out_of_memory(*args, **kwargs):
     raise MemoryError
 

@@ -125,7 +125,17 @@ class TestBuildInterface:
             f"interface 'X': method {shown} is not a (name, values) pair"
         )
 
-    @pytest.mark.parametrize("methods", [5, 2.5])
+    @pytest.mark.parametrize("methods", [
+        [], (), "", iter([]), (m for m in ()),
+    ], ids=["list", "tuple", "string", "iterator", "generator"])
+    def test_no_methods_is_empty_however_given(self, methods):
+        # Counted after reading, so an empty iterator, which is truthy,
+        # is refused like an empty list.
+        with pytest.raises(EmptyDomain) as exc:
+            build_interface("X", methods)
+        assert str(exc.value) == "interface 'X' must declare at least one method"
+
+    @pytest.mark.parametrize("methods", [5, 2.5, None])
     def test_methods_that_are_not_a_collection_are_named(self, methods):
         with pytest.raises(ArityMismatch) as exc:
             build_interface("X", methods)

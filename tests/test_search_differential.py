@@ -1,19 +1,23 @@
 """The library's chain search against the simple implementations it
 replaced (``search_reference``), plus machine-independent bounds on how
 many adaptations a search performs: one per distinct (adapter, vector)
-pair, and none carried from one search into the next."""
+pair, and none carried from one search into the next. A seeded property
+draws tie-heavy queries, where the tie-break alone picks the answer."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import search_reference as ref
 from adaptchain import build_adapter, build_graph, build_interface, search, semantics
 from adaptchain.errors import NoChain
+from adaptchain.generator import GenParams, random_instance
 from adaptchain.search import UNIT_WEIGHTS, WeightMap
 from conftest import lossless_path
 from test_acceptance import seeded_instance
-from test_search import clique_bridge
+from test_search import clique_bridge, tied_chains
 
 
 def lossy_clique(k: int):
@@ -92,6 +96,52 @@ def test_path():
     for source, target in (("P0000", "P0049"), ("P0010", "P0030"), ("P0049", "P0000")):
         same_search(graph, {source}, target, UNIT_WEIGHTS)
         same_enumeration(graph, source, target)
+
+
+small_instances = st.builds(
+    GenParams,
+    interface_count=st.integers(2, 6),
+    methods_per_interface=st.just((1, 2)),
+    values_per_method=st.just((1, 2)),
+    adapter_count=st.integers(1, 12),
+    entry_density=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+    seed=st.integers(0, 2**32),
+).map(lambda params: random_instance(params)[0])
+tie_heavy_graphs = st.one_of(
+    small_instances,
+    st.integers(3, 5).map(clique_bridge),
+    st.integers(3, 5).map(lossy_clique),
+    st.booleans().map(tied_chains),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_searches_agree_on_tie_heavy_queries(data):
+    """Greedy, the oracle and the reference greedy return the same chain,
+    source, score and final vector, or all raise NoChain, on small graphs
+    with 1-3 sources and weights from {0, 0.5, 1, 2}. Zero weights and
+    lossless cliques make many chains score the same, so the answer rests
+    on the (-score, length, adapter ids) tie-break."""
+    graph = data.draw(tie_heavy_graphs)
+    target = data.draw(st.sampled_from(sorted(graph.interfaces)))
+    others = sorted(set(graph.interfaces) - {target})  # else the identity wins
+    sources = data.draw(
+        st.lists(st.sampled_from(others), min_size=1, max_size=3, unique=True)
+    )
+    weights = WeightMap({
+        (i.id, m.name, v): data.draw(st.sampled_from([0, 0.5, 1, 2]))
+        for i in graph.interfaces.values()
+        for m in i.methods
+        for v in m.domain.non_bottom
+    })
+    answers = []
+    for find in (search.greedy_chain, search.oracle_optimal, ref.greedy_chain):
+        try:
+            answers.append(find(graph, sources, target, weights))
+        except NoChain:
+            answers.append(NoChain)
+    assert answers[0] == answers[1] == answers[2]
 
 
 @pytest.fixture

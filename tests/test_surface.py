@@ -6,14 +6,18 @@ callers; a name's use inside its own module is. The check sees only
 ``class X(namedtuple("X", ...))``, never as a module-level
 ``X = namedtuple(...)``, which would slip past it. Every public member of
 a class is read there too. The benchmark's tracer also counts calls by
-name, and the searches stay off the one it divides by."""
+name, and the searches stay off the one it divides by. Every annotation
+names something its module defines or imports."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import io
 import sys
+import types
+import typing
 from pathlib import Path
 
 import adaptchain
@@ -139,3 +143,52 @@ def test_only_eval_calls_apply_pipeline(monkeypatch, video_graph):
         out=io.StringIO(), err=io.StringIO(),
     )
     assert (status, len(calls)) == (0, 1)
+
+
+def _functions(module: types.ModuleType):
+    """The functions a module defines at its top level and in its classes:
+    plain functions and methods, class and static methods, properties and
+    cached properties."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        for member in vars(obj).values() if inspect.isclass(obj) else [obj]:
+            for function in (member, getattr(member, "__func__", None),
+                             getattr(member, "fget", None), getattr(member, "func", None)):
+                if inspect.isfunction(function):
+                    yield function
+
+
+def _stand_in(module: types.ModuleType, node: ast.FunctionDef) -> types.FunctionType:
+    """A function with ``node``'s annotations, as source text, and the
+    module's globals: what ``typing.get_type_hints`` reads of a function."""
+    a = node.args
+    params = [*a.posonlyargs, *a.args, *filter(None, [a.vararg, a.kwarg]), *a.kwonlyargs]
+    function = types.FunctionType((lambda: None).__code__, vars(module), node.name)
+    function.__annotations__ = {
+        p.arg: ast.unparse(p.annotation) for p in params if p.annotation
+    }
+    if node.returns:
+        function.__annotations__["return"] = ast.unparse(node.returns)
+    return function
+
+
+def test_every_annotation_resolves():
+    """``typing.get_type_hints`` resolves every function and method in the
+    package. The annotations are strings (``from __future__ import
+    annotations``), so a name used only in one, and never imported, fails
+    nowhere else. A nested function is checked through a stand-in."""
+    unresolved = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"adaptchain.{path.stem}")
+        functions = {f.__code__.co_firstlineno: f for f in _functions(module)}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            function = functions.get(first) or _stand_in(module, node)
+            try:
+                typing.get_type_hints(function)
+            except NameError as exc:
+                unresolved.append(f"{path.stem}:{first} {node.name}: {exc}")
+    assert not unresolved, unresolved
