@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from functools import cached_property
 from operator import attrgetter
 
 from .errors import (
@@ -42,6 +41,24 @@ from .errors import (
 BOT = "bot"
 _BOT_SET = frozenset((BOT,))
 _members = attrgetter("domain._members")  # a method's value set
+
+
+class _cached:
+    """``functools.cached_property`` without its lock, which Python 3.11
+    takes on every first read: the first read computes the value and
+    stores it in the instance ``__dict__`` under the same name, where every
+    later read finds it before this descriptor. Two threads may both
+    compute it; each computes the same value, so either one may stay."""
+
+    def __init__(self, compute) -> None:
+        self.compute, self.name = compute, compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 class _Checked:
@@ -109,7 +126,7 @@ class AbstractDomain(_Checked, namedtuple("AbstractDomain", "values")):
     def non_bottom(self) -> tuple[str, ...]:
         return self.values[1:]
 
-    @cached_property
+    @_cached
     def _subsets(self) -> tuple[tuple[frozenset[str], ...], tuple]:
         """Every subset that holds bot, by count of other values and then in
         ``itertools.combinations`` order, and each one's split: for two or
@@ -151,7 +168,7 @@ class Interface(namedtuple("Interface", "id methods")):
     def domains(self) -> tuple[AbstractDomain, ...]:
         return tuple(m.domain for m in self.methods)
 
-    @cached_property
+    @_cached
     def _full(self) -> AvailabilityVector:
         return AvailabilityVector(self.id, tuple(map(_members, self.methods)))
 
@@ -438,7 +455,7 @@ class AdapterGraph(namedtuple("AdapterGraph", "interfaces adapters")):
     search, returns the same tuple of adapters in declaration order.
     """
 
-    @cached_property
+    @_cached
     def _adjacency(self) -> tuple[dict[str, tuple[Adapter, ...]], ...]:
         """(outgoing, incoming): interface id -> adapters, in declaration order."""
         outgoing: dict[str, list[Adapter]] = {}

@@ -2,33 +2,54 @@
 
 The greedy search works backward from the target: it starts with the empty
 chain (the identity at the target) and repeatedly extends the open chain
-with the highest score by prepending adapters. Because adaptation is
-monotone, extending a chain never increases its score, so the first
-complete chain popped is optimal. Chains rank by one key, (-score, length,
-adapter ids): greedy's heap pops by it and the oracle keeps its best chain
-by it, so the two return the same chain.
+with the highest rank by prepending adapters. A partial chain P starting
+at interface X ranks by the score of a vector at X adapted through P.
+Chains rank by one key, (-rank, length, adapter ids): greedy's heap pops by
+it and the oracle keeps its best chain by it (where rank is the score), so
+the two return the same chain.
 
 The score of a chain is the weighted count of non-bottom abstract values
 that survive adapting full capability through it. Bottom encodes no
 capability, so its weight is pinned to zero.
 
-Scoring is incremental: each pipeline remembers the vector full capability
-becomes through it, so scoring an extension ``a·P`` adapts ``full(a.source)``
-once and walks ``P`` only until a remembered vector matches, which after a
-lossless step is ``P`` itself. Every step of that walk goes through the
-search's adaptation table (``semantics._adapt``), so one search adapts each
-(adapter, vector) pair once, however many chains share it. Enumeration and
-the oracle share one iterative depth-first search, bounded by the
-tabulation cap and not by Python's recursion limit; the oracle adapts
-forward along the search path, through its own table, and only for
-prefixes of chains that reach the target. No table outlives its search.
+Greedy is A* search with an admissible heuristic (Hart, Nilsson & Raphael,
+1968). It first ranks P by what full capability at X keeps through P.
+Once it has pushed more partial chains than the graph has adapters, it
+computes U, the paper's abstract interpretation run forward to its least
+fixpoint (Cousot & Cousot, 1977): U[s] is full capability at each source
+s, and U[y] holds every adapt(a, U[x]) for each adapter a from x to y,
+over the interfaces that can reach the target. Every acyclic chain from a
+source brings a subset of U[X] to X, so ranking P from U[X] instead
+still never falls below the score of any completion, and, as U[s] =
+full(s), it is the true score of a complete chain. Adaptation is
+monotone, so extending a chain never raises its rank, and the first
+complete chain popped under either ranking is the oracle's. The switch
+re-ranks the whole heap; an interface with no U is never reached from a
+source, so no chain starting there is kept. On a lossy bridge into a
+lossless clique the bound removes the factorial number of equal-rank
+chains inside the clique; on small graphs greedy ends before the switch
+and never pays for the fixpoint.
+
+Ranking is incremental: each pipeline remembers the vector each input
+becomes through it, so ranking an extension ``a·P`` adapts the start
+vector once and walks ``P`` only until a remembered vector matches, which
+after a lossless step is ``P`` itself. Every step of that walk, and of the
+fixpoint, goes through the search's adaptation table (``semantics._adapt``),
+so one search adapts each (adapter, vector) pair once, however many chains
+share it. The heap key holds no copy of the chain: ``_Order`` compares two
+equal-length chains by walking their links, and greedy reads the adapter
+ids off the links once, when it returns. Enumeration and the oracle share
+one iterative depth-first search, bounded by the tabulation cap and not by
+Python's recursion limit; the oracle adapts forward along the search path,
+through its own table, and only for prefixes of chains that reach the
+target. No table outlives its search.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 
@@ -109,15 +130,18 @@ def vector_score(
 
 
 def count_abstract(
-    pipeline: AdaptationPipeline, weights: WeightMap = UNIT_WEIGHTS
+    pipeline: AdaptationPipeline,
+    weights: WeightMap = UNIT_WEIGHTS,
+    start: AvailabilityVector | None = None,
 ) -> float:
-    """Score a pipeline: adapt full capability through it and weigh the
-    surviving non-bottom values. With unit weights this is a plain count.
-    The adapted vector is memoized in the pipeline by the one fold,
-    ``semantics._fold``, called directly so that each ``apply_pipeline``
-    call stays one evaluation."""
-    result = _fold(pipeline, full_vector(pipeline.source))
-    return vector_score(pipeline.target, result, weights)
+    """Score a pipeline: adapt ``start``, by default full capability at its
+    source, through it and weigh the surviving non-bottom values. With unit
+    weights this is a plain count. The adapted vector is memoized in the
+    pipeline by the one fold, ``semantics._fold``, called directly so that
+    each ``apply_pipeline`` call stays one evaluation."""
+    if start is None:
+        start = full_vector(pipeline.source)
+    return vector_score(pipeline.target, _fold(pipeline, start), weights)
 
 
 class ChainResult(namedtuple("ChainResult", "chain source target final_vector score")):
@@ -149,6 +173,62 @@ def _check_query(
     return source_ids
 
 
+class _Order:
+    """The heap key's chain slot: orders two chains of equal length by their
+    adapter ids, first adapter first, reading both off their links in one
+    loop. It copies neither chain and does not recurse, however long they
+    are. Chains in one search are distinct, so two keys never tie."""
+
+    __slots__ = ("pipeline",)
+
+    def __init__(self, pipeline: AdaptationPipeline) -> None:
+        self.pipeline = pipeline
+
+    def __lt__(self, other: _Order) -> bool:
+        a, b = self.pipeline, other.pipeline
+        while a is not b and a._tail is not None:
+            if a._head.id != b._head.id:
+                return a._head.id < b._head.id
+            a, b = a._tail, b._tail
+        return False
+
+
+def _forward_bound(
+    graph: AdapterGraph, sources: Iterable[str], target: str, table: dict
+) -> dict[str, AvailabilityVector]:
+    """U: the least fixpoint of U[s] = full(s) for each source s and U[y]
+    holding adapt(a, U[x]) for each adapter a from x to y, over the "live"
+    interfaces, those that can reach ``target``. An interface that no
+    source reaches has no entry. Adaptation goes through ``table``, the
+    search's own. Each component only grows, so the worklist empties."""
+    live, stack = {target}, [target]
+    while stack:
+        for adapter in graph.incoming(stack.pop()):
+            if adapter.source.id not in live:
+                live.add(adapter.source.id)
+                stack.append(adapter.source.id)
+    bound = {s: full_vector(graph.interfaces[s]) for s in sources if s in live}
+    queue, queued = deque(bound), set(bound)
+    while queue:
+        x = queue.popleft()
+        queued.remove(x)
+        for adapter in graph.outgoing(x):
+            y = adapter.target.id
+            if y not in live:
+                continue
+            vector, old = _adapt(table, adapter, bound[x]), bound.get(y)
+            if old is not None:
+                joined = tuple(map(frozenset.union, old.components, vector.components))
+                if joined == old.components:
+                    continue
+                vector = AvailabilityVector(y, joined)
+            bound[y] = vector
+            if y not in queued:
+                queued.add(y)
+                queue.append(y)
+    return bound
+
+
 def greedy_chain(
     graph: AdapterGraph,
     sources: Iterable[str],
@@ -158,7 +238,15 @@ def greedy_chain(
     """Best-first search for a loss-optimal acyclic chain into ``target``
     from any interface in ``sources``.
 
-    Ties between equal-score open chains break toward shorter chains, then
+    A partial chain ranks by what full capability at its start keeps
+    through it, until greedy pops a chain that does not start at a source
+    after pushing more partial chains than the graph has adapters. Then it
+    computes the forward bound U (``_forward_bound``), re-ranks every open
+    chain, the one just popped included, by what U at its start keeps,
+    drops those whose start has no U, and ranks every later push the same
+    way. Both ranks are admissible, so the answer is the same.
+
+    Ties between equal-rank open chains break toward shorter chains, then
     lexicographically smaller adapter-id sequences, so results are
     deterministic. If the target itself is a source the empty chain (the
     lossless identity) is returned. Raises NoChain when the frontier
@@ -170,19 +258,36 @@ def greedy_chain(
     source_ids = set(ordered_sources)
     cap, pushes = tabulation_cap(), 1
     start = identity_pipeline(graph.interfaces[target])
-    # Entries are (-score, length, chain, pipeline). Chains are unique, so
-    # the key never ties and the pipeline in the last slot is never compared.
-    open_chains = [(-count_abstract(start, weights), 0, (), start)]
+    bound = None  # U, once greedy switches to it
+    # Entries are (-rank, length, order, pipeline). Orders never tie, so the
+    # pipeline in the last slot is never compared.
+    open_chains = [(-count_abstract(start, weights), 0, _Order(start), start)]
 
     while open_chains:
-        neg_score, _, chain, pipeline = heapq.heappop(open_chains)
+        entry = heapq.heappop(open_chains)
+        neg_rank, length, _, pipeline = entry
         if pipeline.source.id in source_ids:
             final_vector = _fold(pipeline, full_vector(pipeline.source))
+            chain, node = [], pipeline
+            while node._tail is not None:
+                chain.append(node._head.id)
+                node = node._tail
             return ChainResult(
-                chain, pipeline.source.id, target, final_vector, -neg_score
+                tuple(chain), pipeline.source.id, target, final_vector, -neg_rank
             )
+        if bound is None and pushes > len(graph.adapters):
+            bound = _forward_bound(graph, ordered_sources, target, start._table)
+            open_chains.append(entry)
+            open_chains = [
+                (-count_abstract(p, weights, bound[p.source.id]), n, order, p)
+                for _, n, order, p in open_chains
+                if p.source.id in bound
+            ]
+            heapq.heapify(open_chains)
+            continue
         for adapter in graph.incoming(pipeline.source.id):
-            if pipeline.visits(adapter.source.id):
+            x = adapter.source.id
+            if pipeline.visits(x) or bound is not None and x not in bound:
                 continue
             pushes += 1
             if pushes > cap:
@@ -192,14 +297,11 @@ def greedy_chain(
                     ordered_sources, target, cap,
                 )
             extended = prepend(adapter, pipeline)
+            rank = count_abstract(
+                extended, weights, None if bound is None else bound[x]
+            )
             heapq.heappush(
-                open_chains,
-                (
-                    -count_abstract(extended, weights),
-                    len(chain) + 1,
-                    (adapter.id, *chain),
-                    extended,
-                ),
+                open_chains, (-rank, length + 1, _Order(extended), extended)
             )
     raise NoChain(
         "no acyclic chain reaches {!r} from any of {}", target, ordered_sources

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -53,6 +54,26 @@ def clique_bridge(k):
     interfaces = {n: build_interface(n, [("m", values)]) for n in names}
     lossless = [((v,), [[v]]) for v in values]
     adapters = [build_adapter("B0", interfaces["S"], interfaces["C0"], lossless[1:])]
+    adapters += [
+        build_adapter(f"K{i}{j}", interfaces[f"C{i}"], interfaces[f"C{j}"], lossless)
+        for i in range(k) for j in range(k) if i != j
+    ]
+    return build_graph(interfaces.values(), adapters)
+
+
+def two_bridge(k):
+    """S reaches the lossless k-clique C0..C{k-1} by two bridges into C0:
+    B0 loses value a and B1 loses b. Together they bring full capability
+    to every clique interface, so the forward bound removes no tie."""
+    values = ["a", "b", "c", "d"]
+    names = ["S", *(f"C{i}" for i in range(k))]
+    interfaces = {n: build_interface(n, [("m", values)]) for n in names}
+    lossless = [((v,), [[v]]) for v in values]
+    adapters = [
+        build_adapter(id, interfaces["S"], interfaces["C0"],
+                      [row for row in lossless if row[0] != (lost,)])
+        for id, lost in (("B0", "a"), ("B1", "b"))
+    ]
     adapters += [
         build_adapter(f"K{i}{j}", interfaces[f"C{i}"], interfaces[f"C{j}"], lossless)
         for i in range(k) for j in range(k) if i != j
@@ -320,29 +341,59 @@ class TestGreedyChain:
         assert all(r == results[0] for r in results)
 
     def test_cap_bounds_the_partial_chains_pushed(self, monkeypatch):
-        # Every push, the identity at the target included, scores its chain
-        # once, so counting the scores counts the pushes.
+        # Every push but the identity at the target prepends one adapter, so
+        # counting prepends counts the pushes. Every rank is one
+        # count_abstract call: one per push, and one per open chain when
+        # greedy switches to the forward bound. Ranking by full capability
+        # alone pushed 391 chains here.
         graph = clique_bridge(6)
-        pushes = 0
-        score = search.count_abstract
+        counts = {"prepend": 0, "count_abstract": 0}
 
-        def counted(*args):
-            nonlocal pushes
-            pushes += 1
-            return score(*args)
+        def counted(name):
+            original = getattr(search, name)
 
-        monkeypatch.setattr(search, "count_abstract", counted)
-        answer, n = greedy_chain(graph, {"S"}, "C1"), pushes
-        assert answer.chain == ("B0", "K01") and n == 391
+            def call(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(search, name, call)
+
+        counted("prepend")
+        counted("count_abstract")
+        answer, n = greedy_chain(graph, {"S"}, "C1"), counts["prepend"] + 1
+        assert answer.chain == ("B0", "K01") and n == 35
+        assert counts["count_abstract"] == 62
         monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", str(n))
         assert greedy_chain(graph, {"S"}, "C1") == answer
         monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", str(n - 1))
         with pytest.raises(CapExceeded) as exc:
             greedy_chain(graph, {"S"}, "C1")
         assert str(exc.value) == (
-            "search from any of ['S'] to 'C1' pushes more than 390 partial "
+            "search from any of ['S'] to 'C1' pushes more than 34 partial "
             "chains; raise ADAPTCHAIN_TABULATE_CAP"
         )
+
+    def test_ties_past_the_recursion_limit_break_by_adapter_ids(self):
+        # Two lossless chains share their first n - 1 adapters, more than
+        # the recursion limit, and end in parallel adapters Y1 and Y2 into
+        # T: they tie on score and length, and only the last id differs.
+        n = sys.getrecursionlimit() + 10
+        path = lossless_path(n)
+        end = path.interfaces[f"P{n - 1:04d}"]
+        t = build_interface("T", [("m", ["a", "b", "c"])])
+        lossless = [((v,), [[v]]) for v in "abc"]
+        parallel = [build_adapter(id, end, t, lossless) for id in ("Y2", "Y1")]
+        graph = build_graph(
+            [*path.interfaces.values(), t], [*path.adapters.values(), *parallel]
+        )
+        prefix = tuple(path.adapters)
+        result = greedy_chain(graph, {"P0000"}, "T")
+        assert (result.chain, result.score) == ((*prefix, "Y1"), 3.0)
+        y1, y2 = (
+            search._Order(chain_pipeline(graph, (*prefix, last), "P0000"))
+            for last in ("Y1", "Y2")
+        )
+        assert y1 < y2 and not y2 < y1
 
 
 class TestEnumerateChains:

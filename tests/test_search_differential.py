@@ -2,7 +2,9 @@
 replaced (``search_reference``), plus machine-independent bounds on how
 many adaptations a search performs: one per distinct (adapter, vector)
 pair, and none carried from one search into the next. A seeded property
-draws tie-heavy queries, where the tie-break alone picks the answer."""
+draws tie-heavy queries, where the tie-break alone picks the answer. The
+forward bound greedy ranks by is checked against every acyclic chain
+from a source."""
 
 from __future__ import annotations
 
@@ -14,10 +16,11 @@ import search_reference as ref
 from adaptchain import build_adapter, build_graph, build_interface, search, semantics
 from adaptchain.errors import NoChain
 from adaptchain.generator import GenParams, random_instance
-from adaptchain.search import UNIT_WEIGHTS, WeightMap
+from adaptchain.model import full_vector
+from adaptchain.search import UNIT_WEIGHTS, WeightMap, chain_pipeline
 from conftest import lossless_path
 from test_acceptance import seeded_instance
-from test_search import clique_bridge, tied_chains
+from test_search import clique_bridge, tied_chains, two_bridge
 
 
 def lossy_clique(k: int):
@@ -91,6 +94,67 @@ def test_cliques(k):
         same_enumeration(graph, "C1", target)
 
 
+def zero_weights(graph):
+    """Weights 0, 0.5, 1 and 2 in turn over each interface's values, so
+    the first value of every domain weighs nothing."""
+    return WeightMap({
+        (i.id, m.name, v): (0, 0.5, 1, 2)[n % 4]
+        for i in graph.interfaces.values()
+        for m in i.methods
+        for n, v in enumerate(m.domain.non_bottom)
+    })
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_two_bridges(k):
+    """Two bridges bring full capability into the clique, so the bound
+    removes no tie there: greedy equals the oracle and both references."""
+    graph = two_bridge(k)
+    for target in ("C0", "C1", f"C{k - 1}"):
+        for weights in (UNIT_WEIGHTS, zero_weights(graph)):
+            same_search(graph, {"S"}, target, weights)
+            assert search.greedy_chain(graph, {"S"}, target, weights) == (
+                search.oracle_optimal(graph, {"S"}, target, weights)
+            )
+
+
+def assert_bound_is_sound(graph, sources, target):
+    """U[s] is full capability at each source s that can reach the target,
+    and every acyclic chain from a source to an interface X that can reach
+    the target brings a subset of U[X] there. Returns the chains checked."""
+    bound = search._forward_bound(graph, sorted(sources), target, {})
+    live = {x for x in graph.interfaces if ref.enumerate_chains(graph, x, target)}
+    assert set(bound) <= live
+    checked = 0
+    for s in sources:
+        full = full_vector(graph.interfaces[s])
+        if s in live:
+            assert bound[s] == full
+        for x in live:
+            for chain in ref.enumerate_chains(graph, s, x):
+                brought = ref.fold(chain_pipeline(graph, chain, s), full)
+                assert ref.tuple_subset(brought, bound[x])
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_forward_bound_on_seeded_instances(seed):
+    graph, source, _, _ = seeded_instance(seed)
+    for target in graph.interfaces:
+        for sources in ({source}, set(graph.interfaces) - {target}):
+            assert_bound_is_sound(graph, sources, target)
+
+
+@pytest.mark.parametrize("family", [lossy_clique, clique_bridge, two_bridge])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_forward_bound_on_cliques(family, k):
+    graph = family(k)
+    for target in graph.interfaces:
+        for sources in ({"S"}, {"S", "C1"}):
+            assert assert_bound_is_sound(graph, sources, target) > 0
+
+
 def test_path():
     graph = lossless_path(50)
     for source, target in (("P0000", "P0049"), ("P0010", "P0030"), ("P0049", "P0000")):
@@ -142,6 +206,71 @@ def test_searches_agree_on_tie_heavy_queries(data):
         except NoChain:
             answers.append(NoChain)
     assert answers[0] == answers[1] == answers[2]
+
+
+@pytest.fixture
+def forward_bounds(monkeypatch):
+    """Counts the searches that switch to the forward bound."""
+    calls = []
+    forward_bound = search._forward_bound
+    monkeypatch.setattr(
+        search, "_forward_bound", lambda *args: calls.append(1) or forward_bound(*args)
+    )
+    return calls
+
+
+def test_some_tie_heavy_queries_pass_the_switch(forward_bounds):
+    """Replays the tie-heavy property's 300 cases: most end before greedy
+    pushes more chains than the graph has adapters, and some go on under
+    the forward bound (13 with Hypothesis 6.155)."""
+    test_searches_agree_on_tie_heavy_queries()
+    assert forward_bounds
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(4, (1, 1), (1, 2), 8, 0.75, 251),
+    GenParams(5, (1, 1), (1, 2), 20, 1.0, 268),
+    GenParams(6, (1, 1), (1, 2), 8, 1.0, 224),
+], ids=["4-251", "5-268", "6-224"])
+def test_the_switch_keeps_the_chain_it_popped(forward_bounds, params):
+    """Greedy switches to the bound on popping a suffix of the answer;
+    a switch that dropped that chain would return a worse one."""
+    graph, source, target = random_instance(params)
+    same_search(graph, {source}, target, UNIT_WEIGHTS)
+    assert forward_bounds
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def agree_from_the_bridged_source(data):
+    """The tie-heavy agreement on queries from S alone into a bridged
+    clique of 3 to 6 interfaces, where greedy often pushes more chains than
+    the graph has adapters and so switches to the forward bound."""
+    graph = data.draw(st.one_of(
+        *(st.integers(3, 6).map(family)
+          for family in (clique_bridge, lossy_clique, two_bridge))
+    ))
+    target = data.draw(st.sampled_from(sorted(set(graph.interfaces) - {"S"})))
+    weights = WeightMap({
+        (i.id, m.name, v): data.draw(st.sampled_from([0, 0.5, 1, 2]))
+        for i in graph.interfaces.values()
+        for m in i.methods
+        for v in m.domain.non_bottom
+    })
+    answers = []
+    for find in (search.greedy_chain, search.oracle_optimal, ref.greedy_chain):
+        try:
+            answers.append(find(graph, ["S"], target, weights))
+        except NoChain:
+            answers.append(NoChain)
+    assert answers[0] == answers[1] == answers[2]
+
+
+def test_searches_agree_past_the_switch(forward_bounds):
+    """At least a quarter of the 100 cases of the property above go on
+    under the forward bound (65 with Hypothesis 6.155)."""
+    agree_from_the_bridged_source()
+    assert len(forward_bounds) >= 25
 
 
 @pytest.fixture
