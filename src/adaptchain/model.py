@@ -11,8 +11,9 @@ reads that table, and serialization orders its rows.
 
 All values here are immutable after construction (no field can be
 assigned; what a value keeps beside its fields, such as a domain's member
-set or a graph's adjacency cached on first use, is the same whichever
-reader computes it); concurrent readers are safe. Equal domains may be one
+set or a graph's adjacency cached on first use by a
+``functools.cached_property``, is the same whichever reader computes
+it); concurrent readers are safe. Equal domains may be one
 object: a parse shares one ``AbstractDomain`` per distinct value list. The
 records whose constructor checks or completes them take ``_make`` from one
 base, ``_Checked``, so their ``_make`` and ``_replace`` go through it.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from functools import cached_property
 from operator import attrgetter
 
 from .errors import (
@@ -41,24 +43,6 @@ from .errors import (
 BOT = "bot"
 _BOT_SET = frozenset((BOT,))
 _members = attrgetter("domain._members")  # a method's value set
-
-
-class _cached:
-    """``functools.cached_property`` without its lock, which Python 3.11
-    takes on every first read: the first read computes the value and
-    stores it in the instance ``__dict__`` under the same name, where every
-    later read finds it before this descriptor. Two threads may both
-    compute it; each computes the same value, so either one may stay."""
-
-    def __init__(self, compute) -> None:
-        self.compute, self.name = compute, compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
 
 
 class _Checked:
@@ -126,7 +110,7 @@ class AbstractDomain(_Checked, namedtuple("AbstractDomain", "values")):
     def non_bottom(self) -> tuple[str, ...]:
         return self.values[1:]
 
-    @_cached
+    @cached_property
     def _subsets(self) -> tuple[tuple[frozenset[str], ...], tuple]:
         """Every subset that holds bot, by count of other values and then in
         ``itertools.combinations`` order, and each one's split: for two or
@@ -168,7 +152,7 @@ class Interface(namedtuple("Interface", "id methods")):
     def domains(self) -> tuple[AbstractDomain, ...]:
         return tuple(m.domain for m in self.methods)
 
-    @_cached
+    @cached_property
     def _full(self) -> AvailabilityVector:
         return AvailabilityVector(self.id, tuple(map(_members, self.methods)))
 
@@ -455,7 +439,7 @@ class AdapterGraph(namedtuple("AdapterGraph", "interfaces adapters")):
     search, returns the same tuple of adapters in declaration order.
     """
 
-    @_cached
+    @cached_property
     def _adjacency(self) -> tuple[dict[str, tuple[Adapter, ...]], ...]:
         """(outgoing, incoming): interface id -> adapters, in declaration order."""
         outgoing: dict[str, list[Adapter]] = {}

@@ -10,7 +10,10 @@ the two return the same chain.
 
 The score of a chain is the weighted count of non-bottom abstract values
 that survive adapting full capability through it. Bottom encodes no
-capability, so its weight is pinned to zero.
+capability, so its weight is pinned to zero. ``math.fsum`` sums the
+weights exactly rounded, so kept weights with equal real sums tie. No
+chain outscores full capability at the target, so a query whose weights
+sum past the float range there is refused before the search starts.
 
 Greedy is A* search with an admissible heuristic (Hart, Nilsson & Raphael,
 1968). It first ranks P by what full capability at X keeps through P.
@@ -119,14 +122,22 @@ def vector_score(
     interface: Interface, v: AvailabilityVector, weights: WeightMap
 ) -> float:
     """Weight-sum of the non-bottom values across all components of v,
-    summed in canonical order, so equal vectors score the same float
-    however their sets were built."""
-    table, total = weights.weights, 0.0
-    for method, component in zip(interface.methods, v.components):
-        for value in sorted(component):
-            if value != BOT:
-                total += table.get((interface.id, method.name, value), 1.0)
-    return total
+    exactly rounded by ``math.fsum`` (Shewchuk 1997), so the score of a
+    vector does not depend on how its sets were built. Raises
+    InvalidParams when the sum reaches the top of the float range, so no
+    score is ever inf."""
+    table = weights.weights
+    try:
+        return math.fsum([
+            table.get((interface.id, method.name, value), 1.0)
+            for method, component in zip(interface.methods, v.components)
+            for value in component
+            if value != BOT
+        ])
+    except OverflowError:
+        raise InvalidParams(
+            "weights on {!r} sum past the largest float", interface.id
+        ) from None
 
 
 def count_abstract(
@@ -152,8 +163,9 @@ def _check_query(
     graph: AdapterGraph, sources: Iterable[str], target: str, weights: WeightMap
 ) -> list[str]:
     """The sorted distinct sources, once they, the target and every
-    weighted value are known to be declared. Each weighted interface's
-    methods are indexed by name once, so the check is linear."""
+    weighted value are known to be declared and full capability at the
+    target, which no chain outscores, has a finite score. Each weighted
+    interface's methods are indexed by name once, so the check is linear."""
     source_ids = sorted(set(sources))
     if not source_ids:
         raise InvalidParams("sources must be nonempty")
@@ -170,6 +182,8 @@ def _check_query(
             raise InvalidParams(
                 "weight for {}.{}.{}: no such value", interface_id, method, value
             )
+    target_interface = graph.interfaces[target]
+    vector_score(target_interface, full_vector(target_interface), weights)
     return source_ids
 
 

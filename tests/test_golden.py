@@ -3,12 +3,14 @@ JSON, on the bundled fixture and on three seeded generated instances.
 
 Each case's expected stdout is a file in ``tests/golden/``. After an
 intended output change, rewrite them with ``python tests/test_golden.py``
-and review the diff.
+and review the diff. Every JSON output must be standard JSON: ``Infinity``
+and ``NaN``, which ``json.dumps`` writes for non-finite floats, fail.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -79,6 +81,13 @@ CASES = [
 ]
 
 
+def _strict_json(text: str) -> object:
+    def refuse(constant: str) -> None:
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _run(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     status = run_cli(argv, out=out, err=err)
@@ -120,6 +129,31 @@ def instance_files(tmp_path_factory):
 def test_stdout_matches_golden(name, query, fmt, instance_files):
     expected = _golden_path(name, query, fmt).read_text(encoding="utf-8")
     assert _stdout(name, query, fmt, instance_files[name]) == expected
+    if fmt == "json":
+        _strict_json(expected)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["greedy", "oracle"])
+def test_weights_that_overflow_are_one_error_line(oracle, fmt, tmp_path):
+    """Four finite weights whose sum has no finite float: no chain is
+    scored, and no output holds Infinity."""
+    weights = tmp_path / "overflow.weights"
+    weights.write_text("".join(
+        f"Audio.{key} = 1e308\n" for key in (
+            "play.OGG", "play.WAV", "adjustAudio.EQUALIZER", "adjustAudio.VOLUME",
+        )
+    ))
+    out, err = io.StringIO(), io.StringIO()
+    status = run_cli([
+        "chain", "--graph", "video-example", "--sources", "Video1,Video3",
+        "--target", "Audio", "--weights", str(weights), *oracle, "--format", fmt,
+    ], out=out, err=err)
+    if fmt == "json" and out.getvalue():
+        _strict_json(out.getvalue())
+    assert (status, out.getvalue(), err.getvalue()) == (
+        1, "", "error: weights on 'Audio' sum past the largest float\n"
+    )
 
 
 if __name__ == "__main__":

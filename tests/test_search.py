@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaptchain import (
     build_adapter,
@@ -21,7 +22,7 @@ from adaptchain import (
 )
 from adaptchain.errors import CapExceeded, InvalidParams, NoChain, ReservedName, UnknownInterface
 from adaptchain.generator import GenParams, SplitMix64, random_instance
-from adaptchain.model import AdapterGraph, Interface, full_vector
+from adaptchain.model import AdapterGraph, Interface, full_vector, normalize_vector
 from adaptchain.search import WeightMap, UNIT_WEIGHTS, vector_score
 from conftest import lossless_path
 from search_reference import visited
@@ -297,6 +298,93 @@ class TestCountAbstract:
         pipe = chain_pipeline(video_graph, ["Video1toVideo2"], "Video1")
         weights = WeightMap({("Video2", "play", "MP4"): 2.0})
         assert count_abstract(pipe, weights) == 5.0
+
+
+# Four finite weights on Audio whose sum has no finite float.
+AUDIO_OVERFLOW = WeightMap({
+    ("Audio", "play", "OGG"): 1e308,
+    ("Audio", "play", "WAV"): 1e308,
+    ("Audio", "adjustAudio", "EQUALIZER"): 1e308,
+    ("Audio", "adjustAudio", "VOLUME"): 1e308,
+})
+OVERFLOW_ERROR = "weights on 'Audio' sum past the largest float"
+
+
+def exact_score(cells):
+    """The kept weights' exact sum as a float, or None when it has none."""
+    try:
+        return float(sum(Fraction(weight) for _, weight, kept in cells if kept))
+    except OverflowError:
+        return None
+
+
+def scored(cells):
+    """vector_score of the kept values of a two-method interface: cell k
+    is (method, weight, kept) for value v{k}; None when it refuses."""
+    names = [f"v{k}" for k in range(len(cells))]
+    interface = build_interface(
+        "I", [(m, [n for n, c in zip(names, cells) if c[0] == m] or ["u"])
+              for m in ("m0", "m1")]
+    )
+    weights = WeightMap({("I", c[0], n): c[1] for n, c in zip(names, cells)})
+    vector = normalize_vector(interface, [
+        [n for n, c in zip(names, cells) if c[0] == m and c[2]] for m in ("m0", "m1")
+    ])
+    try:
+        return vector_score(interface, vector, weights)
+    except InvalidParams as exc:
+        assert str(exc) == "weights on 'I' sum past the largest float"
+        return None
+
+
+def score_cells(max_weight):
+    return st.lists(
+        st.tuples(st.sampled_from(["m0", "m1"]), st.floats(0, max_weight), st.booleans()),
+        max_size=12,
+    )
+
+
+class TestVectorScore:
+    @pytest.mark.parametrize(
+        "weights,score",
+        [((1e16, 1, 1), 1.0000000000000002e16), ((1e16, 2), 1.0000000000000002e16)],
+        ids=["three", "two"],
+    )
+    def test_equal_real_sums_score_the_same_float(self, weights, score):
+        assert scored([("m0", w, True) for w in weights]) == score
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(score_cells(1e300))
+    def test_score_is_the_exactly_rounded_sum(self, cells):
+        assert scored(cells) == exact_score(cells)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(score_cells(sys.float_info.max))
+    def test_only_sums_at_the_top_of_the_float_range_are_refused(self, cells):
+        # math.fsum also refuses a few sums within a few units in the last
+        # place of the largest float, where a partial sum overflows.
+        score, exact = scored(cells), exact_score(cells)
+        assert score == exact or score is None and exact > 2.0**1023
+
+    def test_overflow_is_a_domain_error(self, video_graph):
+        audio = video_graph.interfaces["Audio"]
+        with pytest.raises(InvalidParams, match=OVERFLOW_ERROR):
+            vector_score(audio, full_vector(audio), AUDIO_OVERFLOW)
+        pipe = chain_pipeline(video_graph, ["Video3toAudio"], "Video3")
+        with pytest.raises(InvalidParams, match=OVERFLOW_ERROR):
+            count_abstract(pipe, AUDIO_OVERFLOW)
+
+    @pytest.mark.parametrize("find", [greedy_chain, oracle_optimal])
+    def test_searches_refuse_weights_that_overflow_before_searching(
+        self, video_graph, find, monkeypatch
+    ):
+        def searched(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(search, "prepend", searched)
+        monkeypatch.setattr(search, "_chains_depth_first", searched)
+        with pytest.raises(InvalidParams, match=OVERFLOW_ERROR):
+            find(video_graph, {"Video1", "Video3"}, "Audio", AUDIO_OVERFLOW)
 
 
 class TestGreedyChain:

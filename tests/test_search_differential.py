@@ -118,6 +118,25 @@ def test_two_bridges(k):
             )
 
 
+def test_equal_real_scores_tie_exactly():
+    """A keeps {x, y, z} and B keeps {x, w}, whose weights have the same
+    real sum, 1e16 + 2. Rounded exactly, both score that float, so the tie
+    breaks toward A; summed one value at a time, 1e16 + 1 + 1 rounds to
+    1e16 and B would win."""
+    values = ["w", "x", "y", "z"]
+    s, t = (build_interface(n, [("m", values)]) for n in ("S", "T"))
+    graph = build_graph([s, t], [
+        build_adapter(id, s, t, [((v,), [[v]]) for v in kept])
+        for id, kept in (("A", "xyz"), ("B", "xw"))
+    ])
+    weights = WeightMap({("T", "m", "x"): 1e16, ("T", "m", "y"): 1,
+                         ("T", "m", "z"): 1, ("T", "m", "w"): 2})
+    for find in (search.greedy_chain, search.oracle_optimal,
+                 ref.greedy_chain, ref.oracle_optimal):
+        result = find(graph, {"S"}, "T", weights)
+        assert (result.chain, result.score) == (("A",), 1.0000000000000002e16)
+
+
 def assert_bound_is_sound(graph, sources, target):
     """U[s] is full capability at each source s that can reach the target,
     and every acyclic chain from a source to an interface X that can reach
