@@ -14,6 +14,9 @@ is canonical (ids sorted, values bot-less and lexicographic, entries sorted
 by input tuple), so parse -> serialize -> parse is the identity. The text is
 written directly from the model, in one pass, and equals ``json.dumps(doc,
 indent=2)`` plus a final newline, where ``doc`` is ``json.loads(text)``.
+Interfaces, adapters, methods and entries fill templates that ``_object``
+lays out once, at import, and each distinct methods tuple, input tuple and
+output-set tuple is rendered once per call.
 
 Validation is one pass in document order. Each field of each object is
 read once and its type tested where it is read; a failed test raises at
@@ -31,6 +34,7 @@ lookups (README, Notes).
 from __future__ import annotations
 
 import json
+from functools import cache
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _encode
 from typing import NoReturn
@@ -41,6 +45,7 @@ from .model import (
     Adapter,
     AdapterGraph,
     Interface,
+    MethodSpec,
     _build_interface,
     build_adapter,
     build_graph,
@@ -211,37 +216,48 @@ def _sets(sets, depth: int) -> str:
     return _array([_strings(sorted(s - _BOT_SET), depth + 1) for s in sets], depth)
 
 
-def _interface_text(interface: Interface) -> str:
-    methods = [
-        _object({
-            "name": _encode(m.name), "values": _strings(m.domain.non_bottom, 5),
-        }, 4)
-        for m in interface.methods
-    ]
-    return _object({"id": _encode(interface.id), "methods": _array(methods, 3)}, 2)
+# One template per object that serialize_graph writes many of, at its
+# depth, with a %s per field; _object lays them out, so the layout has one
+# owner.
+_METHOD = _object({"name": "%s", "values": "%s"}, 4)
+_INTERFACE = _object({"id": "%s", "methods": "%s"}, 2)
+_ENTRY = _object({"input": "%s", "output": "%s"}, 4)
+_ADAPTER = _object(dict.fromkeys(("id", "source", "target", "entries"), "%s"), 2)
+_DEFAULT_ADAPTER = _object(
+    dict.fromkeys(("id", "source", "target", "default_output", "entries"), "%s"), 2
+)
 
 
-def _adapter_text(adapter: Adapter) -> str:
-    fields = {
-        "id": _encode(adapter.id),
-        "source": _encode(adapter.source.id),
-        "target": _encode(adapter.target.id),
-    }
-    if any(s != _BOT_SET for s in adapter.default_output):
-        fields["default_output"] = _sets(adapter.default_output, 3)
-    entries = [
-        _object({"input": _strings(input, 5), "output": _sets(output, 5)}, 4)
-        for input, output in sorted(adapter.table.items())
-    ]
-    fields["entries"] = _array(entries, 3)
-    return _object(fields, 2)
+def _methods_text(methods: tuple[MethodSpec, ...]) -> str:
+    return _array([
+        _METHOD % (_encode(m.name), _strings(m.domain.non_bottom, 5)) for m in methods
+    ], 3)
 
 
 def serialize_graph(graph: AdapterGraph) -> str:
     """Byte-stable canonical JSON text for a graph, laid out as
-    ``json.dumps(..., indent=2)`` lays out its dict form, plus a newline."""
-    interfaces = [_interface_text(graph.interfaces[i]) for i in sorted(graph.interfaces)]
-    adapters = [_adapter_text(graph.adapters[a]) for a in sorted(graph.adapters)]
+    ``json.dumps(..., indent=2)`` lays out its dict form, plus a newline.
+    Each distinct methods tuple, input tuple and output-set tuple is
+    rendered once per call."""
+    methods = cache(_methods_text)
+    inputs = cache(lambda input: _strings(input, 5))
+    outputs = cache(lambda output: _sets(output, 5))
+    interfaces = [
+        _INTERFACE % (_encode(id), methods(interface.methods))
+        for id, interface in sorted(graph.interfaces.items())
+    ]
+    adapters = []
+    for id, a in sorted(graph.adapters.items()):
+        entries = _array([
+            _ENTRY % (inputs(input), outputs(output))
+            for input, output in sorted(a.table.items())
+        ], 3)
+        ends = _encode(id), _encode(a.source.id), _encode(a.target.id)
+        if any(s != _BOT_SET for s in a.default_output):
+            text = _DEFAULT_ADAPTER % (*ends, _sets(a.default_output, 3), entries)
+        else:
+            text = _ADAPTER % (*ends, entries)
+        adapters.append(text)
     return _object({
         "version": _encode(FORMAT_VERSION),
         "interfaces": _array(interfaces, 1),

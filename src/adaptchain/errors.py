@@ -6,9 +6,6 @@ break it) and the outside values it names, which only
 :class:`AdapterChainError` turns into text, each clipped to a short line.
 """
 
-import decimal
-import string
-
 BRIEF_CHARS = 80
 
 
@@ -29,7 +26,9 @@ def brief(value: object) -> str:
 def digits(value: int) -> str:
     """The decimal digits of an int, also past the interpreter's limit on
     int-to-text conversion (4300 digits by default), which ``decimal``
-    does not apply."""
+    does not apply. ``decimal`` is imported here, on this rare path only."""
+    import decimal
+
     return str(decimal.Decimal(value))
 
 
@@ -41,19 +40,30 @@ def _escaped(text: str) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
-class _Shown(string.Formatter):
-    """``{!r}`` shows :func:`brief` of a value, ``{}`` :func:`clip` of its
-    ``str`` with unprintable characters escaped; an int is shown whole
-    either way, unless it has too many digits to turn into text, when
-    :func:`clip` cuts its :func:`digits`."""
+class _Shown:
+    """One value of a message: ``{!r}`` shows :func:`brief` of it, ``{}``
+    :func:`clip` of its ``str`` with unprintable characters escaped; an int
+    is shown whole either way, unless it has too many digits to turn into
+    text, when :func:`clip` cuts its :func:`digits`."""
 
-    def convert_field(self, value, conversion):
-        if isinstance(value, int):
-            try:
-                return str(value)
-            except ValueError:
-                return clip(digits(value))
-        return brief(value) if conversion == "r" else clip(_escaped(str(value)))
+    __slots__ = ("value",)
+
+    def __init__(self, value: object) -> None:
+        self.value = value
+
+    def _int(self) -> str:
+        try:
+            return str(self.value)
+        except ValueError:
+            return clip(digits(self.value))
+
+    def __repr__(self) -> str:
+        return self._int() if isinstance(self.value, int) else brief(self.value)
+
+    def __format__(self, spec: str) -> str:
+        if isinstance(self.value, int):
+            return format(self._int(), spec)
+        return format(clip(_escaped(str(self.value))), spec)
 
 
 class AdapterChainError(Exception):
@@ -61,7 +71,7 @@ class AdapterChainError(Exception):
     raised with no values is the message as given."""
 
     def __init__(self, template: str, *values: object):
-        message = _Shown().vformat(template, values, {}) if values else template
+        message = template.format(*map(_Shown, values)) if values else template
         super().__init__(message)
 
 

@@ -5,6 +5,9 @@ generated interfaces realistic semantics.
 
 ``random_instance`` draws each adapter's endpoints and holds both checks
 against the tabulation cap; ``_random_adapter`` only draws the entries.
+An interface's shape is its value count per method. The first interface
+of each shape is built through ``build_interface``, and every later one
+shares its methods, and so its domains, as a parse shares them.
 
 Randomness comes from splitmix64 (Steele, Lea & Flood's 64-bit mixing
 generator, as published in the reference sequence of Vigna's xoshiro page)
@@ -16,7 +19,9 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Callable
 from math import prod
+from operator import attrgetter
 
 from .errors import CapExceeded, InvalidParams
 from .model import (
@@ -31,6 +36,8 @@ from .model import (
 from .semantics import tabulation_cap
 
 _MASK = (1 << 64) - 1
+_values = attrgetter("domain.values")  # a method's lifted values
+_pool = attrgetter("domain.non_bottom")  # the values a subset draws from
 
 
 class SplitMix64:
@@ -56,9 +63,6 @@ class SplitMix64:
         """Integer in [lo, hi], both ends inclusive."""
         return lo + self.below(hi - lo + 1)
 
-    def chance(self, probability: float) -> bool:
-        return self.next_u64() < probability * 2.0**64
-
 
 class GenParams(_Checked, namedtuple(
     "GenParams", "interface_count methods_per_interface values_per_method "
@@ -83,36 +87,28 @@ class GenParams(_Checked, namedtuple(
             raise InvalidParams("entry_density must be within [0, 1]")
 
 
-def _random_interface(rng: SplitMix64, index: int, params: GenParams) -> Interface:
-    method_count = rng.between(*params.methods_per_interface)
-    methods = []
-    for m in range(method_count):
-        value_count = rng.between(*params.values_per_method)
-        methods.append((f"m{m}", [f"v{k}" for k in range(value_count)]))
-    return build_interface(f"I{index}", methods)
-
-
 def _random_adapter(
-    rng: SplitMix64, index: int, source: Interface, target: Interface,
-    density: float,
+    draw: Callable[[], int], index: int, source: Interface, target: Interface,
+    threshold: float,
 ) -> Adapter:
-    """Draw the entries of adapter A<index>: one draw per input tuple of
-    ``source``, and for each kept tuple one subset per ``target`` method."""
-    pools = [d.non_bottom for d in target.domains]
-    entries = []
-    for input_tuple in itertools.product(*(d.values for d in source.domains)):
-        if not rng.chance(density):
-            continue
-        entries.append((input_tuple, [_subset(rng, pool) for pool in pools]))
+    """Draw the entries of adapter A<index>: one ``draw()`` per input tuple
+    of ``source``, which keeps the tuple when below ``threshold``, and for
+    each kept tuple one subset per ``target`` method."""
+    pools = list(map(_pool, target.methods))
+    entries = [
+        (input_tuple, [_subset(draw, pool) for pool in pools])
+        for input_tuple in itertools.product(*map(_values, source.methods))
+        if draw() < threshold
+    ]
     return build_adapter(f"A{index}", source, target, entries)
 
 
-def _subset(rng: SplitMix64, pool: tuple[str, ...]) -> list[str]:
+def _subset(draw: Callable[[], int], pool: tuple[str, ...]) -> list[str]:
     """A nonempty subset of ``pool`` in pool order: bit k of a mask in
-    [1, 2**len(pool)) picks pool[k]. A draw is below 2**64, so for any
-    wider pool the modulus 2**65 - 1 gives the same mask as
-    2**len(pool) - 1, and the mask has at most 65 bits to visit."""
-    mask = 1 + rng.below(2 ** min(len(pool), 65) - 1)
+    [1, 2**len(pool)), taken from one ``draw()``, picks pool[k]. A draw is
+    below 2**64, so for any wider pool the modulus 2**65 - 1 gives the same
+    mask as 2**len(pool) - 1, and the mask has at most 65 bits to visit."""
+    mask = 1 + draw() % (2 ** min(len(pool), 65) - 1)
     return [pool[k] for k in range(mask.bit_length()) if mask >> k & 1]
 
 
@@ -135,19 +131,32 @@ def random_instance(params: GenParams) -> tuple[AdapterGraph, str, str]:
             "values, exceeding the cap of {}", params.interface_count, methods,
             values, declared, cap,
         )
-    interfaces = [
-        _random_interface(rng, i, params) for i in range(params.interface_count)
-    ]
+    shapes: dict[tuple[int, ...], Interface] = {}  # value counts -> first interface
+    interfaces = []
+    for i in range(params.interface_count):
+        shape = tuple(
+            rng.between(*params.values_per_method)
+            for _ in range(rng.between(*params.methods_per_interface))
+        )
+        first = shapes.get(shape)
+        if first is None:
+            first = shapes[shape] = build_interface(f"I{i}", [
+                (f"m{m}", [f"v{k}" for k in range(n)]) for m, n in enumerate(shape)
+            ])
+            interfaces.append(first)
+        else:
+            interfaces.append(Interface(f"I{i}", first.methods))
+    draw, threshold = rng.next_u64, params.entry_density * 2.0**64
     adapters = []
     drawn = 0  # input tuples drawn by the run: its dependency-function sizes
     for j in range(params.adapter_count):
-        source = interfaces[rng.below(len(interfaces))]
-        target = interfaces[rng.below(len(interfaces))]
-        drawn += prod(d.size for d in source.domains)
+        source = interfaces[draw() % len(interfaces)]
+        target = interfaces[draw() % len(interfaces)]
+        drawn += prod(map(len, map(_values, source.methods)))
         if drawn > cap:
             raise CapExceeded(
                 "adapter A{} from {!r} would draw over {} input tuples, "
                 "exceeding the cap of {}", j, source.id, drawn, cap,
             )
-        adapters.append(_random_adapter(rng, j, source, target, params.entry_density))
+        adapters.append(_random_adapter(draw, j, source, target, threshold))
     return build_graph(interfaces, adapters), interfaces[0].id, interfaces[-1].id

@@ -123,21 +123,29 @@ def vector_score(
 ) -> float:
     """Weight-sum of the non-bottom values across all components of v,
     exactly rounded by ``math.fsum`` (Shewchuk 1997), so the score of a
-    vector does not depend on how its sets were built. Raises
-    InvalidParams when the sum reaches the top of the float range, so no
-    score is ever inf."""
+    vector does not depend on how its sets were built. ``math.fsum``
+    raises ``OverflowError`` when a partial sum overflows, which depends on
+    the order of the terms; the sum is then taken exactly, as a
+    ``Fraction``. Raises InvalidParams only when that exact sum rounds past
+    the largest float, so no score is ever inf."""
     table = weights.weights
+    terms = [
+        table.get((interface.id, method.name, value), 1.0)
+        for method, component in zip(interface.methods, v.components)
+        for value in component
+        if value != BOT
+    ]
     try:
-        return math.fsum([
-            table.get((interface.id, method.name, value), 1.0)
-            for method, component in zip(interface.methods, v.components)
-            for value in component
-            if value != BOT
-        ])
+        return math.fsum(terms)
     except OverflowError:
-        raise InvalidParams(
-            "weights on {!r} sum past the largest float", interface.id
-        ) from None
+        from fractions import Fraction
+
+        try:
+            return float(sum(map(Fraction, terms)))
+        except OverflowError:
+            raise InvalidParams(
+                "weights on {!r} sum past the largest float", interface.id
+            ) from None
 
 
 def count_abstract(

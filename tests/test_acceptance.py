@@ -173,7 +173,7 @@ def _random_line_chain(seed: int):
         import itertools
 
         for input_tuple in itertools.product(*(d.values for d in source.domains)):
-            if not rng.chance(0.5):
+            if rng.next_u64() >= 0.5 * 2.0**64:  # kept with probability 1/2
                 continue
             output = []
             for domain in target.domains:

@@ -156,6 +156,6 @@ def test_subset_draw_matches_a_scan_of_the_pool(width):
     fast, slow = SplitMix64(width), SplitMix64(width)
     for _ in range(500):
         mask = 1 + slow.below(2 ** len(pool) - 1)
-        assert _subset(fast, pool) == [
+        assert _subset(fast.next_u64, pool) == [
             v for k, v in enumerate(pool) if mask >> k & 1
         ]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from decimal import Decimal
@@ -310,6 +311,10 @@ AUDIO_OVERFLOW = WeightMap({
 OVERFLOW_ERROR = "weights on 'Audio' sum past the largest float"
 
 
+# Three weights whose exact sum rounds to the largest float.
+NEAR_MAX = (8.988465674311579e+307, 8.988465674311579e+307, 7.484401160755199e+291)
+
+
 def exact_score(cells):
     """The kept weights' exact sum as a float, or None when it has none."""
     try:
@@ -361,10 +366,22 @@ class TestVectorScore:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(score_cells(sys.float_info.max))
     def test_only_sums_at_the_top_of_the_float_range_are_refused(self, cells):
-        # math.fsum also refuses a few sums within a few units in the last
-        # place of the largest float, where a partial sum overflows.
-        score, exact = scored(cells), exact_score(cells)
-        assert score == exact or score is None and exact > 2.0**1023
+        # Refused exactly when the exact sum has no float.
+        assert scored(cells) == exact_score(cells)
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(range(3))),
+        ids=lambda order: "".join(map(str, order)),
+    )
+    def test_a_sum_with_a_float_scores_in_every_order(self, order):
+        # math.fsum overflows on a partial sum in four of these six orders;
+        # one value per method fixes the order the terms are summed in.
+        interface = build_interface("I", [(f"m{k}", ["v"]) for k in range(3)])
+        weights = WeightMap({
+            ("I", f"m{k}", "v"): NEAR_MAX[i] for k, i in enumerate(order)
+        })
+        score = vector_score(interface, full_vector(interface), weights)
+        assert score == float(sum(map(Fraction, NEAR_MAX))) == sys.float_info.max
 
     def test_overflow_is_a_domain_error(self, video_graph):
         audio = video_graph.interfaces["Audio"]

@@ -15,6 +15,7 @@ import ast
 import importlib
 import inspect
 import io
+import subprocess
 import sys
 import types
 import typing
@@ -143,6 +144,23 @@ def test_only_eval_calls_apply_pipeline(monkeypatch, video_graph):
         out=io.StringIO(), err=io.StringIO(),
     )
     assert (status, len(calls)) == (0, 1)
+
+
+def test_importing_the_cli_loads_no_rare_path_module():
+    """Every command process imports the CLI. ``decimal`` serves only ints
+    too long to print and ``fractions`` only weight sums that overflow
+    ``math.fsum``, and the package does not use ``string``, so none of them
+    loads with it. The process is fresh and isolated (``-I -S``), so no
+    test or site module loads any of them first."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import adaptchain.cli; "
+        "print(*sorted({'decimal', 'fractions', 'string'} & sys.modules.keys()))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert loaded.split() == []
 
 
 def _functions(module: types.ModuleType):
