@@ -26,7 +26,14 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from .document import load_fixture, parse_document, serialize_graph
+from .document import (
+    _BREAK,
+    _array,
+    _encode,
+    load_fixture,
+    parse_document,
+    serialize_graph,
+)
 from .errors import AdapterChainError, GraphSyntaxError, InvalidParams, digits
 from .generator import GenParams, random_instance
 from .model import AdapterGraph, AvailabilityVector, Interface, normalize_vector
@@ -115,6 +122,31 @@ def _format_vector(interface: Interface, v: AvailabilityVector) -> str:
 
 def _vector_json(interface: Interface, v: AvailabilityVector) -> dict:
     return {m.name: list(c) for m, c in zip(interface.methods, v.canonical())}
+
+
+def _json(value, depth: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a report whose
+    opening bracket sits ``depth`` levels deep, laid out by the document
+    writer's helpers, since the standard library takes its pure-Python
+    encoder for an indent. Reports nest three levels at most, well within
+    ``_BREAK``. Method names are keys, so keys are escaped. Floats,
+    booleans and None keep the standard library's own spelling."""
+    kind = type(value)
+    if kind is str:
+        return _encode(value)
+    if kind is int:
+        return repr(value)
+    if kind is list:
+        return _array([_json(v, depth + 1) for v in value], depth)
+    if kind is dict:
+        if not value:
+            return "{}"
+        pad = _BREAK[depth + 1]
+        return "{" + pad + ("," + pad).join([
+            _encode(key) + ": " + _json(v, depth + 1)
+            for key, v in sorted(value.items())
+        ]) + _BREAK[depth] + "}"
+    return json.dumps(value)
 
 
 def _cmd_validate(args, graph: AdapterGraph) -> tuple[dict, str]:
@@ -335,7 +367,7 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
             print(f"error: out of memory running {args.command!r}", file=err)
             return 1
         if report is not None and args.format == "json":
-            text = json.dumps(report, sort_keys=True, indent=2)
+            text = _json(report)
         print(text, file=out)
         return 0
     finally:

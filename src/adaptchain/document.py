@@ -26,9 +26,13 @@ entry's values against the domains, so the first fault found is the one
 reported. Interface ids are checked for repeats before any adapter is read.
 Each parse builds one ``AbstractDomain`` per distinct value list, shared by
 every interface that declares it; a list seen before is not checked again.
-Output sets are not interned: where no two output sets of one target are
-equal, as on a long path of identity adapters, a per-target pool only adds
-lookups (README, Notes).
+Tables are shared the same way: an adapter whose raw ``entries`` and
+``default_output`` equal those of the last adapter checked between
+endpoints with equal methods takes that adapter's table and default
+output, unchecked, since every check would pass. Output sets are not
+interned: where no two output sets of one target are equal, as on a long
+path of identity adapters, a per-target pool only adds lookups (README,
+Notes).
 """
 
 from __future__ import annotations
@@ -101,7 +105,14 @@ def _parse_interface(obj: dict, domains: dict) -> Interface:
     return _build_interface(id, methods, domains)
 
 
-def _parse_adapter(obj: dict, interfaces: dict[str, Interface]) -> Adapter:
+def _parse_adapter(
+    obj: dict, interfaces: dict[str, Interface], tables: dict
+) -> Adapter:
+    """One adapter. ``tables``, which ``parse_document`` keeps for one
+    parse, maps the endpoints' methods to the raw entries and default
+    output last checked between such endpoints and the adapter built from
+    them; an adapter whose raw fields equal those takes its table
+    unchecked, since every check skipped would pass."""
     if type(obj) is not dict:
         raise GraphSyntaxError("each adapter must be an object")
     if type(id := obj.get("id")) is not str:
@@ -117,25 +128,39 @@ def _parse_adapter(obj: dict, interfaces: dict[str, Interface]) -> Adapter:
             )
     if type(raw_entries := obj.get("entries")) is not list:
         _refuse(obj, "entries", list, "adapter {!r}", id)
-    entries = []
-    for e in raw_entries:
-        if type(e) is not dict:
-            raise GraphSyntaxError("adapter {!r}: entries must be objects", id)
-        if type(input := e.get("input")) is not list:
-            _refuse(e, "input", list, "adapter {!r} entry", id)
-        if type(output := e.get("output")) is not list:
-            _refuse(e, "output", list, "adapter {!r} entry", id)
-        if len(e) != 2:
-            _only(e, _ENTRY_FIELDS, "adapter {!r} entry", id)
-        entries.append((input, output))
+    source, target = interfaces[source_id], interfaces[target_id]
+    # One hashed lookup, hit or miss; a new slot equals no list.
+    shared = tables.setdefault((source.methods, target.methods), [None] * 3)
+    # Values equal to checked lists, dicts and strings have their types (a
+    # str equals only a str), and equal methods hold the same domains. A
+    # null default_output equals an omitted one, but the key-set test below
+    # still refuses it, and build_adapter refuses an empty id.
+    reuse = (
+        id != "" and shared[0] == raw_entries
+        and shared[1] == obj.get("default_output")
+    )
+    if not reuse:
+        entries = []
+        for e in raw_entries:
+            if type(e) is not dict:
+                raise GraphSyntaxError("adapter {!r}: entries must be objects", id)
+            if type(input := e.get("input")) is not list:
+                _refuse(e, "input", list, "adapter {!r} entry", id)
+            if type(output := e.get("output")) is not list:
+                _refuse(e, "output", list, "adapter {!r} entry", id)
+            if len(e) != 2:
+                _only(e, _ENTRY_FIELDS, "adapter {!r} entry", id)
+            entries.append((input, output))
     default_output = None
     if len(obj) != 4:  # default_output is optional; past _only, it is here
         _only(obj, _ADAPTER_FIELDS, "adapter {!r}", id)
         if (default_output := obj["default_output"]) is None:
             _refuse(obj, "default_output", list, "adapter {!r}", id)
-    return build_adapter(
-        id, interfaces[source_id], interfaces[target_id], entries, default_output
-    )
+    if reuse:
+        return Adapter(id, source, target, shared[2].table, shared[2].default_output)
+    adapter = build_adapter(id, source, target, entries, default_output)
+    shared[:] = raw_entries, default_output, adapter
+    return adapter
 
 
 def parse_document(data: bytes | str) -> AdapterGraph:
@@ -181,7 +206,8 @@ def parse_document(data: bytes | str) -> AdapterGraph:
     interface_map = build_graph(interfaces, ()).interfaces
     if type(raw_adapters := doc.get("adapters")) is not list:
         _refuse(doc, "adapters", list, "document")
-    adapters = [_parse_adapter(a, interface_map) for a in raw_adapters]
+    tables = {}  # endpoints' methods -> last table checked, for this parse only
+    adapters = [_parse_adapter(a, interface_map, tables) for a in raw_adapters]
     _only(doc, _ROOT_FIELDS, "document")
     return build_graph(interfaces, adapters)
 

@@ -14,7 +14,9 @@ assigned; what a value keeps beside its fields, such as a domain's member
 set or a graph's adjacency cached on first use by a
 ``functools.cached_property``, is the same whichever reader computes
 it); concurrent readers are safe. Equal domains may be one
-object: a parse shares one ``AbstractDomain`` per distinct value list. The
+object: a parse shares one ``AbstractDomain`` per distinct value list.
+Equal tables may be one object too: a parse gives adapters with equal
+entries between endpoints with equal methods one table. The
 records whose constructor checks or completes them take ``_make`` from one
 base, ``_Checked``, so their ``_make`` and ``_replace`` go through it.
 """
@@ -295,17 +297,14 @@ def _lift_sets(
 
 class _Sealed:
     """Base of the slotted values, ``Adapter`` and ``AdaptationPipeline``:
-    each field, given in ``__slots__`` order, is written once through its
-    slot's own setter, and every later assignment is refused."""
+    each ``__init__`` writes every field once through its slot's own
+    setter, kept in ``_set`` in ``__slots__`` order, and every later
+    assignment is refused."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._set = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-
-    def __init__(self, *fields: object) -> None:
-        for set_slot, value in zip(self._set, fields, strict=True):
-            set_slot(self, value)
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError(f"field {name!r} is read-only")
@@ -325,6 +324,17 @@ class Adapter(_Sealed):
     """
 
     __slots__ = ("id", "source", "target", "table", "default_output")
+
+    def __init__(
+        self, id: str, source: Interface, target: Interface, table: dict,
+        default_output: tuple[frozenset[str], ...],
+    ) -> None:
+        set_id, set_source, set_target, set_table, set_default = self._set
+        set_id(self, id)
+        set_source(self, source)
+        set_target(self, target)
+        set_table(self, table)
+        set_default(self, default_output)
 
     def __eq__(self, other: object) -> bool:
         fields = attrgetter(*self.__slots__)

@@ -104,6 +104,22 @@ class AdaptationPipeline(_Sealed):
         "source", "target", "_head", "_tail", "_index", "_mask", "_table", "_memo"
     )
 
+    def __init__(
+        self, source: Interface, target: Interface, head: Adapter | None,
+        tail: AdaptationPipeline | None, index: dict, mask: int, table: dict,
+        memo: dict,
+    ) -> None:
+        (set_source, set_target, set_head, set_tail, set_index, set_mask,
+         set_table, set_memo) = self._set
+        set_source(self, source)
+        set_target(self, target)
+        set_head(self, head)
+        set_tail(self, tail)
+        set_index(self, index)
+        set_mask(self, mask)
+        set_table(self, table)
+        set_memo(self, memo)
+
     def visits(self, interface_id: str) -> bool:
         """Does the chain touch ``interface_id``? One bit test."""
         bit = self._index.get(interface_id)

@@ -279,3 +279,77 @@ def test_first_fault_wins(changes, error):
     with pytest.raises(AdapterChainError) as exc:
         parse_document(text)
     assert str(exc.value) == error
+
+
+# -- repeated tables -------------------------------------------------------
+
+# One copy of a repeated entries list changed in one way, and the outcome
+# both parsers must reach: the copy is checked, not taken as the table
+# remembered for its endpoints.
+TABLE_CHANGES = {
+    "value-outside-target": "UnknownValue",
+    "third-entry-key": "GraphSyntaxError",
+    "duplicate-input": "DuplicateInput",
+    "other-default": "graph",
+    "null-default": "GraphSyntaxError",
+    "wider-target-domain": "graph",
+    "two-method-target": "ArityMismatch",
+    "output-set-as-string": "UnknownValue",
+}
+
+
+def _repeated_table_document(rng: random.Random, change: str) -> dict:
+    """A path whose adapters all repeat one entries list between
+    one-method interfaces over one value list, with one copy changed."""
+    values = ["a", "b", "c"]
+    length = rng.randint(3, 8)
+    interfaces = [
+        {"id": f"P{i}", "methods": [{"name": "m", "values": values}]}
+        for i in range(length)
+    ]
+    entries = [{"input": [v], "output": [[v]]} for v in rng.sample(values, 3)]
+    default = rng.choice([None, [["b"]]])
+    adapters = []
+    for i in range(length - 1):
+        adapter = {"id": f"E{i}", "source": f"P{i}", "target": f"P{i + 1}",
+                   "entries": json.loads(json.dumps(entries))}
+        if default is not None:
+            adapter["default_output"] = default
+        adapters.append(adapter)
+    k = rng.randrange(1, length - 1)  # a copy after the first, so one is remembered
+    changed, row = adapters[k], rng.randrange(3)
+    entry = changed["entries"][row]
+    if change == "value-outside-target":
+        entry["output"] = [["z"]]
+    elif change == "third-entry-key":
+        entry["note"] = "x"
+    elif change == "duplicate-input":
+        changed["entries"].append(dict(entry))
+    elif change == "other-default":
+        changed["default_output"] = [["c"]]
+    elif change == "null-default":
+        changed["default_output"] = None
+    elif change == "wider-target-domain":
+        interfaces[k + 1]["methods"][0]["values"] = [*values, "d"]
+    elif change == "two-method-target":
+        interfaces[k + 1]["methods"].append({"name": "n", "values": values})
+    elif change == "output-set-as-string":
+        entry["output"] = [entry["input"][0]]
+    return {"version": "1", "interfaces": interfaces, "adapters": adapters}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("change", TABLE_CHANGES)
+def test_a_changed_copy_of_a_repeated_table_matches_reference(change, seed):
+    doc = _repeated_table_document(random.Random(f"{change}:{seed}"), change)
+    assert _assert_same_outcome(json.dumps(doc)) == TABLE_CHANGES[change]
+
+
+def test_a_shared_table_equals_one_built_from_scratch():
+    built = lossless_path(60)
+    text = serialize_graph(built)
+    parsed = parse_document(text)
+    assert _same_graph(parsed, built)
+    assert len({id(a.table) for a in parsed.adapters.values()}) == 1
+    assert len({id(a.table) for a in built.adapters.values()}) == 59
+    assert serialize_graph(parsed) == text

@@ -10,6 +10,9 @@ algorithm lost its bound.
 - The forward bound keeps greedy polynomial on that bridge: into C1 of a
   7- and a 9-clique it pushes 48 and 80 partial chains (ranking by full
   capability alone pushes 2,283 and 123,301).
+- A parse checks each distinct table once: the 1,199 identity adapters of
+  a 1,200-interface lossless path call ``build_adapter`` once and hold one
+  table (checking every copy calls it 1,199 times).
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ import io
 
 import pytest
 
-from adaptchain import search, semantics
+from adaptchain import document, search, semantics
 from adaptchain.cli import run_cli
-from adaptchain.document import parse_document
+from adaptchain.document import parse_document, serialize_graph
 from adaptchain.model import Adapter
 from adaptchain.semantics import tabulate_adaptation
+from conftest import lossless_path
 from test_search import clique_bridge
 
 
@@ -61,3 +65,15 @@ def test_forward_bound_keeps_greedy_polynomial(monkeypatch, k, pushes):
     result = search.greedy_chain(clique_bridge(k), {"S"}, "C1")
     # The identity at the target is the first push.
     assert (result.chain, result.score, len(pushed) + 1) == (("B0", "K01"), 3.0, pushes)
+
+
+def test_a_parse_checks_each_distinct_table_once(monkeypatch):
+    text = serialize_graph(lossless_path(1200))
+    calls = []
+    build = document.build_adapter
+    monkeypatch.setattr(
+        document, "build_adapter", lambda *args: calls.append(args[0]) or build(*args)
+    )
+    adapters = parse_document(text).adapters.values()
+    tables = {id(a.table) for a in adapters}
+    assert (len(calls), len(adapters), len(tables)) == (1, 1199, 1)

@@ -1,6 +1,7 @@
 """The value types: named tuples and two slotted classes. Every field
-refuses assignment, pipelines compare by identity, and importing the CLI
-loads none of the ``dataclasses`` machinery."""
+refuses assignment, a slotted class's constructor fills each slot from
+its argument, pipelines compare by identity, and importing the CLI loads
+none of the ``dataclasses`` machinery."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from adaptchain import (
+    AdaptationPipeline,
     Adapter,
     GenParams,
     WeightMap,
@@ -62,6 +64,13 @@ def test_a_slotted_field_refuses_deletion(name):
     with pytest.raises(AttributeError):
         delattr(value, field)
     assert hasattr(value, field)
+
+
+@pytest.mark.parametrize("cls", [Adapter, AdaptationPipeline])
+def test_the_constructor_fills_each_slot_from_its_argument(cls):
+    fields = [object() for _ in cls.__slots__]
+    value = cls(*fields)
+    assert [getattr(value, name) for name in cls.__slots__] == fields
 
 
 def test_equal_pipelines_are_not_equal():
