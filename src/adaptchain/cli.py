@@ -27,9 +27,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from .document import (
-    _BREAK,
     _array,
     _encode,
+    _object,
     load_fixture,
     parse_document,
     serialize_graph,
@@ -127,10 +127,11 @@ def _vector_json(interface: Interface, v: AvailabilityVector) -> dict:
 def _json(value, depth: int = 0) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for a report whose
     opening bracket sits ``depth`` levels deep, laid out by the document
-    writer's helpers, since the standard library takes its pure-Python
-    encoder for an indent. Reports nest three levels at most, well within
-    ``_BREAK``. Method names are keys, so keys are escaped. Floats,
-    booleans and None keep the standard library's own spelling."""
+    writer's ``_array`` and ``_object``, since the standard library takes
+    its pure-Python encoder for an indent. Reports nest three levels at
+    most, within the writer's seven. Method names are keys, which
+    ``_object`` escapes. Floats, booleans and None keep the standard
+    library's own spelling."""
     kind = type(value)
     if kind is str:
         return _encode(value)
@@ -139,13 +140,9 @@ def _json(value, depth: int = 0) -> str:
     if kind is list:
         return _array([_json(v, depth + 1) for v in value], depth)
     if kind is dict:
-        if not value:
-            return "{}"
-        pad = _BREAK[depth + 1]
-        return "{" + pad + ("," + pad).join([
-            _encode(key) + ": " + _json(v, depth + 1)
-            for key, v in sorted(value.items())
-        ]) + _BREAK[depth] + "}"
+        return _object(
+            {key: _json(v, depth + 1) for key, v in sorted(value.items())}, depth
+        )
     return json.dumps(value)
 
 

@@ -29,7 +29,9 @@ every interface that declares it; a list seen before is not checked again.
 Tables are shared the same way: an adapter whose raw ``entries`` and
 ``default_output`` equal those of the last adapter checked between
 endpoints with equal methods takes that adapter's table and default
-output, unchecked, since every check would pass. Output sets are not
+output, unchecked, since every check would pass. Equal methods are found
+by numbering each interface's methods once, so an adapter's lookup costs
+the same whatever its domains' sizes. Output sets are not
 interned: where no two output sets of one target are equal, as on a long
 path of identity adapters, a per-target pool only adds lookups (README,
 Notes).
@@ -106,13 +108,15 @@ def _parse_interface(obj: dict, domains: dict) -> Interface:
 
 
 def _parse_adapter(
-    obj: dict, interfaces: dict[str, Interface], tables: dict
+    obj: dict, interfaces: dict[str, Interface], shapes: dict[str, int],
+    tables: dict,
 ) -> Adapter:
-    """One adapter. ``tables``, which ``parse_document`` keeps for one
-    parse, maps the endpoints' methods to the raw entries and default
-    output last checked between such endpoints and the adapter built from
-    them; an adapter whose raw fields equal those takes its table
-    unchecked, since every check skipped would pass."""
+    """One adapter. ``shapes`` numbers each interface id by its methods,
+    equal methods one number. ``tables``, which ``parse_document`` keeps
+    for one parse, maps the endpoints' pair of numbers to the raw entries
+    and default output last checked between such endpoints and the adapter
+    built from them; an adapter whose raw fields equal those takes its
+    table unchecked, since every check skipped would pass."""
     if type(obj) is not dict:
         raise GraphSyntaxError("each adapter must be an object")
     if type(id := obj.get("id")) is not str:
@@ -128,16 +132,15 @@ def _parse_adapter(
             )
     if type(raw_entries := obj.get("entries")) is not list:
         _refuse(obj, "entries", list, "adapter {!r}", id)
-    source, target = interfaces[source_id], interfaces[target_id]
-    # One hashed lookup, hit or miss; a new slot equals no list.
-    shared = tables.setdefault((source.methods, target.methods), [None] * 3)
+    # Two small ints, so the key costs the same whatever the domains' sizes.
+    key = shapes[source_id], shapes[target_id]
     # Values equal to checked lists, dicts and strings have their types (a
     # str equals only a str), and equal methods hold the same domains. A
     # null default_output equals an omitted one, but the key-set test below
     # still refuses it, and build_adapter refuses an empty id.
     reuse = (
-        id != "" and shared[0] == raw_entries
-        and shared[1] == obj.get("default_output")
+        (shared := tables.get(key)) is not None and id != ""
+        and shared[0] == raw_entries and shared[1] == obj.get("default_output")
     )
     if not reuse:
         entries = []
@@ -156,10 +159,11 @@ def _parse_adapter(
         _only(obj, _ADAPTER_FIELDS, "adapter {!r}", id)
         if (default_output := obj["default_output"]) is None:
             _refuse(obj, "default_output", list, "adapter {!r}", id)
+    source, target = interfaces[source_id], interfaces[target_id]
     if reuse:
         return Adapter(id, source, target, shared[2].table, shared[2].default_output)
     adapter = build_adapter(id, source, target, entries, default_output)
-    shared[:] = raw_entries, default_output, adapter
+    tables[key] = raw_entries, default_output, adapter
     return adapter
 
 
@@ -206,8 +210,16 @@ def parse_document(data: bytes | str) -> AdapterGraph:
     interface_map = build_graph(interfaces, ()).interfaces
     if type(raw_adapters := doc.get("adapters")) is not list:
         _refuse(doc, "adapters", list, "document")
-    tables = {}  # endpoints' methods -> last table checked, for this parse only
-    adapters = [_parse_adapter(a, interface_map, tables) for a in raw_adapters]
+    # Each interface's methods are hashed once here, not once per adapter.
+    numbers = {}  # methods -> its number, for this parse only
+    shapes = {
+        id: numbers.setdefault(interface.methods, len(numbers))
+        for id, interface in interface_map.items()
+    }
+    tables = {}  # pair of shapes -> last table checked, for this parse only
+    adapters = [
+        _parse_adapter(a, interface_map, shapes, tables) for a in raw_adapters
+    ]
     _only(doc, _ROOT_FIELDS, "document")
     return build_graph(interfaces, adapters)
 
@@ -227,9 +239,14 @@ def _array(items: list[str], depth: int) -> str:
 
 
 def _object(fields: dict[str, str], depth: int) -> str:
-    """A JSON object of ``fields`` (key to encoded value), ``depth`` levels deep."""
+    """A JSON object of ``fields`` (key to encoded value), ``depth`` levels
+    deep; keys are escaped."""
+    if not fields:
+        return "{}"
     pad = _BREAK[depth + 1]
-    body = ("," + pad).join([f'"{key}": {value}' for key, value in fields.items()])
+    body = ("," + pad).join([
+        _encode(key) + ": " + value for key, value in fields.items()
+    ])
     return "{" + pad + body + _BREAK[depth] + "}"
 
 

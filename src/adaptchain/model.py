@@ -16,7 +16,8 @@ set or a graph's adjacency cached on first use by a
 it); concurrent readers are safe. Equal domains may be one
 object: a parse shares one ``AbstractDomain`` per distinct value list.
 Equal tables may be one object too: a parse gives adapters with equal
-entries between endpoints with equal methods one table. The
+entries between endpoints with equal methods one table, a plain ``dict``
+that must not be written (``Adapter``). The
 records whose constructor checks or completes them take ``_make`` from one
 base, ``_Checked``, so their ``_make`` and ``_replace`` go through it.
 """
@@ -321,6 +322,9 @@ class Adapter(_Sealed):
     tuple maps to ``default_output`` (canonically all-{bot}), so lookup is
     total. The table takes part in equality but not in the hash. The
     fields are slots, which ``lookup`` reads faster than named-tuple fields.
+    ``table`` is a plain ``dict`` but must not be written: a parse gives
+    adapters with equal tables one ``dict``, so a write to one adapter's
+    table changes the lookups of every adapter that shares it.
     """
 
     __slots__ = ("id", "source", "target", "table", "default_output")
