@@ -16,22 +16,24 @@ chain outscores full capability at the target, so a query whose weights
 sum past the float range there is refused before the search starts.
 
 Greedy is A* search with an admissible heuristic (Hart, Nilsson & Raphael,
-1968). It first ranks P by what full capability at X keeps through P.
-Once it has pushed more partial chains than the graph has adapters, it
-computes U, the paper's abstract interpretation run forward to its least
-fixpoint (Cousot & Cousot, 1977): U[s] is full capability at each source
-s, and U[y] holds every adapt(a, U[x]) for each adapter a from x to y,
-over the interfaces that can reach the target. Every acyclic chain from a
-source brings a subset of U[X] to X, so ranking P from U[X] instead
-still never falls below the score of any completion, and, as U[s] =
-full(s), it is the true score of a complete chain. Adaptation is
-monotone, so extending a chain never raises its rank, and the first
-complete chain popped under either ranking is the oracle's. The switch
-re-ranks the whole heap; an interface with no U is never reached from a
-source, so no chain starting there is kept. On a lossy bridge into a
-lossless clique the bound removes the factorial number of equal-rank
-chains inside the clique; on small graphs greedy ends before the switch
-and never pays for the fixpoint.
+1968). Before its first push it computes U, the paper's abstract
+interpretation run forward to its least fixpoint (Cousot & Cousot, 1977):
+U[s] is full capability at each source s, and U[y] holds every
+adapt(a, U[x]) for each adapter a from x to another interface y, over the
+interfaces that can reach the target. It ranks P by what U[X] keeps through P. Every
+acyclic chain from a source brings a subset of U[X] to X, so that rank
+never falls below the score of any completion, and, as U[s] = full(s), it
+is the true score of a complete chain. Adaptation is monotone, so
+extending a chain never raises its rank, and the first complete chain
+popped is the oracle's. An interface with no U is never reached from a
+source, so no chain starting there is pushed, and a target with no U is
+refused before any push. On a lossy bridge into a lossless clique the
+bound removes the factorial number of equal-rank chains inside the
+clique, and on wide interfaces full capability, the costliest vector to
+adapt, is adapted only at sources. Every search whose target is not a
+source pays for the fixpoint, about one adaptation per live adapter; the
+fixpoint fills the search's adaptation table, so ranking a chain from U
+often finds its first step already adapted.
 
 Ranking is incremental: each pipeline remembers the vector each input
 becomes through it, so ranking an extension ``a·P`` adapts the start
@@ -219,10 +221,13 @@ def _forward_bound(
     graph: AdapterGraph, sources: Iterable[str], target: str, table: dict
 ) -> dict[str, AvailabilityVector]:
     """U: the least fixpoint of U[s] = full(s) for each source s and U[y]
-    holding adapt(a, U[x]) for each adapter a from x to y, over the "live"
-    interfaces, those that can reach ``target``. An interface that no
-    source reaches has no entry. Adaptation goes through ``table``, the
-    search's own. Each component only grows, so the worklist empties."""
+    holding adapt(a, U[x]) for each adapter a from x to another interface
+    y, over the "live" interfaces, those that can reach ``target``. An
+    interface that no source reaches has no entry. No acyclic chain takes
+    a self-loop and no join grows full capability, so the walk skips
+    self-loops and adapters into a source. Adaptation goes through
+    ``table``, the search's own. Each component only grows, so the
+    worklist empties."""
     live, stack = {target}, [target]
     while stack:
         for adapter in graph.incoming(stack.pop()):
@@ -230,20 +235,22 @@ def _forward_bound(
                 live.add(adapter.source.id)
                 stack.append(adapter.source.id)
     bound = {s: full_vector(graph.interfaces[s]) for s in sources if s in live}
+    growing = live - bound.keys()
     queue, queued = deque(bound), set(bound)
     while queue:
         x = queue.popleft()
         queued.remove(x)
         for adapter in graph.outgoing(x):
             y = adapter.target.id
-            if y not in live:
+            if y not in growing or y == x:
                 continue
             vector, old = _adapt(table, adapter, bound[x]), bound.get(y)
             if old is not None:
-                joined = tuple(map(frozenset.union, old.components, vector.components))
-                if joined == old.components:
+                if all(map(frozenset.issubset, vector.components, old.components)):
                     continue
-                vector = AvailabilityVector(y, joined)
+                vector = AvailabilityVector(
+                    y, tuple(map(frozenset.union, old.components, vector.components))
+                )
             bound[y] = vector
             if y not in queued:
                 queued.add(y)
@@ -260,34 +267,36 @@ def greedy_chain(
     """Best-first search for a loss-optimal acyclic chain into ``target``
     from any interface in ``sources``.
 
-    A partial chain ranks by what full capability at its start keeps
-    through it, until greedy pops a chain that does not start at a source
-    after pushing more partial chains than the graph has adapters. Then it
-    computes the forward bound U (``_forward_bound``), re-ranks every open
-    chain, the one just popped included, by what U at its start keeps,
-    drops those whose start has no U, and ranks every later push the same
-    way. Both ranks are admissible, so the answer is the same.
+    Before its first push, greedy computes the forward bound U
+    (``_forward_bound``) and ranks every partial chain by what U at its
+    start keeps through it; an interface with no U is never reached from a
+    source, so no chain starting there is pushed. When the target is a
+    source, U is full capability there and the fixpoint is not run.
 
     Ties between equal-rank open chains break toward shorter chains, then
     lexicographically smaller adapter-id sequences, so results are
     deterministic. If the target itself is a source the empty chain (the
-    lossless identity) is returned. Raises NoChain when the frontier
-    exhausts without reaching any source, and CapExceeded on pushing more
-    partial chains than ``tabulation_cap()``; the identity at the target
-    is the first push.
+    lossless identity) is returned. Raises NoChain when no source reaches
+    the target, and CapExceeded on pushing more partial chains than
+    ``tabulation_cap()``; the identity at the target, pushed only when a
+    source reaches it, is the first push.
     """
     ordered_sources = _check_query(graph, sources, target, weights)
     source_ids = set(ordered_sources)
     cap, pushes = tabulation_cap(), 1
     start = identity_pipeline(graph.interfaces[target])
-    bound = None  # U, once greedy switches to it
+    if target in source_ids:
+        bound = {target: full_vector(start.source)}
+    else:
+        bound = _forward_bound(graph, ordered_sources, target, start._table)
     # Entries are (-rank, length, order, pipeline). Orders never tie, so the
     # pipeline in the last slot is never compared.
-    open_chains = [(-count_abstract(start, weights), 0, _Order(start), start)]
+    open_chains = [
+        (-count_abstract(start, weights, bound[target]), 0, _Order(start), start)
+    ] if target in bound else []
 
     while open_chains:
-        entry = heapq.heappop(open_chains)
-        neg_rank, length, _, pipeline = entry
+        neg_rank, length, _, pipeline = heapq.heappop(open_chains)
         if pipeline.source.id in source_ids:
             final_vector = _fold(pipeline, full_vector(pipeline.source))
             chain, node = [], pipeline
@@ -297,19 +306,9 @@ def greedy_chain(
             return ChainResult(
                 tuple(chain), pipeline.source.id, target, final_vector, -neg_rank
             )
-        if bound is None and pushes > len(graph.adapters):
-            bound = _forward_bound(graph, ordered_sources, target, start._table)
-            open_chains.append(entry)
-            open_chains = [
-                (-count_abstract(p, weights, bound[p.source.id]), n, order, p)
-                for _, n, order, p in open_chains
-                if p.source.id in bound
-            ]
-            heapq.heapify(open_chains)
-            continue
         for adapter in graph.incoming(pipeline.source.id):
             x = adapter.source.id
-            if pipeline.visits(x) or bound is not None and x not in bound:
+            if x not in bound or pipeline.visits(x):
                 continue
             pushes += 1
             if pushes > cap:
@@ -319,9 +318,7 @@ def greedy_chain(
                     ordered_sources, target, cap,
                 )
             extended = prepend(adapter, pipeline)
-            rank = count_abstract(
-                extended, weights, None if bound is None else bound[x]
-            )
+            rank = count_abstract(extended, weights, bound[x])
             heapq.heappush(
                 open_chains, (-rank, length + 1, _Order(extended), extended)
             )

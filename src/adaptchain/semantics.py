@@ -164,8 +164,8 @@ def apply_pipeline(
 ) -> AvailabilityVector:
     """Adapt p through the pipeline (see :func:`_fold`); the empty chain
     returns p. The vector must be over the pipeline's source. The searches
-    call ``_fold`` directly on full capability, so each call here is one
-    evaluation, which the benchmark's tracer counts."""
+    call ``_fold`` directly, so each call here is one evaluation, which
+    the benchmark's tracer counts."""
     if p.interface_id != pipeline.source.id:
         raise InterfaceMismatch(
             "vector is over {!r}, pipeline starts at {!r}",

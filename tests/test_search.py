@@ -448,8 +448,7 @@ class TestGreedyChain:
     def test_cap_bounds_the_partial_chains_pushed(self, monkeypatch):
         # Every push but the identity at the target prepends one adapter, so
         # counting prepends counts the pushes. Every rank is one
-        # count_abstract call: one per push, and one per open chain when
-        # greedy switches to the forward bound. Ranking by full capability
+        # count_abstract call, one per push. Ranking by full capability
         # alone pushed 391 chains here.
         graph = clique_bridge(6)
         counts = {"prepend": 0, "count_abstract": 0}
@@ -466,15 +465,15 @@ class TestGreedyChain:
         counted("prepend")
         counted("count_abstract")
         answer, n = greedy_chain(graph, {"S"}, "C1"), counts["prepend"] + 1
-        assert answer.chain == ("B0", "K01") and n == 35
-        assert counts["count_abstract"] == 62
+        assert answer.chain == ("B0", "K01") and n == 27
+        assert counts["count_abstract"] == 27
         monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", str(n))
         assert greedy_chain(graph, {"S"}, "C1") == answer
         monkeypatch.setenv("ADAPTCHAIN_TABULATE_CAP", str(n - 1))
         with pytest.raises(CapExceeded) as exc:
             greedy_chain(graph, {"S"}, "C1")
         assert str(exc.value) == (
-            "search from any of ['S'] to 'C1' pushes more than 34 partial "
+            "search from any of ['S'] to 'C1' pushes more than 26 partial "
             "chains; raise ADAPTCHAIN_TABULATE_CAP"
         )
 

@@ -228,22 +228,44 @@ def test_searches_agree_on_tie_heavy_queries(data):
 
 
 @pytest.fixture
-def forward_bounds(monkeypatch):
-    """Counts the searches that switch to the forward bound."""
-    calls = []
-    forward_bound = search._forward_bound
+def bounds_per_search(monkeypatch):
+    """For each greedy call, whether its target is a source and how many
+    times it computed the forward bound."""
+    calls, searches = [], []
+    forward_bound, greedy = search._forward_bound, search.greedy_chain
+
+    def counted(graph, sources, target, *args):
+        before = len(calls)
+        try:
+            return greedy(graph, sources, target, *args)
+        finally:
+            searches.append((target in sources, len(calls) - before))
+
     monkeypatch.setattr(
         search, "_forward_bound", lambda *args: calls.append(1) or forward_bound(*args)
     )
-    return calls
+    monkeypatch.setattr(search, "greedy_chain", counted)
+    return searches
 
 
-def test_some_tie_heavy_queries_pass_the_switch(forward_bounds):
-    """Replays the tie-heavy property's 300 cases: most end before greedy
-    pushes more chains than the graph has adapters, and some go on under
-    the forward bound (13 with Hypothesis 6.155)."""
+def assert_each_search_bounds_once(searches, count):
+    """``count`` greedy calls ran, and each whose target is not a source
+    computed the forward bound exactly once; the others never did."""
+    assert len(searches) == count
+    assert all(n == (0 if is_source else 1) for is_source, n in searches)
+
+
+def test_a_target_that_is_a_source_computes_no_bound(bounds_per_search):
+    result = search.greedy_chain(clique_bridge(4), {"S", "C1"}, "C1")
+    assert result.chain == ()
+    assert_each_search_bounds_once(bounds_per_search, 1)
+
+
+def test_tie_heavy_queries_compute_the_bound_once_each(bounds_per_search):
+    """Replays the tie-heavy property's 300 cases, none of whose targets
+    is a source."""
     test_searches_agree_on_tie_heavy_queries()
-    assert forward_bounds
+    assert_each_search_bounds_once(bounds_per_search, 300)
 
 
 @pytest.mark.parametrize("params", [
@@ -251,20 +273,22 @@ def test_some_tie_heavy_queries_pass_the_switch(forward_bounds):
     GenParams(5, (1, 1), (1, 2), 20, 1.0, 268),
     GenParams(6, (1, 1), (1, 2), 8, 1.0, 224),
 ], ids=["4-251", "5-268", "6-224"])
-def test_the_switch_keeps_the_chain_it_popped(forward_bounds, params):
-    """Greedy switches to the bound on popping a suffix of the answer;
-    a switch that dropped that chain would return a worse one."""
+def test_searches_agree_where_full_capability_ranks_loosely(bounds_per_search, params):
+    """On these instances, ranking by full capability pushed more chains
+    than the graph has adapters before it popped a suffix of the answer;
+    ranking by the forward bound from the first push returns the same
+    chain as the references."""
     graph, source, target = random_instance(params)
     same_search(graph, {source}, target, UNIT_WEIGHTS)
-    assert forward_bounds
+    assert_each_search_bounds_once(bounds_per_search, 1)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def agree_from_the_bridged_source(data):
     """The tie-heavy agreement on queries from S alone into a bridged
-    clique of 3 to 6 interfaces, where greedy often pushes more chains than
-    the graph has adapters and so switches to the forward bound."""
+    clique of 3 to 6 interfaces, where ranking by full capability is loose
+    inside the clique."""
     graph = data.draw(st.one_of(
         *(st.integers(3, 6).map(family)
           for family in (clique_bridge, lossy_clique, two_bridge))
@@ -285,11 +309,11 @@ def agree_from_the_bridged_source(data):
     assert answers[0] == answers[1] == answers[2]
 
 
-def test_searches_agree_past_the_switch(forward_bounds):
-    """At least a quarter of the 100 cases of the property above go on
-    under the forward bound (65 with Hypothesis 6.155)."""
+def test_searches_agree_from_the_bridged_source(bounds_per_search):
+    """Replays the 100 cases of the property above: S is never the
+    target."""
     agree_from_the_bridged_source()
-    assert len(forward_bounds) >= 25
+    assert_each_search_bounds_once(bounds_per_search, 100)
 
 
 @pytest.fixture
