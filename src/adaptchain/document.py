@@ -24,17 +24,15 @@ once (``_refuse`` words a missing field apart from a wrong type), and the
 key-set test follows the reads. ``model.build_adapter`` then checks each
 entry's values against the domains, so the first fault found is the one
 reported. Interface ids are checked for repeats before any adapter is read.
-Each parse builds one ``AbstractDomain`` per distinct value list, shared by
-every interface that declares it; a list seen before is not checked again.
-Tables are shared the same way: an adapter whose raw ``entries`` and
+A parse checks each distinct raw method list once: an interface that
+repeats one, the same (name, values) pairs in the same order, takes the
+``methods`` tuple built from it. An adapter whose raw ``entries`` and
 ``default_output`` equal those of the last adapter checked between
-endpoints with equal methods takes that adapter's table and default
-output, unchecked, since every check would pass. Equal methods are found
-by numbering each interface's methods once, so an adapter's lookup costs
-the same whatever its domains' sizes. Output sets are not
-interned: where no two output sets of one target are equal, as on a long
-path of identity adapters, a per-target pool only adds lookups (README,
-Notes).
+endpoints holding the same two tuples takes that adapter's table and
+default output. Neither is checked again, since every check would pass.
+Output sets are not interned: where no two output sets of one target are
+equal, as on a long path of identity adapters, a per-target pool only
+adds lookups (README, Notes).
 """
 
 from __future__ import annotations
@@ -52,9 +50,9 @@ from .model import (
     AdapterGraph,
     Interface,
     MethodSpec,
-    _build_interface,
     build_adapter,
     build_graph,
+    build_interface,
 )
 
 FORMAT_VERSION = "1"
@@ -84,7 +82,11 @@ def _only(obj: dict, fields: frozenset[str], where: str, *values) -> None:
         )
 
 
-def _parse_interface(obj: dict, domains: dict) -> Interface:
+def _parse_interface(obj: dict, shared: dict) -> Interface:
+    """One interface. ``shared``, which ``parse_document`` keeps for one
+    parse, maps each raw method list built before, as (name, values tuple)
+    pairs, to the first interface built from it; a repeat with a nonempty
+    id takes its methods unchecked, since every check skipped would pass."""
     if type(obj) is not dict:
         raise GraphSyntaxError("each interface must be an object")
     if type(id := obj.get("id")) is not str:
@@ -101,68 +103,79 @@ def _parse_interface(obj: dict, domains: dict) -> Interface:
             _refuse(m, "values", list, "method {!r} of {!r}", name, id)
         if len(m) != 2:  # both fields were read, so a third is unknown
             _only(m, _METHOD_FIELDS, "method {!r} of {!r}", name, id)
-        methods.append((name, values))
+        methods.append((name, tuple(values)))
     if len(obj) != 2:
         _only(obj, _INTERFACE_FIELDS, "interface {!r}", id)
-    return _build_interface(id, methods, domains)
+    methods = tuple(methods)
+    try:
+        first = shared.get(methods) if id else None  # build_interface refuses ""
+    except TypeError:  # an unhashable value, which build_interface words
+        return build_interface(id, methods)
+    if first is not None:
+        return Interface(id, first.methods)
+    first = shared[methods] = build_interface(id, methods)
+    return first
 
 
 def _parse_adapter(
-    obj: dict, interfaces: dict[str, Interface], shapes: dict[str, int],
-    tables: dict,
+    obj: dict, interfaces: dict[str, Interface], tables: dict
 ) -> Adapter:
-    """One adapter. ``shapes`` numbers each interface id by its methods,
-    equal methods one number. ``tables``, which ``parse_document`` keeps
-    for one parse, maps the endpoints' pair of numbers to the raw entries
-    and default output last checked between such endpoints and the adapter
-    built from them; an adapter whose raw fields equal those takes its
-    table unchecked, since every check skipped would pass."""
+    """One adapter. ``tables``, which ``parse_document`` keeps for one
+    parse, maps the identities of the endpoints' two ``methods`` tuples to
+    the raw entries and default output last checked between such endpoints
+    and the adapter built from them; an adapter whose raw fields equal
+    those takes its table unchecked, since every check skipped would pass."""
     if type(obj) is not dict:
         raise GraphSyntaxError("each adapter must be an object")
-    if type(id := obj.get("id")) is not str:
+    if type(adapter_id := obj.get("id")) is not str:
         _refuse(obj, "id", str, "adapter")
     if type(source_id := obj.get("source")) is not str:
-        _refuse(obj, "source", str, "adapter {!r}", id)
+        _refuse(obj, "source", str, "adapter {!r}", adapter_id)
     if type(target_id := obj.get("target")) is not str:
-        _refuse(obj, "target", str, "adapter {!r}", id)
+        _refuse(obj, "target", str, "adapter {!r}", adapter_id)
     for endpoint in (source_id, target_id):
         if endpoint not in interfaces:
             raise UnknownInterface(
-                "adapter {!r} references undeclared interface {!r}", id, endpoint
+                "adapter {!r} references undeclared interface {!r}",
+                adapter_id, endpoint,
             )
     if type(raw_entries := obj.get("entries")) is not list:
-        _refuse(obj, "entries", list, "adapter {!r}", id)
-    # Two small ints, so the key costs the same whatever the domains' sizes.
-    key = shapes[source_id], shapes[target_id]
+        _refuse(obj, "entries", list, "adapter {!r}", adapter_id)
+    source, target = interfaces[source_id], interfaces[target_id]
+    # Two ints, so the key costs the same whatever the domains' sizes; the
+    # interfaces keep both tuples alive for the parse.
+    key = id(source.methods), id(target.methods)
     # Values equal to checked lists, dicts and strings have their types (a
-    # str equals only a str), and equal methods hold the same domains. A
+    # str equals only a str), and the same methods hold the same domains. A
     # null default_output equals an omitted one, but the key-set test below
     # still refuses it, and build_adapter refuses an empty id.
     reuse = (
-        (shared := tables.get(key)) is not None and id != ""
+        (shared := tables.get(key)) is not None and adapter_id != ""
         and shared[0] == raw_entries and shared[1] == obj.get("default_output")
     )
     if not reuse:
         entries = []
         for e in raw_entries:
             if type(e) is not dict:
-                raise GraphSyntaxError("adapter {!r}: entries must be objects", id)
+                raise GraphSyntaxError(
+                    "adapter {!r}: entries must be objects", adapter_id
+                )
             if type(input := e.get("input")) is not list:
-                _refuse(e, "input", list, "adapter {!r} entry", id)
+                _refuse(e, "input", list, "adapter {!r} entry", adapter_id)
             if type(output := e.get("output")) is not list:
-                _refuse(e, "output", list, "adapter {!r} entry", id)
+                _refuse(e, "output", list, "adapter {!r} entry", adapter_id)
             if len(e) != 2:
-                _only(e, _ENTRY_FIELDS, "adapter {!r} entry", id)
+                _only(e, _ENTRY_FIELDS, "adapter {!r} entry", adapter_id)
             entries.append((input, output))
     default_output = None
     if len(obj) != 4:  # default_output is optional; past _only, it is here
-        _only(obj, _ADAPTER_FIELDS, "adapter {!r}", id)
+        _only(obj, _ADAPTER_FIELDS, "adapter {!r}", adapter_id)
         if (default_output := obj["default_output"]) is None:
-            _refuse(obj, "default_output", list, "adapter {!r}", id)
-    source, target = interfaces[source_id], interfaces[target_id]
+            _refuse(obj, "default_output", list, "adapter {!r}", adapter_id)
     if reuse:
-        return Adapter(id, source, target, shared[2].table, shared[2].default_output)
-    adapter = build_adapter(id, source, target, entries, default_output)
+        table, default = shared[2].table, shared[2].default_output
+        return Adapter(adapter_id, source, target, table, default)
+    adapter = build_adapter(adapter_id, source, target, entries, default_output)
     tables[key] = raw_entries, default_output, adapter
     return adapter
 
@@ -204,22 +217,14 @@ def parse_document(data: bytes | str) -> AdapterGraph:
         )
     if type(raw_interfaces := doc.get("interfaces")) is not list:
         _refuse(doc, "interfaces", list, "document")
-    domains = {}  # raw value list -> its one domain, for this parse only
-    interfaces = [_parse_interface(i, domains) for i in raw_interfaces]
+    shared = {}  # raw method list -> first interface, for this parse only
+    interfaces = [_parse_interface(i, shared) for i in raw_interfaces]
     # A repeated id is refused here, before an adapter can name either copy.
     interface_map = build_graph(interfaces, ()).interfaces
     if type(raw_adapters := doc.get("adapters")) is not list:
         _refuse(doc, "adapters", list, "document")
-    # Each interface's methods are hashed once here, not once per adapter.
-    numbers = {}  # methods -> its number, for this parse only
-    shapes = {
-        id: numbers.setdefault(interface.methods, len(numbers))
-        for id, interface in interface_map.items()
-    }
-    tables = {}  # pair of shapes -> last table checked, for this parse only
-    adapters = [
-        _parse_adapter(a, interface_map, shapes, tables) for a in raw_adapters
-    ]
+    tables = {}  # pair of methods ids -> last table checked, for this parse only
+    adapters = [_parse_adapter(a, interface_map, tables) for a in raw_adapters]
     _only(doc, _ROOT_FIELDS, "document")
     return build_graph(interfaces, adapters)
 

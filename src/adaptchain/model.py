@@ -13,11 +13,11 @@ All values here are immutable after construction (no field can be
 assigned; what a value keeps beside its fields, such as a domain's member
 set or a graph's adjacency cached on first use by a
 ``functools.cached_property``, is the same whichever reader computes
-it); concurrent readers are safe. Equal domains may be one
-object: a parse shares one ``AbstractDomain`` per distinct value list.
-Equal tables may be one object too: a parse gives adapters with equal
-entries between endpoints with equal methods one table, a plain ``dict``
-that must not be written (``Adapter``). The
+it); concurrent readers are safe. Equal values may be one object: a
+parse (``document``) gives interfaces that declare the same method list
+one ``methods`` tuple, and adapters with equal entries between endpoints
+holding the same two tuples one table, a plain ``dict`` that must not be
+written (``Adapter``). The
 records whose constructor checks or completes them take ``_make`` from one
 base, ``_Checked``, so their ``_make`` and ``_replace`` go through it.
 """
@@ -183,19 +183,6 @@ def build_interface(
 
     Domains are lifted: "bot" is injected and canonical order applied.
     """
-    return _build_interface(id, methods, {})
-
-
-def _build_interface(
-    id: str,
-    methods: Sequence[tuple[str, Sequence[str]]],
-    domains: dict[tuple, AbstractDomain],
-) -> Interface:
-    """``build_interface``, sharing domains through ``domains`` (a value
-    list's tuple -> its domain), which ``parse_document`` keeps for one
-    parse. Only a ``list`` not seen before is lifted, and worded if bad, by
-    ``from_names``; a list seen before was valid, so the error found is the
-    one found without sharing."""
     if not isinstance(id, str):
         raise ValidationError("interface id {!r} is not a string", id)
     if not id:
@@ -225,17 +212,9 @@ def _build_interface(
                 "interface {!r} declares method {!r} twice", id, name
             )
         names_seen.add(name)
-        key = tuple(values) if type(values) is list else None
-        try:
-            domain = domains.get(key)
-        except TypeError:  # an unhashable value, which from_names words
-            domain = key = None
-        if domain is None:
-            domain = AbstractDomain.from_names(
-                values, context=(" in method {!r} of interface {!r}", name, id)
-            )
-            if key is not None:
-                domains[key] = domain
+        domain = AbstractDomain.from_names(
+            values, context=(" in method {!r} of interface {!r}", name, id)
+        )
         specs.append(MethodSpec(name, domain))
     if not specs:
         raise EmptyDomain("interface {!r} must declare at least one method", id)

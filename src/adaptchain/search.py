@@ -72,6 +72,7 @@ from .model import (
 from .semantics import (
     AdaptationPipeline,
     _adapt,
+    _check_start,
     _fold,
     identity_pipeline,
     prepend,
@@ -159,9 +160,12 @@ def count_abstract(
     source, through it and weigh the surviving non-bottom values. With unit
     weights this is a plain count. The adapted vector is memoized in the
     pipeline by the one fold, ``semantics._fold``, called directly so that
-    each ``apply_pipeline`` call stays one evaluation."""
+    each ``apply_pipeline`` call stays one evaluation; ``start`` is
+    checked as ``apply_pipeline`` checks its vector."""
     if start is None:
         start = full_vector(pipeline.source)
+    else:
+        _check_start(pipeline, start)
     return vector_score(pipeline.target, _fold(pipeline, start), weights)
 
 
@@ -176,6 +180,8 @@ def _check_query(
     weighted value are known to be declared and full capability at the
     target, which no chain outscores, has a finite score. Each weighted
     interface's methods are indexed by name once, so the check is linear."""
+    if isinstance(sources, str):
+        raise InvalidParams("sources {!r} are not a list of interface ids", sources)
     source_ids = sorted(set(sources))
     if not source_ids:
         raise InvalidParams("sources must be nonempty")
@@ -393,6 +399,8 @@ def enumerate_chains(
 
 def chain_pipeline(graph: AdapterGraph, chain: Iterable[str], source: str) -> AdaptationPipeline:
     """Build a pipeline from adapter ids starting at ``source``."""
+    if isinstance(chain, str):
+        raise InvalidParams("chain {!r} is not a list of adapter ids", chain)
     adapters = []
     for adapter_id in chain:
         if adapter_id not in graph.adapters:

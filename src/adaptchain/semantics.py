@@ -166,12 +166,18 @@ def apply_pipeline(
     returns p. The vector must be over the pipeline's source. The searches
     call ``_fold`` directly, so each call here is one evaluation, which
     the benchmark's tracer counts."""
+    _check_start(pipeline, p)
+    return _fold(pipeline, p)
+
+
+def _check_start(pipeline: AdaptationPipeline, p: AvailabilityVector) -> None:
+    """Refuse a vector that is not over the pipeline's source, before the
+    fold: the empty chain adapts nothing that would refuse it."""
     if p.interface_id != pipeline.source.id:
         raise InterfaceMismatch(
             "vector is over {!r}, pipeline starts at {!r}",
             p.interface_id, pipeline.source.id,
         )
-    return _fold(pipeline, p)
 
 
 def _adapt(table: dict, adapter: Adapter, p: AvailabilityVector) -> AvailabilityVector:

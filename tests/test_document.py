@@ -5,10 +5,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adaptchain import load_fixture, parse_document, serialize_graph
+from adaptchain import document, load_fixture, parse_document, serialize_graph
 from adaptchain.errors import (
     AdapterChainError,
     DuplicateId,
+    EmptyDomain,
     GraphSyntaxError,
     UnknownInterface,
     UnknownValue,
@@ -81,7 +82,7 @@ def _interfaces_document(*value_lists) -> str:
     })
 
 
-def test_equal_value_lists_share_one_domain_within_a_parse():
+def test_a_repeated_method_list_shares_its_methods_within_a_parse():
     text = _interfaces_document(["X", "Y"], ["Z"], ["X", "Y"], ["Y", "X"])
     graph = parse_document(text)
     first, other, again, reordered = (
@@ -89,8 +90,43 @@ def test_equal_value_lists_share_one_domain_within_a_parse():
     )
     assert again is first and other is not first
     assert reordered == first
+    assert graph.interfaces["I2"].methods is graph.interfaces["I0"].methods
     # The dict dies with the parse: a second parse builds its own.
     assert parse_document(text).interfaces["I0"].methods[0].domain is not first
+
+
+def test_a_reordered_method_list_is_equal_but_not_shared(monkeypatch):
+    """I1 lists I0's values the other way round, so it holds equal methods
+    in another tuple, and an adapter on it is checked in full even where
+    its entries repeat those of an adapter on I0; E1, on I2, repeats E0
+    between the same tuples and takes its table."""
+    doc = json.loads(_interfaces_document(["X", "Y"], ["Y", "X"], ["X", "Y"]))
+    entries = [{"input": ["X"], "output": [["Y"]]}]
+    doc["adapters"] = [
+        {"id": f"E{k}", "source": f"I{i}", "target": f"I{i}", "entries": entries}
+        for k, i in enumerate((0, 2, 1))
+    ]
+    calls = []
+    build = document.build_adapter
+    monkeypatch.setattr(
+        document, "build_adapter", lambda *args: calls.append(args[0]) or build(*args)
+    )
+    graph = parse_document(json.dumps(doc))
+    i0, i1, i2 = graph.interfaces.values()
+    assert i1.methods == i0.methods and i1.methods is not i0.methods
+    assert i2.methods is i0.methods
+    assert calls == ["E0", "E2"]
+    e0, e1, e2 = graph.adapters.values()
+    assert e1.table is e0.table and e2.table is not e0.table
+    assert e2.table == e0.table
+
+
+def test_a_repeated_method_list_with_an_empty_id_is_refused():
+    doc = json.loads(_interfaces_document(["X"], ["X"]))
+    doc["interfaces"][1]["id"] = ""
+    with pytest.raises(EmptyDomain) as exc:
+        parse_document(json.dumps(doc))
+    assert str(exc.value) == "interface id must be nonempty"
 
 
 @pytest.mark.parametrize("bad,shown", [

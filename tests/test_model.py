@@ -93,7 +93,10 @@ class TestBuildInterface:
             for _ in range(2)
         )
         assert first == second
-        assert first.methods[0].domain is first.methods[1].domain
+        # Sharing is a parse's, a whole method list at a time (document):
+        # each method here lifts its own values.
+        assert first.methods[0].domain == first.methods[1].domain
+        assert first.methods[0].domain is not first.methods[1].domain
         assert first.methods[0].domain is not second.methods[0].domain
 
     def test_duplicate_method(self):

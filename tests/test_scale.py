@@ -18,9 +18,11 @@ algorithm lost its bound.
   adapts nothing into a source or back into its own start. A
   1,200-interface lossless path takes 1,200 pushes and 1,199 adaptations,
   the fixpoint's included.
-- A parse checks each distinct table once: the 1,199 identity adapters of
-  a 1,200-interface lossless path call ``build_adapter`` once and hold one
-  table (checking every copy calls it 1,199 times).
+- A parse checks each distinct method list and table once: the 1,200
+  interfaces of a lossless path call ``build_interface`` once and hold one
+  methods tuple, and its 1,199 identity adapters call ``build_adapter``
+  once and hold one table (checking every copy calls them 1,200 and 1,199
+  times).
 """
 
 from __future__ import annotations
@@ -177,3 +179,15 @@ def test_a_parse_checks_each_distinct_table_once(monkeypatch):
     adapters = parse_document(text).adapters.values()
     tables = {id(a.table) for a in adapters}
     assert (len(calls), len(adapters), len(tables)) == (1, 1199, 1)
+
+
+def test_a_parse_checks_each_distinct_method_list_once(monkeypatch):
+    text = serialize_graph(lossless_path(1200))
+    calls = []
+    build = document.build_interface
+    monkeypatch.setattr(
+        document, "build_interface", lambda *args: calls.append(args[0]) or build(*args)
+    )
+    interfaces = parse_document(text).interfaces.values()
+    methods = {id(i.methods) for i in interfaces}
+    assert (len(calls), len(interfaces), len(methods)) == (1, 1200, 1)

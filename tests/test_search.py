@@ -21,7 +21,9 @@ from adaptchain import (
     oracle_optimal,
     search,
 )
-from adaptchain.errors import CapExceeded, InvalidParams, NoChain, ReservedName, UnknownInterface
+from adaptchain.errors import (
+    CapExceeded, InterfaceMismatch, InvalidParams, NoChain, ReservedName, UnknownInterface,
+)
 from adaptchain.generator import GenParams, SplitMix64, random_instance
 from adaptchain.model import AdapterGraph, Interface, full_vector, normalize_vector
 from adaptchain.search import WeightMap, UNIT_WEIGHTS, vector_score
@@ -285,6 +287,19 @@ class TestChainPipeline:
             chain_pipeline(video_graph, ["Video2toVideo3"], "Video1")
         assert str(exc.value) == "chain starts at 'Video2', expected 'Video1'"
 
+    def test_a_string_chain_is_invalid_params(self):
+        """Read as a list, "ab" would be the chain a·b, not adapter ab."""
+        a, b, c = (build_interface(n, [("m", ["X"])]) for n in "ABC")
+        lossless = [(("X",), [["X"]])]
+        graph = build_graph([a, b, c], [
+            build_adapter(name, x, y, lossless)
+            for name, x, y in [("a", a, b), ("b", b, c), ("ab", a, c)]
+        ])
+        assert chain_pipeline(graph, ["ab"], "A").target == c
+        with pytest.raises(InvalidParams) as exc:
+            chain_pipeline(graph, "ab", "A")
+        assert str(exc.value) == "chain 'ab' is not a list of adapter ids"
+
 
 class TestCountAbstract:
     def test_single_adapter(self, video_graph):
@@ -299,6 +314,15 @@ class TestCountAbstract:
         pipe = chain_pipeline(video_graph, ["Video1toVideo2"], "Video1")
         weights = WeightMap({("Video2", "play", "MP4"): 2.0})
         assert count_abstract(pipe, weights) == 5.0
+
+    @pytest.mark.parametrize("chain", [[], ["AudioToVideo3"]], ids=["empty", "one"])
+    def test_start_over_another_interface(self, video_graph, chain):
+        """Refused as apply_pipeline refuses it, the empty chain included."""
+        pipe = chain_pipeline(video_graph, chain, "Audio")
+        start = full_vector(video_graph.interfaces["Video1"])
+        with pytest.raises(InterfaceMismatch) as exc:
+            count_abstract(pipe, start=start)
+        assert str(exc.value) == "vector is over 'Video1', pipeline starts at 'Audio'"
 
 
 # Four finite weights on Audio whose sum has no finite float.
@@ -438,6 +462,19 @@ class TestGreedyChain:
     def test_empty_sources(self, video_graph):
         with pytest.raises(InvalidParams):
             greedy_chain(video_graph, set(), "Video2")
+
+    @pytest.mark.parametrize("find", [greedy_chain, oracle_optimal])
+    def test_a_string_of_sources_is_invalid_params(self, find):
+        """Read as a list, "AB" would be the sources A and B, and a2ab
+        would lead from A to AB."""
+        a, b, ab = (build_interface(n, [("m", ["X"])]) for n in ("A", "B", "AB"))
+        graph = build_graph(
+            [a, b, ab], [build_adapter("a2ab", a, ab, [(("X",), [["X"]])])]
+        )
+        assert find(graph, ["AB"], "AB").chain == ()
+        with pytest.raises(InvalidParams) as exc:
+            find(graph, "AB", "AB")
+        assert str(exc.value) == "sources 'AB' are not a list of interface ids"
 
     def test_deterministic(self, video_graph):
         results = [
