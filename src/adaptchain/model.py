@@ -17,9 +17,10 @@ it); concurrent readers are safe. Equal values may be one object: a
 parse (``document``) gives interfaces that declare the same method list
 one ``methods`` tuple, and adapters with equal entries between endpoints
 holding the same two tuples one table, a plain ``dict`` that must not be
-written (``Adapter``). The
-records whose constructor checks or completes them take ``_make`` from one
-base, ``_Checked``, so their ``_make`` and ``_replace`` go through it.
+written (``Adapter``); a ``generator`` run gives equal drawn output sets
+one ``frozenset``. The records whose constructor checks or completes
+them take ``_make`` from one base, ``_Checked``, so their ``_make`` and
+``_replace`` go through it.
 """
 
 from __future__ import annotations
@@ -351,6 +352,10 @@ def build_adapter(
     duplicate test, then its output sets. An output set given as a list of
     target values is lifted in place; any other output goes to
     ``_lift_sets``, which words the fault or lifts the collection.
+
+    It is the one row validator for documents and library callers. The
+    generator builds ``Adapter`` directly, since the rows it draws come
+    from the endpoints' own domains.
     """
     if not isinstance(id, str):
         raise ValidationError("adapter id {!r} is not a string", id)
@@ -454,7 +459,7 @@ class AdapterGraph(namedtuple("AdapterGraph", "interfaces adapters")):
     def require_interface(self, interface_id: str) -> Interface:
         try:
             return self.interfaces[interface_id]
-        except KeyError:
+        except (KeyError, TypeError):  # undeclared, or unhashable so no id
             raise UnknownInterface(
                 "interface {!r} is not declared in the graph", interface_id
             ) from None

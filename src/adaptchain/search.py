@@ -182,7 +182,12 @@ def _check_query(
     interface's methods are indexed by name once, so the check is linear."""
     if isinstance(sources, str):
         raise InvalidParams("sources {!r} are not a list of interface ids", sources)
-    source_ids = sorted(set(sources))
+    try:
+        source_ids = sorted(set(sources))
+    except TypeError:  # not iterable, or an id that is unhashable or unordered
+        raise InvalidParams(
+            "sources {!r} are not a list of interface ids", sources
+        ) from None
     if not source_ids:
         raise InvalidParams("sources must be nonempty")
     for interface_id in (*source_ids, target):
@@ -388,6 +393,7 @@ def enumerate_chains(
     target, ordered by length then lexicographically by adapter ids.
     source = target yields exactly the empty chain. Raises CapExceeded once
     the walk extends more partial chains than ``tabulation_cap()``."""
+    graph.require_interface(source)  # an unhashable source is named as given
     _check_query(graph, [source], target, UNIT_WEIGHTS)
     found = [
         tuple(a.id for a in path)
@@ -403,9 +409,10 @@ def chain_pipeline(graph: AdapterGraph, chain: Iterable[str], source: str) -> Ad
         raise InvalidParams("chain {!r} is not a list of adapter ids", chain)
     adapters = []
     for adapter_id in chain:
-        if adapter_id not in graph.adapters:
-            raise InvalidParams("graph has no adapter {!r}", adapter_id)
-        adapters.append(graph.adapters[adapter_id])
+        try:
+            adapters.append(graph.adapters[adapter_id])
+        except (KeyError, TypeError):  # undeclared, or unhashable so no id
+            raise InvalidParams("graph has no adapter {!r}", adapter_id) from None
     end = adapters[-1].target if adapters else graph.require_interface(source)
     pipeline = identity_pipeline(end)
     for adapter in reversed(adapters):

@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from adaptchain import load_fixture
-from adaptchain.generator import SplitMix64
 from adaptchain.model import BOT, AvailabilityVector, Interface
+from generator_reference import SplitMix64
 
 # The Video1toVideo2 dependency table, written out literally so tests can
 # check the bundled fixture and the adaptation semantics against an

@@ -2,9 +2,11 @@
 shape was built once and the writer filled templates, kept as test oracles
 for the code that replaced them.
 
-``reference_random_instance`` draws one value at a time through
-``SplitMix64`` (``chance`` compares a draw against ``probability * 2**64``)
-and builds every interface through ``build_interface``. It leaves out the
+``reference_random_instance`` draws one value at a time through its own
+``SplitMix64``, which adds ``below`` and ``between`` to the generator's
+(``chance`` compares a draw against ``probability * 2**64``), builds every
+interface through ``build_interface`` and every adapter through
+``build_adapter``, which checks each drawn row. It leaves out the
 generator's cap checks, which refuse a run before it draws and so never
 change a document. ``reference_serialize_graph`` lays out every object of
 the document through ``_object`` and ``_array``, rendering each value list
@@ -17,7 +19,8 @@ import itertools
 from json.encoder import encode_basestring_ascii as _encode
 
 from adaptchain.document import FORMAT_VERSION
-from adaptchain.generator import GenParams, SplitMix64
+from adaptchain import generator
+from adaptchain.generator import GenParams
 from adaptchain.model import (
     BOT,
     Adapter,
@@ -29,6 +32,19 @@ from adaptchain.model import (
 )
 
 _BOT_SET = frozenset((BOT,))
+
+
+class SplitMix64(generator.SplitMix64):
+    """The generator's splitmix64 with the bounded draws the tests use."""
+
+    def below(self, n: int) -> int:
+        """Uniform-ish integer in [0, n) via modulo; bias is irrelevant for
+        test-instance generation and the modulo form is trivially portable."""
+        return self.next_u64() % n
+
+    def between(self, lo: int, hi: int) -> int:
+        """Integer in [lo, hi], both ends inclusive."""
+        return lo + self.below(hi - lo + 1)
 
 
 def _chance(rng: SplitMix64, probability: float) -> bool:

@@ -32,10 +32,11 @@ from adaptchain import (
 )
 from adaptchain.cli import run_cli
 from adaptchain.errors import NoChain
-from adaptchain.generator import GenParams, SplitMix64, random_instance
+from adaptchain.generator import GenParams, random_instance
 from adaptchain.model import BOT, AvailabilityVector
 from adaptchain.search import UNIT_WEIGHTS, WeightMap
 from conftest import VIDEO1_TO_VIDEO2_ROWS, random_subvector
+from generator_reference import SplitMix64
 from search_reference import tuple_subset, visited
 
 DURATIONS: dict[str, float] = {}

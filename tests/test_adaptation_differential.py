@@ -24,9 +24,10 @@ from adaptchain import (
     tabulate_adaptation,
 )
 from adaptchain.errors import CapExceeded
-from adaptchain.generator import GenParams, SplitMix64, random_instance
+from adaptchain.generator import GenParams, random_instance
 from adaptchain.model import Adapter
 from conftest import random_subvector
+from generator_reference import SplitMix64
 
 
 def _pick(rng: SplitMix64, values, k: int) -> list[str]:

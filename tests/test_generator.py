@@ -4,10 +4,10 @@ import itertools
 
 import pytest
 
-from adaptchain import BOT, greedy_chain, oracle_optimal, serialize_graph
+from adaptchain import BOT, greedy_chain, model, oracle_optimal, serialize_graph
 from adaptchain.errors import CapExceeded, InvalidParams
 from adaptchain import generator
-from adaptchain.generator import GenParams, SplitMix64, _subset, random_instance
+from adaptchain.generator import GenParams, SplitMix64, _subset_draw, random_instance
 
 
 class TestSplitMix64:
@@ -17,11 +17,6 @@ class TestSplitMix64:
         assert rng.next_u64() == 0xE220A8397B1DCDAF
         assert rng.next_u64() == 0x6E789E6AA1B965F4
         assert rng.next_u64() == 0x06C45D188009454F
-
-    def test_between_inclusive(self):
-        rng = SplitMix64(5)
-        values = {rng.between(2, 4) for _ in range(200)}
-        assert values == {2, 3, 4}
 
 
 class TestGenParams:
@@ -37,6 +32,17 @@ class TestGenParams:
         with pytest.raises(InvalidParams):
             GenParams(1, (1, 1), (1, 1), 0, 1.5, 0)
 
+    @pytest.mark.parametrize("fields, name", [
+        ((2.5, (1, 1), (1, 1), 1, 0.5, 1), "interface_count"),
+        ((2, (1, 1), (1, 1), 1, 0.5, 1.5), "seed"),
+        ((2, (1, 1), (1, 1.5), 1, 0.5, 1), "values_per_method"),
+        ((2, (1, 1), (1, 1), 1, "0.5", 1), "entry_density"),
+    ])
+    def test_a_field_of_the_wrong_type_is_named(self, fields, name):
+        with pytest.raises(InvalidParams) as exc:
+            GenParams(*fields)
+        assert str(exc.value).startswith(f"{name} must be ")
+
     def test_make_and_replace_go_through_the_checks(self):
         fields = [-5, (1, 1), (1, 1), 0, 0.5, 0]
         with pytest.raises(InvalidParams, match="interface_count"):
@@ -47,6 +53,12 @@ class TestGenParams:
 
 
 class TestRandomInstance:
+    def test_shape_draws_cover_each_inclusive_range(self):
+        graph, _, _ = random_instance(GenParams(200, (2, 4), (1, 3), 0, 0.5, 5))
+        interfaces = graph.interfaces.values()
+        assert {i.arity for i in interfaces} == {2, 3, 4}
+        assert {d.size - 1 for i in interfaces for d in i.domains} == {1, 2, 3}
+
     def test_seed_determinism(self):
         params = GenParams(3, (1, 2), (1, 2), 4, 0.5, 42)
         g1, s1, t1 = random_instance(params)
@@ -151,11 +163,32 @@ class TestDrawGuard:
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 200])
 def test_subset_draw_matches_a_scan_of_the_pool(width):
     # The draw visits only the mask's bit positions; a full scan of the
-    # pool with the unbounded modulus picks the same values.
+    # pool with the unbounded modulus picks the same values, and the same
+    # mask gives the same set object.
     pool = tuple(f"v{k}" for k in range(width))
-    fast, slow = SplitMix64(width), SplitMix64(width)
+    subset, slow = _subset_draw(SplitMix64(width).next_u64), SplitMix64(width)
+    by_mask = {}
     for _ in range(500):
-        mask = 1 + slow.below(2 ** len(pool) - 1)
-        assert _subset(fast.next_u64, pool) == [
-            v for k, v in enumerate(pool) if mask >> k & 1
-        ]
+        mask = 1 + slow.next_u64() % (2 ** len(pool) - 1)
+        drawn = subset(pool)
+        assert drawn == {BOT, *[v for k, v in enumerate(pool) if mask >> k & 1]}
+        assert by_mask.setdefault(mask, drawn) is drawn
+
+
+def test_a_long_path_instance_is_built_without_build_adapter(monkeypatch):
+    # The long-path benchmark's gen shape: 1,200 one-method interfaces of
+    # three values. The generator builds each adapter from the rows it
+    # drew, so equal output sets (at most 7 here) are one object each.
+    calls = []
+    original = model.build_adapter
+    monkeypatch.setattr(
+        model, "build_adapter", lambda *a, **k: calls.append(a) or original(*a, **k)
+    )
+    graph, _, _ = random_instance(GenParams(1200, (1, 1), (3, 3), 1199, 0.5, 9))
+    assert calls == [] and not hasattr(generator, "build_adapter")
+    sets = [
+        s for a in graph.adapters.values()
+        for output in (*a.table.values(), a.default_output) for s in output
+    ]
+    assert len(sets) > 2400
+    assert len({id(s) for s in sets}) == len(set(sets)) == 8  # 7 subsets and {bot}

@@ -13,7 +13,7 @@ import string
 
 import pytest
 
-from adaptchain import parse_document, serialize_graph
+from adaptchain import build_adapter, parse_document, serialize_graph
 from adaptchain.generator import GenParams, random_instance
 from generator_reference import reference_random_instance, reference_serialize_graph
 
@@ -44,6 +44,35 @@ def test_instances_and_text_match_the_reference(density):
         want, want_source, want_target = reference_random_instance(params)
         assert (graph, source, target) == (want, want_source, want_target), params
         assert serialize_graph(graph) == reference_serialize_graph(want), params
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_each_adapter_equals_build_adapter_over_its_own_rows(density):
+    """The generator builds ``Adapter`` from the rows it drew, unchecked;
+    ``build_adapter``, which checks every row, gives an equal adapter."""
+    for params in _grid(density):
+        for a in random_instance(params)[0].adapters.values():
+            assert a == build_adapter(
+                a.id, a.source, a.target, a.table.items(), a.default_output
+            ), params
+
+
+# The benchmark's gen shapes: interfaces, adapters, methods, values, density.
+BENCHMARK_SHAPES = {
+    "fixture-mix": (8, 30, (2, 2), (2, 2), 0.5),
+    "wide-interface": (3, 3, (4, 4), (3, 3), 0.2),
+    "long-path": (1200, 1199, (1, 1), (3, 3), 0.5),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
+def test_the_benchmark_shapes_match_the_reference_text(shape):
+    interfaces, adapters, methods, values, density = BENCHMARK_SHAPES[shape]
+    for seed in (0, 4_000_000_007):
+        params = GenParams(interfaces, methods, values, adapters, density, seed)
+        assert serialize_graph(random_instance(params)[0]) == (
+            reference_serialize_graph(reference_random_instance(params)[0])
+        ), params
 
 
 def test_the_grid_covers_its_corners():

@@ -24,10 +24,11 @@ from adaptchain import (
 from adaptchain.errors import (
     CapExceeded, InterfaceMismatch, InvalidParams, NoChain, ReservedName, UnknownInterface,
 )
-from adaptchain.generator import GenParams, SplitMix64, random_instance
+from adaptchain.generator import GenParams, random_instance
 from adaptchain.model import AdapterGraph, Interface, full_vector, normalize_vector
 from adaptchain.search import WeightMap, UNIT_WEIGHTS, vector_score
 from conftest import lossless_path
+from generator_reference import SplitMix64
 from search_reference import visited
 
 
@@ -282,6 +283,12 @@ class TestChainPipeline:
         with pytest.raises(InvalidParams, match="'NoSuchAdapter'"):
             chain_pipeline(video_graph, ["Video1toVideo2", "NoSuchAdapter"], "Video1")
 
+    def test_an_unhashable_id_is_a_domain_error(self, video_graph):
+        with pytest.raises(InvalidParams, match=r"adapter \['Video1toVideo2'\]"):
+            chain_pipeline(video_graph, [["Video1toVideo2"]], "Video1")
+        with pytest.raises(UnknownInterface, match=r"interface \['Video1'\]"):
+            chain_pipeline(video_graph, [], ["Video1"])
+
     def test_chain_from_another_source_is_invalid_params(self, video_graph):
         with pytest.raises(InvalidParams) as exc:
             chain_pipeline(video_graph, ["Video2toVideo3"], "Video1")
@@ -462,6 +469,25 @@ class TestGreedyChain:
     def test_empty_sources(self, video_graph):
         with pytest.raises(InvalidParams):
             greedy_chain(video_graph, set(), "Video2")
+
+    @pytest.mark.parametrize("find, sources, target, error, message", [
+        (greedy_chain, [["Video1"]], "Audio", InvalidParams,
+         "sources [['Video1']] are not a list of interface ids"),
+        (greedy_chain, ["Video1"], ["Audio"], UnknownInterface,
+         "interface ['Audio'] is not declared in the graph"),
+        (enumerate_chains, "Video1", ["Audio"], UnknownInterface,
+         "interface ['Audio'] is not declared in the graph"),
+        (enumerate_chains, ["Video1"], "Audio", UnknownInterface,
+         "interface ['Video1'] is not declared in the graph"),
+        (oracle_optimal, [["Video1"]], "Audio", InvalidParams,
+         "sources [['Video1']] are not a list of interface ids"),
+    ])
+    def test_an_unhashable_id_is_a_domain_error(
+        self, video_graph, find, sources, target, error, message
+    ):
+        with pytest.raises(error) as exc:
+            find(video_graph, sources, target)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("find", [greedy_chain, oracle_optimal])
     def test_a_string_of_sources_is_invalid_params(self, find):

@@ -26,8 +26,9 @@ from adaptchain.errors import (
     EndpointMismatch,
     InterfaceMismatch,
 )
-from adaptchain.generator import GenParams, SplitMix64, random_instance
+from adaptchain.generator import GenParams, random_instance
 from conftest import VIDEO1_TO_VIDEO2_ROWS, lossless_path, random_subvector
+from generator_reference import SplitMix64
 from search_reference import bottom_vector, tuple_subset, tuple_union
 from test_acceptance import seeded_instance
 
