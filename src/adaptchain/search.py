@@ -41,9 +41,9 @@ vector once and walks ``P`` only until a remembered vector matches, which
 after a lossless step is ``P`` itself. Every step of that walk, and of the
 fixpoint, goes through the search's adaptation table (``semantics._adapt``),
 so one search adapts each (adapter, vector) pair once, however many chains
-share it. The heap key holds no copy of the chain: ``_Order`` compares two
-equal-length chains by walking their links, and greedy reads the adapter
-ids off the links once, when it returns. Enumeration and the oracle share
+share it. The heap key holds no copy of the chain: pipelines order
+equal-length chains by their adapter ids themselves, and greedy reads the
+answer's ``chain`` once, when it returns. Enumeration and the oracle share
 one iterative depth-first search, bounded by the tabulation cap and not by
 Python's recursion limit; the oracle adapts forward along the search path,
 through its own table, and only for prefixes of chains that reach the
@@ -176,9 +176,9 @@ class ChainResult(namedtuple("ChainResult", "chain source target final_vector sc
 def _check_query(
     graph: AdapterGraph, sources: Iterable[str], target: str, weights: WeightMap
 ) -> list[str]:
-    """The sorted distinct sources, once they, the target and every
-    weighted value are known to be declared and full capability at the
-    target, which no chain outscores, has a finite score. Each weighted
+    """The sorted distinct sources, once they and the target are declared,
+    ``weights`` is a WeightMap of declared values, and full capability at
+    the target, which no chain outscores, scores finitely. Each weighted
     interface's methods are indexed by name once, so the check is linear."""
     if isinstance(sources, str):
         raise InvalidParams("sources {!r} are not a list of interface ids", sources)
@@ -192,6 +192,8 @@ def _check_query(
         raise InvalidParams("sources must be nonempty")
     for interface_id in (*source_ids, target):
         graph.require_interface(interface_id)
+    if not isinstance(weights, WeightMap):
+        raise InvalidParams("weights {!r} are not a WeightMap", weights)
     domains: dict[str, dict[str, AbstractDomain]] = {}
     for interface_id, method, value in weights.weights:
         if interface_id not in domains:
@@ -206,26 +208,6 @@ def _check_query(
     target_interface = graph.interfaces[target]
     vector_score(target_interface, full_vector(target_interface), weights)
     return source_ids
-
-
-class _Order:
-    """The heap key's chain slot: orders two chains of equal length by their
-    adapter ids, first adapter first, reading both off their links in one
-    loop. It copies neither chain and does not recurse, however long they
-    are. Chains in one search are distinct, so two keys never tie."""
-
-    __slots__ = ("pipeline",)
-
-    def __init__(self, pipeline: AdaptationPipeline) -> None:
-        self.pipeline = pipeline
-
-    def __lt__(self, other: _Order) -> bool:
-        a, b = self.pipeline, other.pipeline
-        while a is not b and a._tail is not None:
-            if a._head.id != b._head.id:
-                return a._head.id < b._head.id
-            a, b = a._tail, b._tail
-        return False
 
 
 def _forward_bound(
@@ -300,22 +282,18 @@ def greedy_chain(
         bound = {target: full_vector(start.source)}
     else:
         bound = _forward_bound(graph, ordered_sources, target, start._table)
-    # Entries are (-rank, length, order, pipeline). Orders never tie, so the
-    # pipeline in the last slot is never compared.
+    # Entries are (-rank, length, pipeline); equal-length pipelines order by
+    # their adapter ids, and no two in one search are equal.
     open_chains = [
-        (-count_abstract(start, weights, bound[target]), 0, _Order(start), start)
+        (-count_abstract(start, weights, bound[target]), 0, start)
     ] if target in bound else []
 
     while open_chains:
-        neg_rank, length, _, pipeline = heapq.heappop(open_chains)
+        neg_rank, length, pipeline = heapq.heappop(open_chains)
         if pipeline.source.id in source_ids:
             final_vector = _fold(pipeline, full_vector(pipeline.source))
-            chain, node = [], pipeline
-            while node._tail is not None:
-                chain.append(node._head.id)
-                node = node._tail
             return ChainResult(
-                tuple(chain), pipeline.source.id, target, final_vector, -neg_rank
+                pipeline.chain, pipeline.source.id, target, final_vector, -neg_rank
             )
         for adapter in graph.incoming(pipeline.source.id):
             x = adapter.source.id
@@ -330,9 +308,7 @@ def greedy_chain(
                 )
             extended = prepend(adapter, pipeline)
             rank = count_abstract(extended, weights, bound[x])
-            heapq.heappush(
-                open_chains, (-rank, length + 1, _Order(extended), extended)
-            )
+            heapq.heappush(open_chains, (-rank, length + 1, extended))
     raise NoChain(
         "no acyclic chain reaches {!r} from any of {}", target, ordered_sources
     )
@@ -393,8 +369,8 @@ def enumerate_chains(
     target, ordered by length then lexicographically by adapter ids.
     source = target yields exactly the empty chain. Raises CapExceeded once
     the walk extends more partial chains than ``tabulation_cap()``."""
-    graph.require_interface(source)  # an unhashable source is named as given
-    _check_query(graph, [source], target, UNIT_WEIGHTS)
+    graph.require_interface(source)
+    graph.require_interface(target)
     found = [
         tuple(a.id for a in path)
         for path, _ in _chains_depth_first(graph, source, target)
@@ -405,7 +381,7 @@ def enumerate_chains(
 
 def chain_pipeline(graph: AdapterGraph, chain: Iterable[str], source: str) -> AdaptationPipeline:
     """Build a pipeline from adapter ids starting at ``source``."""
-    if isinstance(chain, str):
+    if isinstance(chain, str) or not isinstance(chain, Iterable):
         raise InvalidParams("chain {!r} is not a list of adapter ids", chain)
     adapters = []
     for adapter_id in chain:

@@ -84,8 +84,10 @@ class AdaptationPipeline(_Sealed):
     ``target``) has neither. Only :func:`identity_pipeline` and
     :func:`prepend` build pipelines, and prepending shares the tail rather
     than copying it, so a chain of length L costs O(L) to build and to
-    hold. Only :func:`_fold` walks the links, one step at a time. No
-    interface is visited twice. Pipelines compare by identity.
+    hold. No other module reads the links: :func:`_fold` walks them one
+    step at a time, :attr:`chain` names the adapters, and ``<`` orders two
+    chains of equal length by their adapter ids, first adapter first. No
+    interface is visited twice. Pipelines are equal only to themselves.
 
     Three caches never change an answer. The identity creates the first
     two, and every pipeline prepended from it shares them:
@@ -124,6 +126,27 @@ class AdaptationPipeline(_Sealed):
         """Does the chain touch ``interface_id``? One bit test."""
         bit = self._index.get(interface_id)
         return bit is not None and bool(self._mask >> bit & 1)
+
+    def __lt__(self, other: AdaptationPipeline) -> bool:
+        """Orders two chains of equal length by their adapter ids, first
+        adapter first, in one loop over both chains' links: no copy and no
+        recursion, however long they are. Chains that share their tail stop
+        comparing where it starts."""
+        a, b = self, other
+        while a is not b and a._tail is not None:
+            if a._head.id != b._head.id:
+                return a._head.id < b._head.id
+            a, b = a._tail, b._tail
+        return False
+
+    @property
+    def chain(self) -> tuple[str, ...]:
+        """The adapter ids in application order; the identity's is ``()``."""
+        ids, node = [], self
+        while node._tail is not None:
+            ids.append(node._head.id)
+            node = node._tail
+        return tuple(ids)
 
 
 def identity_pipeline(interface: Interface) -> AdaptationPipeline:

@@ -307,6 +307,12 @@ class TestChainPipeline:
             chain_pipeline(graph, "ab", "A")
         assert str(exc.value) == "chain 'ab' is not a list of adapter ids"
 
+    @pytest.mark.parametrize("chain", [None, 5])
+    def test_a_chain_that_is_not_iterable_is_invalid_params(self, video_graph, chain):
+        with pytest.raises(InvalidParams) as exc:
+            chain_pipeline(video_graph, chain, "Video1")
+        assert str(exc.value) == f"chain {chain!r} is not a list of adapter ids"
+
 
 class TestCountAbstract:
     def test_single_adapter(self, video_graph):
@@ -502,6 +508,17 @@ class TestGreedyChain:
             find(graph, "AB", "AB")
         assert str(exc.value) == "sources 'AB' are not a list of interface ids"
 
+    @pytest.mark.parametrize("find", [greedy_chain, oracle_optimal])
+    @pytest.mark.parametrize(
+        "weights", [{("Audio", "play", "AU"): 2}, None], ids=["dict", "None"]
+    )
+    def test_weights_that_are_not_a_weight_map_are_invalid_params(
+        self, video_graph, find, weights
+    ):
+        with pytest.raises(InvalidParams) as exc:
+            find(video_graph, ["Video1"], "Audio", weights)
+        assert str(exc.value) == f"weights {weights!r} are not a WeightMap"
+
     def test_deterministic(self, video_graph):
         results = [
             greedy_chain(video_graph, {"Video1"}, "Video3") for _ in range(3)
@@ -557,8 +574,7 @@ class TestGreedyChain:
         result = greedy_chain(graph, {"P0000"}, "T")
         assert (result.chain, result.score) == ((*prefix, "Y1"), 3.0)
         y1, y2 = (
-            search._Order(chain_pipeline(graph, (*prefix, last), "P0000"))
-            for last in ("Y1", "Y2")
+            chain_pipeline(graph, (*prefix, last), "P0000") for last in ("Y1", "Y2")
         )
         assert y1 < y2 and not y2 < y1
 
@@ -575,6 +591,25 @@ class TestEnumerateChains:
 
     def test_isolated(self):
         assert enumerate_chains(isolated_pair(), "A", "B") == []
+
+    def test_checks_each_endpoint_once_and_scores_nothing(
+        self, video_graph, monkeypatch
+    ):
+        """Only the endpoints are checked, source first: no weights are
+        read and no vector is scored."""
+        checked, scored = [], []
+        require = AdapterGraph.require_interface
+
+        def counted_require(graph, interface_id):
+            checked.append(interface_id)
+            return require(graph, interface_id)
+
+        monkeypatch.setattr(AdapterGraph, "require_interface", counted_require)
+        monkeypatch.setattr(search, "vector_score", lambda *args: scored.append(args))
+        assert len(enumerate_chains(video_graph, "Video1", "Video3")) == 2
+        assert (checked, scored) == (["Video1", "Video3"], [])
+        with pytest.raises(UnknownInterface, match="'X'"):
+            enumerate_chains(video_graph, "X", "Y")
 
     def test_chains_are_node_simple(self, video_graph):
         for source in video_graph.interfaces:

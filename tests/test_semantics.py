@@ -153,9 +153,7 @@ class TestPipelines:
         with pytest.raises(EndpointMismatch, match="Video1toVideo2"):
             prepend(a1, identity_pipeline(audio))  # Video2 is not Audio
 
-    @pytest.mark.parametrize(
-        "warm", [False, True], ids=["apply_pipeline", "apply_memoized"]
-    )
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_vector_over_another_interface(self, video_graph, warm):
         """A fresh pipeline and one whose memo the searches' fold already
         filled both refuse a vector over another interface."""

@@ -7,7 +7,8 @@ callers; a name's use inside its own module is. The check sees only
 ``X = namedtuple(...)``, which would slip past it. Every public member of
 a class is read there too. The benchmark's tracer also counts calls by
 name, and the searches stay off the one it divides by. Every annotation
-names something its module defines or imports."""
+names something its module defines or imports. Only ``semantics.py``
+reads a pipeline's links."""
 
 from __future__ import annotations
 
@@ -144,6 +145,19 @@ def test_only_eval_calls_apply_pipeline(monkeypatch, video_graph):
         out=io.StringIO(), err=io.StringIO(),
     )
     assert (status, len(calls)) == (0, 1)
+
+
+def test_only_semantics_reads_pipeline_links():
+    """A pipeline is a linked list whose layout ``semantics.py`` owns: the
+    other modules order, name and fold chains through
+    ``AdaptationPipeline`` and never read ``_head`` or ``_tail``."""
+    readers = sorted(
+        f"{path.stem}:{node.lineno} {node.attr}"
+        for path in PACKAGE.glob("*.py") if path.name != "semantics.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("_head", "_tail")
+    )
+    assert not readers, f"pipeline links read outside semantics.py: {readers}"
 
 
 def test_importing_the_cli_loads_no_rare_path_module():
