@@ -74,38 +74,6 @@ class AbstractDomain(_Checked, namedtuple("AbstractDomain", "values")):
     def __init__(self, values: tuple[str, ...]) -> None:
         self._members = frozenset(values)
 
-    @classmethod
-    def from_names(cls, names: Iterable[str], *, context=("",)) -> AbstractDomain:
-        """Lift a collection of non-bottom value names into a domain.
-
-        "bot" may appear in ``names``; it is treated as the implied bottom.
-        ``context`` (a template fragment, then its values; see ``errors``)
-        ends every error message.
-        """
-        if isinstance(names, (str, dict)) or not isinstance(names, Iterable):
-            raise UnknownValue(
-                "domain {!r} is not a list of value names" + context[0], names,
-                *context[1:],
-            )
-        seen: set[str] = set()
-        for name in names:
-            if not isinstance(name, str):
-                raise UnknownValue(
-                    "abstract value {!r} is not a string" + context[0], name,
-                    *context[1:],
-                )
-            if name in seen:
-                raise DuplicateAbstractValue(
-                    "duplicate abstract value {!r}" + context[0], name, *context[1:]
-                )
-            seen.add(name)
-        seen.discard(BOT)
-        if not seen:
-            raise EmptyDomain(
-                "domain has no non-bottom values" + context[0], *context[1:]
-            )
-        return cls((BOT, *sorted(seen)))
-
     @property
     def size(self) -> int:
         return len(self.values)
@@ -182,7 +150,8 @@ def build_interface(
 ) -> Interface:
     """Declare an interface from (method name, non-bottom value names) pairs.
 
-    Domains are lifted: "bot" is injected and canonical order applied.
+    Domains are lifted: "bot" is injected and canonical order applied. A
+    value list may name "bot"; it is treated as the implied bottom.
     """
     if not isinstance(id, str):
         raise ValidationError("interface id {!r} is not a string", id)
@@ -213,10 +182,31 @@ def build_interface(
                 "interface {!r} declares method {!r} twice", id, name
             )
         names_seen.add(name)
-        domain = AbstractDomain.from_names(
-            values, context=(" in method {!r} of interface {!r}", name, id)
-        )
-        specs.append(MethodSpec(name, domain))
+        if isinstance(values, (str, dict)) or not isinstance(values, Iterable):
+            raise UnknownValue(
+                "domain {!r} is not a list of value names in method {!r} of "
+                "interface {!r}", values, name, id,
+            )
+        seen: set[str] = set()
+        for value in values:
+            if not isinstance(value, str):
+                raise UnknownValue(
+                    "abstract value {!r} is not a string in method {!r} of "
+                    "interface {!r}", value, name, id,
+                )
+            if value in seen:
+                raise DuplicateAbstractValue(
+                    "duplicate abstract value {!r} in method {!r} of interface "
+                    "{!r}", value, name, id,
+                )
+            seen.add(value)
+        seen.discard(BOT)
+        if not seen:
+            raise EmptyDomain(
+                "domain has no non-bottom values in method {!r} of interface {!r}",
+                name, id,
+            )
+        specs.append(MethodSpec(name, AbstractDomain((BOT, *sorted(seen)))))
     if not specs:
         raise EmptyDomain("interface {!r} must declare at least one method", id)
     return Interface(id, tuple(specs))

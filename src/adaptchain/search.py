@@ -46,8 +46,8 @@ equal-length chains by their adapter ids themselves, and greedy reads the
 answer's ``chain`` once, when it returns. Enumeration and the oracle share
 one iterative depth-first search, bounded by the tabulation cap and not by
 Python's recursion limit; the oracle adapts forward along the search path,
-through its own table, and only for prefixes of chains that reach the
-target. No table outlives its search.
+through the table of its own identity at the target, and only for prefixes
+of chains that reach the target. No table outlives its search.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from .model import (
 from .semantics import (
     AdaptationPipeline,
     _adapt,
-    _check_start,
     _fold,
     identity_pipeline,
     prepend,
@@ -129,8 +128,11 @@ def vector_score(
     vector does not depend on how its sets were built. ``math.fsum``
     raises ``OverflowError`` when a partial sum overflows, which depends on
     the order of the terms; the sum is then taken exactly, as a
-    ``Fraction``. Raises InvalidParams only when that exact sum rounds past
-    the largest float, so no score is ever inf."""
+    ``Fraction``. Raises InvalidParams for weights that are not a
+    WeightMap, and when that exact sum rounds past the largest float, so
+    no score is ever inf."""
+    if not isinstance(weights, WeightMap):
+        raise InvalidParams("weights {!r} are not a WeightMap", weights)
     table = weights.weights
     terms = [
         table.get((interface.id, method.name, value), 1.0)
@@ -160,12 +162,10 @@ def count_abstract(
     source, through it and weigh the surviving non-bottom values. With unit
     weights this is a plain count. The adapted vector is memoized in the
     pipeline by the one fold, ``semantics._fold``, called directly so that
-    each ``apply_pipeline`` call stays one evaluation; ``start`` is
-    checked as ``apply_pipeline`` checks its vector."""
+    each ``apply_pipeline`` call stays one evaluation; the fold checks
+    ``start`` as it checks ``apply_pipeline``'s vector."""
     if start is None:
         start = full_vector(pipeline.source)
-    else:
-        _check_start(pipeline, start)
     return vector_score(pipeline.target, _fold(pipeline, start), weights)
 
 
@@ -177,8 +177,9 @@ def _check_query(
     graph: AdapterGraph, sources: Iterable[str], target: str, weights: WeightMap
 ) -> list[str]:
     """The sorted distinct sources, once they and the target are declared,
-    ``weights`` is a WeightMap of declared values, and full capability at
-    the target, which no chain outscores, scores finitely. Each weighted
+    ``weights`` is a WeightMap under which full capability at the target,
+    which no chain outscores, scores finitely (``vector_score`` checks
+    both), and every weight is for a declared value. Each weighted
     interface's methods are indexed by name once, so the check is linear."""
     if isinstance(sources, str):
         raise InvalidParams("sources {!r} are not a list of interface ids", sources)
@@ -192,8 +193,8 @@ def _check_query(
         raise InvalidParams("sources must be nonempty")
     for interface_id in (*source_ids, target):
         graph.require_interface(interface_id)
-    if not isinstance(weights, WeightMap):
-        raise InvalidParams("weights {!r} are not a WeightMap", weights)
+    target_interface = graph.interfaces[target]
+    vector_score(target_interface, full_vector(target_interface), weights)
     domains: dict[str, dict[str, AbstractDomain]] = {}
     for interface_id, method, value in weights.weights:
         if interface_id not in domains:
@@ -205,22 +206,21 @@ def _check_query(
             raise InvalidParams(
                 "weight for {}.{}.{}: no such value", interface_id, method, value
             )
-    target_interface = graph.interfaces[target]
-    vector_score(target_interface, full_vector(target_interface), weights)
     return source_ids
 
 
 def _forward_bound(
-    graph: AdapterGraph, sources: Iterable[str], target: str, table: dict
+    graph: AdapterGraph, sources: Iterable[str], start: AdaptationPipeline
 ) -> dict[str, AvailabilityVector]:
     """U: the least fixpoint of U[s] = full(s) for each source s and U[y]
     holding adapt(a, U[x]) for each adapter a from x to another interface
-    y, over the "live" interfaces, those that can reach ``target``. An
+    y, over the "live" interfaces, those that can reach the target. An
     interface that no source reaches has no entry. No acyclic chain takes
     a self-loop and no join grows full capability, so the walk skips
-    self-loops and adapters into a source. Adaptation goes through
-    ``table``, the search's own. Each component only grows, so the
-    worklist empties."""
+    self-loops and adapters into a source. ``start`` is the search's
+    identity at the target, and adaptation goes through its table. Each
+    component only grows, so the worklist empties."""
+    target = start.target.id
     live, stack = {target}, [target]
     while stack:
         for adapter in graph.incoming(stack.pop()):
@@ -237,7 +237,7 @@ def _forward_bound(
             y = adapter.target.id
             if y not in growing or y == x:
                 continue
-            vector, old = _adapt(table, adapter, bound[x]), bound.get(y)
+            vector, old = _adapt(start, adapter, bound[x]), bound.get(y)
             if old is not None:
                 if all(map(frozenset.issubset, vector.components, old.components)):
                     continue
@@ -281,7 +281,7 @@ def greedy_chain(
     if target in source_ids:
         bound = {target: full_vector(start.source)}
     else:
-        bound = _forward_bound(graph, ordered_sources, target, start._table)
+        bound = _forward_bound(graph, ordered_sources, start)
     # Entries are (-rank, length, pipeline); equal-length pipelines order by
     # their adapter ids, and no two in one search are equal.
     open_chains = [
@@ -415,18 +415,18 @@ def oracle_optimal(
 
     Vectors are adapted forward along the depth-first path, and only once
     a chain through them reaches the target; chains sharing a prefix share
-    its adaptations, and one adaptation table per call (``semantics._adapt``)
-    adapts each (adapter, vector) pair once."""
+    its adaptations. One table per call, rooted as greedy's is in the
+    identity at the target, adapts each (adapter, vector) pair once."""
     source_ids = _check_query(graph, sources, target, weights)
     target_interface = graph.interfaces[target]
     best = None  # (rank, source, final vector)
-    table: dict = {}
+    root = identity_pipeline(target_interface)
     for src in source_ids:
         vectors = [full_vector(graph.interfaces[src])]
         for path, kept in _chains_depth_first(graph, src, target):
             del vectors[kept + 1:]
             for adapter in path[kept:]:
-                vectors.append(_adapt(table, adapter, vectors[-1]))
+                vectors.append(_adapt(root, adapter, vectors[-1]))
             score = vector_score(target_interface, vectors[-1], weights)
             chain = tuple(a.id for a in path)
             rank = (-score, len(chain), chain)

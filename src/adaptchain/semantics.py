@@ -37,8 +37,10 @@ from math import prod
 from operator import attrgetter
 
 from .errors import (
+    ArityMismatch,
     CapExceeded,
     CycleDetected,
+    EmptyDomain,
     EndpointMismatch,
     InterfaceMismatch,
     InvalidParams,
@@ -66,7 +68,13 @@ def apply_adaptation(adapter: Adapter, p: AvailabilityVector) -> AvailabilityVec
             "vector is over {!r}, adapter {!r} expects source {!r}",
             p.interface_id, adapter.id, adapter.source.id,
         )
+    if len(p.components) != adapter.source.arity:
+        raise ArityMismatch(
+            "vector over {!r} needs {} components", p.interface_id, adapter.source.arity
+        )
     outputs = set(map(adapter.lookup, itertools.product(*p.components)))
+    if not outputs:
+        raise EmptyDomain("vector over {!r} has an empty component", p.interface_id)
     return AvailabilityVector(
         adapter.target.id,
         tuple(
@@ -84,9 +92,9 @@ class AdaptationPipeline(_Sealed):
     ``target``) has neither. Only :func:`identity_pipeline` and
     :func:`prepend` build pipelines, and prepending shares the tail rather
     than copying it, so a chain of length L costs O(L) to build and to
-    hold. No other module reads the links: :func:`_fold` walks them one
-    step at a time, :attr:`chain` names the adapters, and ``<`` orders two
-    chains of equal length by their adapter ids, first adapter first. No
+    hold. No other module reads a private field: :func:`_fold` walks the
+    links, :attr:`chain` names the adapters, and ``<`` orders two chains
+    of equal length by their adapter ids, first adapter first. No
     interface is visited twice. Pipelines are equal only to themselves.
 
     Three caches never change an answer. The identity creates the first
@@ -95,8 +103,8 @@ class AdaptationPipeline(_Sealed):
       one search touches. Every pipeline carries the interfaces it touches
       as one int bitmask (``_mask``) over it, so acyclicity costs O(1) per
       :func:`prepend`, and :meth:`visits` tests a bit;
-    - ``_table`` is the search's adaptation table (see :func:`_adapt`), so
-      one search adapts each (adapter, vector) pair once;
+    - ``_table`` is the search's adaptation table, read only by
+      :func:`_adapt`, so one search adapts each (adapter, vector) pair once;
     - ``_memo``, each pipeline's own, remembers what every input vector
       this pipeline was folded from became, for as long as it lives.
     The fields are slots; both builders pass a new empty dict as ``_memo``.
@@ -186,30 +194,21 @@ def apply_pipeline(
     pipeline: AdaptationPipeline, p: AvailabilityVector
 ) -> AvailabilityVector:
     """Adapt p through the pipeline (see :func:`_fold`); the empty chain
-    returns p. The vector must be over the pipeline's source. The searches
-    call ``_fold`` directly, so each call here is one evaluation, which
-    the benchmark's tracer counts."""
-    _check_start(pipeline, p)
+    returns p. The searches call ``_fold`` directly, so each call here is
+    one evaluation, which the benchmark's tracer counts."""
     return _fold(pipeline, p)
 
 
-def _check_start(pipeline: AdaptationPipeline, p: AvailabilityVector) -> None:
-    """Refuse a vector that is not over the pipeline's source, before the
-    fold: the empty chain adapts nothing that would refuse it."""
-    if p.interface_id != pipeline.source.id:
-        raise InterfaceMismatch(
-            "vector is over {!r}, pipeline starts at {!r}",
-            p.interface_id, pipeline.source.id,
-        )
-
-
-def _adapt(table: dict, adapter: Adapter, p: AvailabilityVector) -> AvailabilityVector:
-    """``apply_adaptation(adapter, p)`` through a search's table, calling
-    it only for a pair the table has not seen. The key is the adapter's
+def _adapt(
+    root: AdaptationPipeline, adapter: Adapter, p: AvailabilityVector
+) -> AvailabilityVector:
+    """``apply_adaptation(adapter, p)`` through the table ``root`` shares
+    with its search (which passes its identity at the target), calling it
+    only for a pair the table has not seen. The key is the adapter's
     identity and p; the entry also holds the adapter, so no other adapter
     (one with the same id string included) can take its identity while
     the table lives."""
-    key = id(adapter), p
+    table, key = root._table, (id(adapter), p)
     entry = table.get(key)
     if entry is None:
         entry = table[key] = adapter, apply_adaptation(adapter, p)
@@ -222,14 +221,24 @@ def _fold(pipeline: AdaptationPipeline, p: AvailabilityVector) -> AvailabilityVe
     vector in hand. Only the pipeline it was called on remembers the
     result. Greedy scores each pipeline it pushes, so scoring ``a·P``
     costs one table step and a memo hit on ``P`` whenever ``a`` loses
-    nothing. p must be over the pipeline's source."""
-    table, node, q = pipeline._table, pipeline, p
+    nothing. It refuses, before any step, a p over another interface or
+    with another number of components than the pipeline's source."""
+    source = pipeline.source
+    if p.interface_id != source.id:
+        raise InterfaceMismatch(
+            "vector is over {!r}, pipeline starts at {!r}", p.interface_id, source.id
+        )
+    if len(p.components) != source.arity:
+        raise ArityMismatch(
+            "vector over {!r} needs {} components", p.interface_id, source.arity
+        )
+    node, q = pipeline, p
     while node._tail is not None:
         hit = node._memo.get(q)
         if hit is not None:
             q = hit
             break
-        q = _adapt(table, node._head, q)
+        q = _adapt(pipeline, node._head, q)
         node = node._tail
     if node is not pipeline:
         pipeline._memo[p] = q

@@ -22,10 +22,13 @@ from adaptchain import (
     search,
 )
 from adaptchain.errors import (
-    CapExceeded, InterfaceMismatch, InvalidParams, NoChain, ReservedName, UnknownInterface,
+    ArityMismatch, CapExceeded, InterfaceMismatch, InvalidParams, NoChain, ReservedName,
+    UnknownInterface,
 )
 from adaptchain.generator import GenParams, random_instance
-from adaptchain.model import AdapterGraph, Interface, full_vector, normalize_vector
+from adaptchain.model import (
+    AdapterGraph, AvailabilityVector, Interface, full_vector, normalize_vector,
+)
 from adaptchain.search import WeightMap, UNIT_WEIGHTS, vector_score
 from conftest import lossless_path
 from generator_reference import SplitMix64
@@ -337,6 +340,28 @@ class TestCountAbstract:
             count_abstract(pipe, start=start)
         assert str(exc.value) == "vector is over 'Video1', pipeline starts at 'Audio'"
 
+    @pytest.mark.parametrize(
+        "chain", [[], ["Video1toVideo2"]], ids=["identity", "one"]
+    )
+    def test_start_with_too_few_components(self, video_graph, chain):
+        """Video1 has two methods; a one-component start once scored as if
+        every tuple were unlisted (0.0), or through the identity, 3.0."""
+        pipe = chain_pipeline(video_graph, chain, "Video1")
+        full = full_vector(video_graph.interfaces["Video1"])
+        start = AvailabilityVector("Video1", full.components[:1])
+        with pytest.raises(ArityMismatch) as exc:
+            count_abstract(pipe, start=start)
+        assert str(exc.value) == "vector over 'Video1' needs 2 components"
+
+    @pytest.mark.parametrize("weights", [None, {}], ids=["None", "dict"])
+    def test_weights_that_are_not_a_weight_map_are_invalid_params(
+        self, video_graph, weights
+    ):
+        pipe = chain_pipeline(video_graph, ["Video1toAudio"], "Video1")
+        with pytest.raises(InvalidParams) as exc:
+            count_abstract(pipe, weights)
+        assert str(exc.value) == f"weights {weights!r} are not a WeightMap"
+
 
 # Four finite weights on Audio whose sum has no finite float.
 AUDIO_OVERFLOW = WeightMap({
@@ -419,6 +444,12 @@ class TestVectorScore:
         })
         score = vector_score(interface, full_vector(interface), weights)
         assert score == float(sum(map(Fraction, NEAR_MAX))) == sys.float_info.max
+
+    def test_weights_that_are_not_a_weight_map_are_invalid_params(self, video_graph):
+        audio = video_graph.interfaces["Audio"]
+        with pytest.raises(InvalidParams) as exc:
+            vector_score(audio, full_vector(audio), {})
+        assert str(exc.value) == "weights {} are not a WeightMap"
 
     def test_overflow_is_a_domain_error(self, video_graph):
         audio = video_graph.interfaces["Audio"]

@@ -141,7 +141,8 @@ def assert_bound_is_sound(graph, sources, target):
     """U[s] is full capability at each source s that can reach the target,
     and every acyclic chain from a source to an interface X that can reach
     the target brings a subset of U[X] there. Returns the chains checked."""
-    bound = search._forward_bound(graph, sorted(sources), target, {})
+    start = semantics.identity_pipeline(graph.interfaces[target])
+    bound = search._forward_bound(graph, sorted(sources), start)
     live = {x for x in graph.interfaces if ref.enumerate_chains(graph, x, target)}
     assert set(bound) <= live
     checked = 0

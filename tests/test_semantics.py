@@ -21,11 +21,14 @@ from adaptchain import (
     tabulate_adaptation,
 )
 from adaptchain.errors import (
+    ArityMismatch,
     CapExceeded,
     CycleDetected,
+    EmptyDomain,
     EndpointMismatch,
     InterfaceMismatch,
 )
+from adaptchain.model import AvailabilityVector
 from adaptchain.generator import GenParams, random_instance
 from conftest import VIDEO1_TO_VIDEO2_ROWS, lossless_path, random_subvector
 from generator_reference import SplitMix64
@@ -111,6 +114,22 @@ class TestApplyAdaptation:
         adapter = video_graph.adapters["Video1toVideo2"]
         with pytest.raises(InterfaceMismatch):
             apply_adaptation(adapter, full_vector(adapter.target))
+
+    def test_too_few_components(self, video_graph):
+        """Once adapted as if every tuple were unlisted."""
+        adapter = video_graph.adapters["Video1toVideo2"]
+        p = AvailabilityVector("Video1", full_vector(adapter.source).components[:1])
+        with pytest.raises(ArityMismatch) as exc:
+            apply_adaptation(adapter, p)
+        assert str(exc.value) == "vector over 'Video1' needs 2 components"
+
+    def test_empty_product(self, video_graph):
+        """Once adapted to a vector with no components at all."""
+        adapter = video_graph.adapters["Video1toAudio"]
+        p = AvailabilityVector("Video1", (frozenset(), frozenset()))
+        with pytest.raises(EmptyDomain) as exc:
+            apply_adaptation(adapter, p)
+        assert str(exc.value) == "vector over 'Video1' has an empty component"
 
 
 class TestPipelines:

@@ -8,7 +8,7 @@ callers; a name's use inside its own module is. The check sees only
 a class is read there too. The benchmark's tracer also counts calls by
 name, and the searches stay off the one it divides by. Every annotation
 names something its module defines or imports. Only ``semantics.py``
-reads a pipeline's links."""
+reads a pipeline's private fields."""
 
 from __future__ import annotations
 
@@ -148,16 +148,18 @@ def test_only_eval_calls_apply_pipeline(monkeypatch, video_graph):
 
 
 def test_only_semantics_reads_pipeline_links():
-    """A pipeline is a linked list whose layout ``semantics.py`` owns: the
-    other modules order, name and fold chains through
-    ``AdaptationPipeline`` and never read ``_head`` or ``_tail``."""
+    """A pipeline is a linked list whose layout and caches ``semantics.py``
+    owns: the other modules order, name, fold and adapt through
+    ``AdaptationPipeline`` and its functions, and never read a private
+    field (links, interface index, mask, adaptation table or memo)."""
+    private = {"_head", "_tail", "_index", "_mask", "_table", "_memo"}
     readers = sorted(
         f"{path.stem}:{node.lineno} {node.attr}"
         for path in PACKAGE.glob("*.py") if path.name != "semantics.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr in ("_head", "_tail")
+        if isinstance(node, ast.Attribute) and node.attr in private
     )
-    assert not readers, f"pipeline links read outside semantics.py: {readers}"
+    assert not readers, f"pipeline fields read outside semantics.py: {readers}"
 
 
 def test_importing_the_cli_loads_no_rare_path_module():
