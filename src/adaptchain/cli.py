@@ -113,11 +113,8 @@ def _parse_weights(path: str) -> WeightMap:
     return WeightMap(weights)
 
 
-def _format_vector(interface: Interface, v: AvailabilityVector) -> str:
-    return " ".join(
-        f"{m.name}:{{{','.join(c)}}}"
-        for m, c in zip(interface.methods, v.canonical())
-    )
+def _format_vector(vector: dict) -> str:
+    return " ".join(f"{name}:{{{','.join(c)}}}" for name, c in vector.items())
 
 
 def _vector_json(interface: Interface, v: AvailabilityVector) -> dict:
@@ -170,7 +167,7 @@ def _cmd_eval(args, graph: AdapterGraph) -> tuple[dict, str]:
         "input": _vector_json(source, p),
         "output": _vector_json(target, q),
     }
-    return report, _format_vector(target, q)
+    return report, _format_vector(report["output"])
 
 
 def _cmd_chain(args, graph: AdapterGraph) -> tuple[dict, str]:
@@ -197,7 +194,7 @@ def _cmd_chain(args, graph: AdapterGraph) -> tuple[dict, str]:
             "chain: " + (" -> ".join(result.chain) if result.chain else "(identity)"),
             f"source: {result.source}",
             f"target: {result.target}",
-            "final: " + _format_vector(target, result.final_vector),
+            "final: " + _format_vector(report["final"]),
             f"score: {result.score}",
         ]
     )

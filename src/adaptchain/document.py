@@ -180,19 +180,24 @@ def _parse_adapter(
     return adapter
 
 
-def parse_document(data: bytes | str) -> AdapterGraph:
-    """Parse and validate a graph document.
+def parse_document(data: bytes | bytearray | str) -> AdapterGraph:
+    """Parse and validate a graph document: text, or its UTF-8 bytes.
 
-    Raises GraphSyntaxError for malformed documents and the model module's
-    validation errors (each naming the offending element) otherwise.
+    Raises GraphSyntaxError for data of another type and for malformed
+    documents, and the model module's validation errors (each naming the
+    offending element) otherwise.
     """
-    if isinstance(data, bytes):
+    if isinstance(data, (bytes, bytearray)):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GraphSyntaxError(
                 "document is not UTF-8: invalid byte at offset {}", exc.start
             ) from None
+    elif not isinstance(data, str):
+        raise GraphSyntaxError(
+            "document is a {}, not text or bytes", type(data).__name__
+        )
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:

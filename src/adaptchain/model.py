@@ -218,6 +218,19 @@ def full_vector(interface: Interface) -> AvailabilityVector:
     return interface._full
 
 
+def _check_vector(interface: Interface, v: AvailabilityVector) -> None:
+    """The one fit rule, which adaptation, the fold and scoring share: v is
+    over ``interface``, with one component per method."""
+    if v.interface_id != interface.id:
+        raise InterfaceMismatch(
+            "vector is over {!r}, expected one over {!r}", v.interface_id, interface.id
+        )
+    if len(v.components) != interface.arity:
+        raise ArityMismatch(
+            "vector over {!r} needs {} components", v.interface_id, interface.arity
+        )
+
+
 def normalize_vector(
     interface: Interface, sets: Sequence[Iterable[str]]
 ) -> AvailabilityVector:

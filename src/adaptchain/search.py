@@ -66,10 +66,12 @@ from .model import (
     AdapterGraph,
     AvailabilityVector,
     Interface,
+    _check_vector,
     _Checked,
     full_vector,
 )
 from .semantics import (
+    TABULATE_CAP_ENV,
     AdaptationPipeline,
     _adapt,
     _fold,
@@ -130,9 +132,11 @@ def vector_score(
     the order of the terms; the sum is then taken exactly, as a
     ``Fraction``. Raises InvalidParams for weights that are not a
     WeightMap, and when that exact sum rounds past the largest float, so
-    no score is ever inf."""
+    no score is ever inf. A v that does not fit ``interface`` is refused
+    (``model._check_vector``), not weighed under the wrong method names."""
     if not isinstance(weights, WeightMap):
         raise InvalidParams("weights {!r} are not a WeightMap", weights)
+    _check_vector(interface, v)
     table = weights.weights
     terms = [
         table.get((interface.id, method.name, value), 1.0)
@@ -303,8 +307,7 @@ def greedy_chain(
             if pushes > cap:
                 raise CapExceeded(
                     "search from any of {} to {!r} pushes more than {} partial "
-                    "chains; raise ADAPTCHAIN_TABULATE_CAP",
-                    ordered_sources, target, cap,
+                    "chains; raise {}", ordered_sources, target, cap, TABULATE_CAP_ENV,
                 )
             extended = prepend(adapter, pipeline)
             rank = count_abstract(extended, weights, bound[x])
@@ -349,8 +352,7 @@ def _chains_depth_first(
         if steps > cap:
             raise CapExceeded(
                 "search from {!r} to {!r} extends more than {} partial chains; "
-                "raise ADAPTCHAIN_TABULATE_CAP",
-                source, target, cap,
+                "raise {}", source, target, cap, TABULATE_CAP_ENV,
             )
         path.append(adapter)
         if nxt == target:

@@ -37,15 +37,13 @@ from math import prod
 from operator import attrgetter
 
 from .errors import (
-    ArityMismatch,
     CapExceeded,
     CycleDetected,
     EmptyDomain,
     EndpointMismatch,
-    InterfaceMismatch,
     InvalidParams,
 )
-from .model import BOT, Adapter, AvailabilityVector, Interface, _Sealed
+from .model import BOT, Adapter, AvailabilityVector, Interface, _check_vector, _Sealed
 
 DEFAULT_TABULATE_CAP = 2**20
 TABULATE_CAP_ENV = "ADAPTCHAIN_TABULATE_CAP"
@@ -61,17 +59,10 @@ def apply_adaptation(adapter: Adapter, p: AvailabilityVector) -> AvailabilityVec
     is built once, from its column of those outputs. ``frozenset(iterable)``
     sizes the set to its contents; ``frozenset().union(...)`` would keep a
     table about twice as large, which every memoized or tabulated vector
-    would carry.
+    would carry. A p that does not fit the adapter's source (see
+    ``model._check_vector``) is refused before any lookup.
     """
-    if p.interface_id != adapter.source.id:
-        raise InterfaceMismatch(
-            "vector is over {!r}, adapter {!r} expects source {!r}",
-            p.interface_id, adapter.id, adapter.source.id,
-        )
-    if len(p.components) != adapter.source.arity:
-        raise ArityMismatch(
-            "vector over {!r} needs {} components", p.interface_id, adapter.source.arity
-        )
+    _check_vector(adapter.source, p)
     outputs = set(map(adapter.lookup, itertools.product(*p.components)))
     if not outputs:
         raise EmptyDomain("vector over {!r} has an empty component", p.interface_id)
@@ -221,17 +212,9 @@ def _fold(pipeline: AdaptationPipeline, p: AvailabilityVector) -> AvailabilityVe
     vector in hand. Only the pipeline it was called on remembers the
     result. Greedy scores each pipeline it pushes, so scoring ``a·P``
     costs one table step and a memo hit on ``P`` whenever ``a`` loses
-    nothing. It refuses, before any step, a p over another interface or
-    with another number of components than the pipeline's source."""
-    source = pipeline.source
-    if p.interface_id != source.id:
-        raise InterfaceMismatch(
-            "vector is over {!r}, pipeline starts at {!r}", p.interface_id, source.id
-        )
-    if len(p.components) != source.arity:
-        raise ArityMismatch(
-            "vector over {!r} needs {} components", p.interface_id, source.arity
-        )
+    nothing. It refuses, before any step, a p that does not fit the
+    pipeline's source (``model._check_vector``)."""
+    _check_vector(pipeline.source, p)
     node, q = pipeline, p
     while node._tail is not None:
         hit = node._memo.get(q)

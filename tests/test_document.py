@@ -197,6 +197,29 @@ def test_non_utf8_is_a_syntax_error():
         parse_document(data)
 
 
+def test_bytearray_is_read_as_utf8_like_bytes():
+    """A bytearray was once handed to ``json.loads``, which guesses its
+    encoding, so a UTF-16 document parsed as a bytearray but not as bytes."""
+    text = json.dumps(MINIMAL)
+    assert parse_document(bytearray(text.encode())) == parse_document(text)
+    for data in (text.encode("utf-16"), bytearray(text.encode("utf-16"))):
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse_document(data)
+        assert str(exc.value) == "document is not UTF-8: invalid byte at offset 0"
+
+
+@pytest.mark.parametrize("data, kind", [
+    (memoryview(json.dumps(MINIMAL).encode()), "memoryview"),
+    (None, "NoneType"),
+    (5, "int"),
+], ids=["memoryview", "None", "int"])
+def test_data_that_is_not_text_or_bytes_is_a_syntax_error(data, kind):
+    """Once a bare TypeError from ``json.loads``."""
+    with pytest.raises(GraphSyntaxError) as exc:
+        parse_document(data)
+    assert str(exc.value) == f"document is a {kind}, not text or bytes"
+
+
 def test_bad_version():
     doc = dict(MINIMAL, version="99")
     with pytest.raises(GraphSyntaxError, match="version"):

@@ -338,7 +338,7 @@ class TestCountAbstract:
         start = full_vector(video_graph.interfaces["Video1"])
         with pytest.raises(InterfaceMismatch) as exc:
             count_abstract(pipe, start=start)
-        assert str(exc.value) == "vector is over 'Video1', pipeline starts at 'Audio'"
+        assert str(exc.value) == "vector is over 'Video1', expected one over 'Audio'"
 
     @pytest.mark.parametrize(
         "chain", [[], ["Video1toVideo2"]], ids=["identity", "one"]
@@ -450,6 +450,29 @@ class TestVectorScore:
         with pytest.raises(InvalidParams) as exc:
             vector_score(audio, full_vector(audio), {})
         assert str(exc.value) == "weights {} are not a WeightMap"
+
+    @pytest.mark.parametrize("target, weights", [
+        ("Audio", WeightMap({("Audio", "play", "OGG"): 5.0})),
+        ("Video2", UNIT_WEIGHTS),
+    ], ids=["Audio", "Video2"])
+    def test_vector_over_another_interface_is_refused(
+        self, video_graph, target, weights
+    ):
+        """Once 6.0 for both: Video1's values were read under Audio's
+        method names, or Video2's four methods cut to Video1's two."""
+        interface = video_graph.interfaces[target]
+        v = full_vector(video_graph.interfaces["Video1"])
+        with pytest.raises(InterfaceMismatch) as exc:
+            vector_score(interface, v, weights)
+        assert str(exc.value) == f"vector is over 'Video1', expected one over '{target}'"
+
+    def test_vector_with_another_number_of_components_is_refused(self, video_graph):
+        video2 = video_graph.interfaces["Video2"]
+        video1 = full_vector(video_graph.interfaces["Video1"])
+        v = AvailabilityVector("Video2", video1.components)
+        with pytest.raises(ArityMismatch) as exc:
+            vector_score(video2, v, UNIT_WEIGHTS)
+        assert str(exc.value) == "vector over 'Video2' needs 4 components"
 
     def test_overflow_is_a_domain_error(self, video_graph):
         audio = video_graph.interfaces["Audio"]

@@ -112,8 +112,9 @@ class TestApplyAdaptation:
 
     def test_wrong_interface(self, video_graph):
         adapter = video_graph.adapters["Video1toVideo2"]
-        with pytest.raises(InterfaceMismatch):
+        with pytest.raises(InterfaceMismatch) as exc:
             apply_adaptation(adapter, full_vector(adapter.target))
+        assert str(exc.value) == "vector is over 'Video2', expected one over 'Video1'"
 
     def test_too_few_components(self, video_graph):
         """Once adapted as if every tuple were unlisted."""
@@ -172,6 +173,18 @@ class TestPipelines:
         with pytest.raises(EndpointMismatch, match="Video1toVideo2"):
             prepend(a1, identity_pipeline(audio))  # Video2 is not Audio
 
+    def test_a_pipeline_is_not_ordered_before_itself_or_an_equal_chain(
+        self, video_graph
+    ):
+        """Two pipelines with the same chain meet at their shared tail, and
+        neither comes first."""
+        a1 = video_graph.adapters["Video1toVideo2"]
+        identity = identity_pipeline(a1.target)
+        p, q = prepend(a1, identity), prepend(a1, identity)
+        assert p is not q and p.chain == q.chain
+        assert not p < p
+        assert not p < q and not q < p
+
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_vector_over_another_interface(self, video_graph, warm):
         """A fresh pipeline and one whose memo the searches' fold already
@@ -185,7 +198,7 @@ class TestPipelines:
         with pytest.raises(InterfaceMismatch) as exc:
             apply_pipeline(pipe, full_vector(a1.target))
         assert str(exc.value) == (
-            "vector is over 'Video2', pipeline starts at 'Video1'"
+            "vector is over 'Video2', expected one over 'Video1'"
         )
         assert pipe._memo == memo
 
