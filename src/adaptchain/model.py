@@ -39,6 +39,7 @@ from .errors import (
     DuplicateMethodName,
     EmptyDomain,
     InterfaceMismatch,
+    InvalidParams,
     UnknownInterface,
     UnknownValue,
     ValidationError,
@@ -220,7 +221,9 @@ def full_vector(interface: Interface) -> AvailabilityVector:
 
 def _check_vector(interface: Interface, v: AvailabilityVector) -> None:
     """The one fit rule, which adaptation, the fold and scoring share: v is
-    over ``interface``, with one component per method."""
+    an AvailabilityVector over ``interface``, with one component per method."""
+    if not isinstance(v, AvailabilityVector):
+        raise InvalidParams("vector {!r} is not an AvailabilityVector", v)
     if v.interface_id != interface.id:
         raise InterfaceMismatch(
             "vector is over {!r}, expected one over {!r}", v.interface_id, interface.id

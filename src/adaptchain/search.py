@@ -3,7 +3,8 @@
 The greedy search works backward from the target: it starts with the empty
 chain (the identity at the target) and repeatedly extends the open chain
 with the highest rank by prepending adapters. A partial chain P starting
-at interface X ranks by the score of a vector at X adapted through P.
+at interface X ranks by the best score of a vector of U[X] (below)
+adapted through P.
 Chains rank by one key, (-rank, length, adapter ids): greedy's heap pops by
 it and the oracle keeps its best chain by it (where rank is the score), so
 the two return the same chain.
@@ -17,23 +18,32 @@ sum past the float range there is refused before the search starts.
 
 Greedy is A* search with an admissible heuristic (Hart, Nilsson & Raphael,
 1968). Before its first push it computes U, the paper's abstract
-interpretation run forward to its least fixpoint (Cousot & Cousot, 1977):
-U[s] is full capability at each source s, and U[y] holds every
-adapt(a, U[x]) for each adapter a from x to another interface y, over the
-interfaces that can reach the target. It ranks P by what U[X] keeps through P. Every
-acyclic chain from a source brings a subset of U[X] to X, so that rank
-never falls below the score of any completion, and, as U[s] = full(s), it
-is the true score of a complete chain. Adaptation is monotone, so
-extending a chain never raises its rank, and the first complete chain
-popped is the oracle's. An interface with no U is never reached from a
-source, so no chain starting there is pushed, and a target with no U is
-refused before any push. On a lossy bridge into a lossless clique the
-bound removes the factorial number of equal-rank chains inside the
-clique, and on wide interfaces full capability, the costliest vector to
-adapt, is adapted only at sources. Every search whose target is not a
-source pays for the fixpoint, about one adaptation per live adapter; the
-fixpoint fills the search's adaptation table, so ranking a chain from U
-often finds its first step already adapted.
+interpretation run forward to its least fixpoint (Cousot & Cousot, 1977)
+over the disjunctive completion of its domain (Cousot & Cousot, 1979):
+U[X] is a set of at most ``_BOUND_WIDTH`` vectors at X, none a subset of
+another. U[s] is {full capability} at each source s, and for each adapter
+a from x to another interface y, adapt(a, u) for each u in U[x] is a
+subset of some vector of U[y], over the interfaces that can reach the
+target. Past the width a set is joined into one vector, as in finite
+powerset domains (Bagnara, Hill & Zaffanella, 2006), so no vector of U[X]
+exceeds the join of everything that reaches X. Greedy ranks P by the best
+score of what P keeps of a vector of U[X]. Every acyclic chain from a
+source brings a subset of some vector of U[X] to X, so that rank never
+falls below the score of any completion, and, as U[s] = {full(s)}, it is
+the true score of a complete chain. Adaptation is monotone, so extending a
+chain never raises its rank, and the first complete chain popped is the
+oracle's. An interface with no U is never reached from a source, so no
+chain starting there is pushed, and a target with no U is refused before
+any push. On a lossy bridge into a lossless clique the bound removes the
+factorial number of equal-rank chains inside the clique, also behind up to
+``_BOUND_WIDTH`` bridges that each lose another value, whose join would be
+full capability. On wide interfaces full capability, the costliest vector
+to adapt, is adapted only at sources, and the vectors U keeps apart cost
+fewer lookups than their join. Every search whose target is not a source
+pays for the fixpoint, about one adaptation per live adapter and vector of
+U; the fixpoint fills the search's adaptation table, so ranking a chain
+from U often finds its first step already adapted. Where U[X] is one
+vector, as on most graphs, ranking costs one fold.
 
 Ranking is incremental: each pipeline remembers the vector each input
 becomes through it, so ranking an extension ``a·P`` adapts the start
@@ -120,6 +130,11 @@ class WeightMap(_Checked, namedtuple("WeightMap", "weights")):
 
 
 UNIT_WEIGHTS = WeightMap()
+# Most vectors the forward bound keeps per interface before joining them;
+# ranking a chain folds once per vector kept at its start. No benchmark
+# workload keeps more than 3, and 8 keeps greedy polynomial behind up to 8
+# bridges that each lose another value (``tests/test_scale.py``).
+_BOUND_WIDTH = 8
 
 
 def vector_score(
@@ -215,15 +230,18 @@ def _check_query(
 
 def _forward_bound(
     graph: AdapterGraph, sources: Iterable[str], start: AdaptationPipeline
-) -> dict[str, AvailabilityVector]:
-    """U: the least fixpoint of U[s] = full(s) for each source s and U[y]
-    holding adapt(a, U[x]) for each adapter a from x to another interface
-    y, over the "live" interfaces, those that can reach the target. An
-    interface that no source reaches has no entry. No acyclic chain takes
-    a self-loop and no join grows full capability, so the walk skips
-    self-loops and adapters into a source. ``start`` is the search's
-    identity at the target, and adaptation goes through its table. Each
-    component only grows, so the worklist empties."""
+) -> dict[str, tuple[AvailabilityVector, ...]]:
+    """U: the least fixpoint of U[s] = {full(s)} for each source s and U[y]
+    covering adapt(a, u) for each u in U[x] and each adapter a from x to
+    another interface y, over the "live" interfaces, those that can reach
+    the target. Each U[y] is an antichain under componentwise subset of at
+    most ``_BOUND_WIDTH`` vectors (see ``_widen``). An interface that no
+    source reaches has no entry. No acyclic chain takes a self-loop and no
+    vector exceeds full capability, so the walk skips self-loops and
+    adapters into a source. ``start`` is the search's identity at the
+    target, and adaptation goes through its table. Each change to U[y]
+    strictly grows the set of vectors below one of its elements, so the
+    worklist empties."""
     target = start.target.id
     live, stack = {target}, [target]
     while stack:
@@ -231,7 +249,7 @@ def _forward_bound(
             if adapter.source.id not in live:
                 live.add(adapter.source.id)
                 stack.append(adapter.source.id)
-    bound = {s: full_vector(graph.interfaces[s]) for s in sources if s in live}
+    bound = {s: (full_vector(graph.interfaces[s]),) for s in sources if s in live}
     growing = live - bound.keys()
     queue, queued = deque(bound), set(bound)
     while queue:
@@ -241,18 +259,38 @@ def _forward_bound(
             y = adapter.target.id
             if y not in growing or y == x:
                 continue
-            vector, old = _adapt(start, adapter, bound[x]), bound.get(y)
-            if old is not None:
-                if all(map(frozenset.issubset, vector.components, old.components)):
-                    continue
-                vector = AvailabilityVector(
-                    y, tuple(map(frozenset.union, old.components, vector.components))
-                )
-            bound[y] = vector
+            old = vectors = bound.get(y)
+            for u in bound[x]:
+                v = _adapt(start, adapter, u)
+                vectors = (v,) if vectors is None else _widen(vectors, v)
+            if vectors is old:
+                continue
+            bound[y] = vectors
             if y not in queued:
                 queued.add(y)
                 queue.append(y)
     return bound
+
+
+def _widen(
+    vectors: tuple[AvailabilityVector, ...], v: AvailabilityVector
+) -> tuple[AvailabilityVector, ...]:
+    """The antichain ``vectors`` covering v as well: ``vectors`` itself
+    when v is a subset of one of them; else v joins them and the ones that
+    are subsets of v go. Past ``_BOUND_WIDTH`` vectors, they are joined
+    into one, componentwise."""
+    for u in vectors:
+        if all(map(frozenset.issubset, v.components, u.components)):
+            return vectors
+    kept = [
+        u for u in vectors
+        if not all(map(frozenset.issubset, u.components, v.components))
+    ]
+    kept.append(v)
+    if len(kept) > _BOUND_WIDTH:
+        joined = map(frozenset.union, *(u.components for u in kept))
+        return (AvailabilityVector(v.interface_id, tuple(joined)),)
+    return tuple(kept)
 
 
 def greedy_chain(
@@ -265,10 +303,12 @@ def greedy_chain(
     from any interface in ``sources``.
 
     Before its first push, greedy computes the forward bound U
-    (``_forward_bound``) and ranks every partial chain by what U at its
-    start keeps through it; an interface with no U is never reached from a
-    source, so no chain starting there is pushed. When the target is a
-    source, U is full capability there and the fixpoint is not run.
+    (``_forward_bound``), up to ``_BOUND_WIDTH`` vectors per interface,
+    and ranks every partial chain by the best score it keeps of a vector
+    of U at its start: one fold per vector, and one in all where U holds
+    one vector. An interface with no U is never reached from a source, so
+    no chain starting there is pushed. When the target is a source, U is
+    {full capability} there and the fixpoint is not run.
 
     Ties between equal-rank open chains break toward shorter chains, then
     lexicographically smaller adapter-id sequences, so results are
@@ -283,13 +323,13 @@ def greedy_chain(
     cap, pushes = tabulation_cap(), 1
     start = identity_pipeline(graph.interfaces[target])
     if target in source_ids:
-        bound = {target: full_vector(start.source)}
+        bound = {target: (full_vector(start.source),)}
     else:
         bound = _forward_bound(graph, ordered_sources, start)
     # Entries are (-rank, length, pipeline); equal-length pipelines order by
     # their adapter ids, and no two in one search are equal.
     open_chains = [
-        (-count_abstract(start, weights, bound[target]), 0, start)
+        (-max(count_abstract(start, weights, u) for u in bound[target]), 0, start)
     ] if target in bound else []
 
     while open_chains:
@@ -310,7 +350,11 @@ def greedy_chain(
                     "chains; raise {}", ordered_sources, target, cap, TABULATE_CAP_ENV,
                 )
             extended = prepend(adapter, pipeline)
-            rank = count_abstract(extended, weights, bound[x])
+            vectors = bound[x]
+            if len(vectors) == 1:  # the common case, at one fold's cost
+                rank = count_abstract(extended, weights, vectors[0])
+            else:
+                rank = max(count_abstract(extended, weights, u) for u in vectors)
             heapq.heappush(open_chains, (-rank, length + 1, extended))
     raise NoChain(
         "no acyclic chain reaches {!r} from any of {}", target, ordered_sources

@@ -10,6 +10,12 @@ algorithm lost its bound.
 - The forward bound keeps greedy polynomial on that bridge: into C1 of a
   7- and a 9-clique it pushes 38 and 66 partial chains (ranking by full
   capability alone pushes 2,283 and 123,301).
+- The bound keeps apart what different bridges bring, up to
+  ``search._BOUND_WIDTH`` vectors per interface: two bridges that lose
+  different values into a 6- to 9-clique push 28, 39, 52 and 67 partial
+  chains (joining what they bring pushes 456, 2,609, 17,614 and 137,001),
+  and eight into a 7-clique 45 (4,565). Past the width the vectors are
+  joined, and greedy still equals the oracle.
 - Greedy ranks by the forward bound from its first push. A target fed by
   a lossless 9-clique that no source reaches is refused with no push (82
   when full capability ranked until the pushes passed the adapter count).
@@ -39,7 +45,7 @@ from adaptchain.errors import NoChain
 from adaptchain.model import Adapter, full_vector
 from adaptchain.semantics import tabulate_adaptation
 from conftest import lossless_path
-from test_search import clique_bridge
+from test_search import clique_bridge, m_bridge, two_bridge
 
 
 def test_tabulation_looks_up_atom_rows_only(monkeypatch):
@@ -86,6 +92,32 @@ def test_forward_bound_keeps_greedy_polynomial(counted, k, pushes):
     result = search.greedy_chain(clique_bridge(k), {"S"}, "C1")
     pushed = len(counted["prepend"]) + 1
     assert (result.chain, result.score, pushed) == (("B0", "K01"), 3.0, pushes)
+
+
+@pytest.mark.parametrize("graph,score,pushes", [
+    *((two_bridge(k), 3.0, pushes) for k, pushes in [(6, 28), (7, 39), (8, 52), (9, 67)]),
+    (m_bridge(8, 7), 8.0, 45),
+], ids=["two-6", "two-7", "two-8", "two-9", "eight-7"])
+def test_the_bound_keeps_bridges_apart(counted, graph, score, pushes):
+    result = search.greedy_chain(graph, {"S"}, "C1")
+    pushed = len(counted["prepend"]) + 1
+    assert (result.chain, result.score, pushed) == (("B0", "K01"), score, pushes)
+
+
+@pytest.mark.parametrize("m", [9, 12])
+def test_greedy_equals_the_oracle_past_the_bound_width(m):
+    """m bridges into a 5-clique bring more vectors to C0 than the bound
+    keeps, so it joins them into full capability there."""
+    assert m > search._BOUND_WIDTH
+    graph = m_bridge(m, 5)
+    start = semantics.identity_pipeline(graph.interfaces["C1"])
+    assert search._forward_bound(graph, ["S"], start)["C0"] == (
+        full_vector(graph.interfaces["C0"]),
+    )
+    for target in ("C0", "C1", "C4"):
+        greedy = search.greedy_chain(graph, {"S"}, target)
+        assert greedy == search.oracle_optimal(graph, {"S"}, target)
+        assert greedy.score == m
 
 
 def test_greedy_stays_linear_on_a_lossless_path(counted):

@@ -53,40 +53,44 @@ def isolated_pair():
     return build_graph([a, b], [])
 
 
-def clique_bridge(k):
-    """S reaches the lossless k-clique C0..C{k-1} only by the bridge B0 into
-    C0, which loses one of S's four values: greedy into C1 pops every
-    equal-score chain inside the clique before any chain through B0."""
-    values = ["a", "b", "c", "d"]
+def bridged_clique(k, lost, values="abcd"):
+    """S reaches the lossless k-clique C0..C{k-1} only by bridges into C0,
+    one per value in ``lost``: bridge B{i} loses value lost[i] of S's."""
     names = ["S", *(f"C{i}" for i in range(k))]
-    interfaces = {n: build_interface(n, [("m", values)]) for n in names}
+    interfaces = {n: build_interface(n, [("m", list(values))]) for n in names}
     lossless = [((v,), [[v]]) for v in values]
-    adapters = [build_adapter("B0", interfaces["S"], interfaces["C0"], lossless[1:])]
+    adapters = [
+        build_adapter(f"B{i}", interfaces["S"], interfaces["C0"],
+                      [row for row in lossless if row[0] != (v,)])
+        for i, v in enumerate(lost)
+    ]
     adapters += [
         build_adapter(f"K{i}{j}", interfaces[f"C{i}"], interfaces[f"C{j}"], lossless)
         for i in range(k) for j in range(k) if i != j
     ]
     return build_graph(interfaces.values(), adapters)
+
+
+def clique_bridge(k):
+    """One bridge, B0, loses one of S's four values: ranked by full
+    capability, greedy into C1 would pop every equal-score chain inside the
+    clique before any chain through B0."""
+    return bridged_clique(k, "a")
 
 
 def two_bridge(k):
-    """S reaches the lossless k-clique C0..C{k-1} by two bridges into C0:
-    B0 loses value a and B1 loses b. Together they bring full capability
-    to every clique interface, so the forward bound removes no tie."""
-    values = ["a", "b", "c", "d"]
-    names = ["S", *(f"C{i}" for i in range(k))]
-    interfaces = {n: build_interface(n, [("m", values)]) for n in names}
-    lossless = [((v,), [[v]]) for v in values]
-    adapters = [
-        build_adapter(id, interfaces["S"], interfaces["C0"],
-                      [row for row in lossless if row[0] != (lost,)])
-        for id, lost in (("B0", "a"), ("B1", "b"))
-    ]
-    adapters += [
-        build_adapter(f"K{i}{j}", interfaces[f"C{i}"], interfaces[f"C{j}"], lossless)
-        for i in range(k) for j in range(k) if i != j
-    ]
-    return build_graph(interfaces.values(), adapters)
+    """Two bridges: B0 loses value a and B1 loses b. Together they bring
+    full capability to every clique interface, so the join of what they
+    bring removes no tie there; the forward bound keeps the two apart."""
+    return bridged_clique(k, "ab")
+
+
+def m_bridge(m, k):
+    """m bridges over m + 1 values, each losing a different one: past
+    ``search._BOUND_WIDTH`` bridges, the forward bound joins what they
+    bring into full capability at C0."""
+    values = [f"v{i:02d}" for i in range(m + 1)]
+    return bridged_clique(k, values[:m], values)
 
 
 def tied_chains(shortcut):

@@ -20,7 +20,7 @@ from adaptchain.model import full_vector
 from adaptchain.search import UNIT_WEIGHTS, WeightMap, chain_pipeline
 from conftest import lossless_path
 from test_acceptance import seeded_instance
-from test_search import clique_bridge, tied_chains, two_bridge
+from test_search import clique_bridge, m_bridge, tied_chains, two_bridge
 
 
 def lossy_clique(k: int):
@@ -107,8 +107,9 @@ def zero_weights(graph):
 
 @pytest.mark.parametrize("k", [5, 6, 7])
 def test_two_bridges(k):
-    """Two bridges bring full capability into the clique, so the bound
-    removes no tie there: greedy equals the oracle and both references."""
+    """Two bridges together bring full capability into the clique, and the
+    bound keeps apart what each brings: greedy equals the oracle and both
+    references."""
     graph = two_bridge(k)
     for target in ("C0", "C1", f"C{k - 1}"):
         for weights in (UNIT_WEIGHTS, zero_weights(graph)):
@@ -138,22 +139,31 @@ def test_equal_real_scores_tie_exactly():
 
 
 def assert_bound_is_sound(graph, sources, target):
-    """U[s] is full capability at each source s that can reach the target,
-    and every acyclic chain from a source to an interface X that can reach
-    the target brings a subset of U[X] there. Returns the chains checked."""
+    """U[s] is {full capability} at each source s that can reach the
+    target; each U[X] is an antichain under componentwise subset of at
+    most ``search._BOUND_WIDTH`` vectors over X; and every acyclic chain
+    from a source to an interface X that can reach the target brings a
+    subset of some vector of U[X] there. Returns the chains checked."""
     start = semantics.identity_pipeline(graph.interfaces[target])
     bound = search._forward_bound(graph, sorted(sources), start)
     live = {x for x in graph.interfaces if ref.enumerate_chains(graph, x, target)}
     assert set(bound) <= live
+    for x, vectors in bound.items():
+        assert 1 <= len(vectors) <= search._BOUND_WIDTH
+        assert all(v.interface_id == x for v in vectors)
+        assert not any(
+            ref.tuple_subset(u, v)
+            for i, u in enumerate(vectors) for j, v in enumerate(vectors) if i != j
+        )
     checked = 0
     for s in sources:
         full = full_vector(graph.interfaces[s])
         if s in live:
-            assert bound[s] == full
+            assert bound[s] == (full,)
         for x in live:
             for chain in ref.enumerate_chains(graph, s, x):
                 brought = ref.fold(chain_pipeline(graph, chain, s), full)
-                assert ref.tuple_subset(brought, bound[x])
+                assert any(ref.tuple_subset(brought, u) for u in bound[x])
                 checked += 1
     return checked
 
@@ -166,7 +176,14 @@ def test_forward_bound_on_seeded_instances(seed):
             assert_bound_is_sound(graph, sources, target)
 
 
-@pytest.mark.parametrize("family", [lossy_clique, clique_bridge, two_bridge])
+def bridges_past_the_width(k):
+    """More bridges than the bound keeps vectors, so it joins them at C0."""
+    return m_bridge(search._BOUND_WIDTH + 1, k)
+
+
+@pytest.mark.parametrize(
+    "family", [lossy_clique, clique_bridge, two_bridge, bridges_past_the_width]
+)
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_forward_bound_on_cliques(family, k):
     graph = family(k)

@@ -27,8 +27,10 @@ from adaptchain.errors import (
     EmptyDomain,
     EndpointMismatch,
     InterfaceMismatch,
+    InvalidParams,
 )
 from adaptchain.model import AvailabilityVector
+from adaptchain.search import UNIT_WEIGHTS, vector_score
 from adaptchain.generator import GenParams, random_instance
 from conftest import VIDEO1_TO_VIDEO2_ROWS, lossless_path, random_subvector
 from generator_reference import SplitMix64
@@ -131,6 +133,25 @@ class TestApplyAdaptation:
         with pytest.raises(EmptyDomain) as exc:
             apply_adaptation(adapter, p)
         assert str(exc.value) == "vector over 'Video1' has an empty component"
+
+
+@pytest.mark.parametrize("caller", ["vector_score", "apply_pipeline", "apply_adaptation"])
+@pytest.mark.parametrize("v, shown", [
+    (None, "None"), (("Video1", ()), "('Video1', ())"), (5, "5"),
+], ids=["None", "tuple", "int"])
+def test_a_vector_that_is_not_an_availability_vector_is_refused(
+    video_graph, caller, v, shown
+):
+    """Each of the three once ended in a bare ``AttributeError``."""
+    adapter = video_graph.adapters["Video1toVideo2"]
+    call = {
+        "vector_score": lambda: vector_score(adapter.source, v, UNIT_WEIGHTS),
+        "apply_pipeline": lambda: apply_pipeline(identity_pipeline(adapter.source), v),
+        "apply_adaptation": lambda: apply_adaptation(adapter, v),
+    }[caller]
+    with pytest.raises(InvalidParams) as exc:
+        call()
+    assert str(exc.value) == f"vector {shown} is not an AvailabilityVector"
 
 
 class TestPipelines:
