@@ -350,11 +350,7 @@ def greedy_chain(
                     "chains; raise {}", ordered_sources, target, cap, TABULATE_CAP_ENV,
                 )
             extended = prepend(adapter, pipeline)
-            vectors = bound[x]
-            if len(vectors) == 1:  # the common case, at one fold's cost
-                rank = count_abstract(extended, weights, vectors[0])
-            else:
-                rank = max(count_abstract(extended, weights, u) for u in vectors)
+            rank = max(count_abstract(extended, weights, u) for u in bound[x])
             heapq.heappush(open_chains, (-rank, length + 1, extended))
     raise NoChain(
         "no acyclic chain reaches {!r} from any of {}", target, ordered_sources

@@ -14,8 +14,9 @@ algorithm lost its bound.
   ``search._BOUND_WIDTH`` vectors per interface: two bridges that lose
   different values into a 6- to 9-clique push 28, 39, 52 and 67 partial
   chains (joining what they bring pushes 456, 2,609, 17,614 and 137,001),
-  and eight into a 7-clique 45 (4,565). Past the width the vectors are
-  joined, and greedy still equals the oracle.
+  and eight into a 7-clique 45 (4,565); ``adaptchain chain`` answers on
+  a 10-clique. Past the width the vectors are joined, and greedy still
+  equals the oracle.
 - Greedy ranks by the forward bound from its first push. A target fed by
   a lossless 9-clique that no source reaches is refused with no push (82
   when full capability ranked until the pushes passed the adapter count).
@@ -102,6 +103,17 @@ def test_the_bound_keeps_bridges_apart(counted, graph, score, pushes):
     result = search.greedy_chain(graph, {"S"}, "C1")
     pushed = len(counted["prepend"]) + 1
     assert (result.chain, result.score, pushed) == (("B0", "K01"), score, pushes)
+
+
+def test_two_bridges_into_a_10_clique_answer_through_the_cli(tmp_path):
+    """The command line on the two-bridge document: a bound that joined
+    the bridges would pass the push cap (about 13 s) before answering."""
+    doc = tmp_path / "two-bridge.json"
+    doc.write_text(serialize_graph(two_bridge(10)), encoding="utf-8")
+    out = io.StringIO()
+    argv = ["chain", "--graph", str(doc), "--source", "S", "--target", "C9"]
+    assert run_cli(argv, out=out, err=io.StringIO()) == 0
+    assert "score: 3.0" in out.getvalue().splitlines()
 
 
 @pytest.mark.parametrize("m", [9, 12])
