@@ -30,9 +30,8 @@ repeats one, the same (name, values) pairs in the same order, takes the
 ``default_output`` equal those of the last adapter checked between
 endpoints holding the same two tuples takes that adapter's table and
 default output. Neither is checked again, since every check would pass.
-Output sets are not interned: where no two output sets of one target are
-equal, as on a long path of identity adapters, a per-target pool only
-adds lookups (README, Notes).
+Within one adapter, ``model.build_adapter`` lifts and checks each distinct
+output list once per target method, and equal lists share its set.
 """
 
 from __future__ import annotations

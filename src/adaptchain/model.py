@@ -17,8 +17,9 @@ it); concurrent readers are safe. Equal values may be one object: a
 parse (``document``) gives interfaces that declare the same method list
 one ``methods`` tuple, and adapters with equal entries between endpoints
 holding the same two tuples one table, a plain ``dict`` that must not be
-written (``Adapter``); a ``generator`` run gives equal drawn output sets
-one ``frozenset``. The records whose constructor checks or completes
+written (``Adapter``). Equal output sets of one adapter and target method
+are one ``frozenset``, after a parse (``build_adapter``) as after a
+``generator`` run. The records whose constructor checks or completes
 them take ``_make`` from one base, ``_Checked``, so their ``_make`` and
 ``_replace`` go through it.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 from functools import cached_property
 from operator import attrgetter
 
@@ -353,11 +354,16 @@ def build_adapter(
     every output set.
 
     Each row is checked once, in order: that it is a pair with an iterable
-    input (else ``ArityMismatch`` naming the row), its arity, each input
-    value against its method's member set (read once per adapter), the
-    duplicate test, then its output sets. An output set given as a list of
-    target values is lifted in place; any other output goes to
-    ``_lift_sets``, which words the fault or lifts the collection.
+    input (else ``ArityMismatch`` naming the row) that is not a string, a
+    mapping or a set (else ``UnknownValue`` naming the row), its arity,
+    each input value against its method's member set (read once per
+    adapter), the duplicate test, then its output sets. An output set given
+    as a list of target values is lifted in place, once per distinct list
+    and target method: a list equal to one already lifted and checked for
+    that method takes its ``frozenset``, since every check would pass (a
+    tuple of strings equals only a tuple of equal strings). Any other
+    output goes to ``_lift_sets``, which words the fault or lifts the
+    collection.
 
     It is the one row validator for documents and library callers. The
     generator builds ``Adapter`` directly, since the rows it draws come
@@ -384,6 +390,9 @@ def build_adapter(
             "sets) pairs", id, entries,
         ) from None
     table: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
+    # Per target method, each output list lifted and checked so far: a
+    # list equal to one of them takes its set, since every check would pass.
+    pools = [{} for _ in outputs]
     for row in entries:
         try:
             input_values, output = row
@@ -393,6 +402,15 @@ def build_adapter(
                 "adapter {!r}: entry {!r} is not a pair of an input tuple and "
                 "output sets", id, row,
             ) from None
+        # A string would be read as its characters, a mapping or a set as
+        # its keys or elements, in an order that may depend on the hash seed.
+        if type(input_values) not in (list, tuple) and isinstance(
+            input_values, (str, Mapping, Set)
+        ):
+            raise UnknownValue(
+                "adapter {!r}: entry {!r} has an input that is not a list of "
+                "value names", id, row,
+            )
         if len(input) != n_in:
             raise ArityMismatch(
                 "adapter {!r}: input tuple {!r} has {} components, source {!r} "
@@ -416,13 +434,17 @@ def build_adapter(
         try:
             if len(output) == n_out:
                 row = []
-                for values, members in zip(output, outputs):
+                for values, members, pool in zip(output, outputs, pools):
                     # A string "Z" would pass the subset test as {"Z"}.
                     if type(values) is not list:
                         break
-                    lifted = frozenset(values) | _BOT_SET
-                    if not lifted <= members:
-                        break
+                    key = tuple(values)
+                    lifted = pool.get(key)
+                    if lifted is None:
+                        lifted = frozenset(values) | _BOT_SET
+                        if not lifted <= members:
+                            break
+                        pool[key] = lifted
                     row.append(lifted)
                 else:
                     table[input] = tuple(row)

@@ -270,6 +270,21 @@ class TestBuildAdapter:
             build_adapter(9, video1(), video2(), [])
         assert str(exc.value) == "adapter id 9 is not a string"
 
+    @pytest.mark.parametrize("input", [
+        "xy", {"x": 1, "y": 2}, {"x", "y"}, frozenset("xy"), {"x": 1, "y": 2}.keys(),
+    ], ids=["str", "dict", "set", "frozenset", "keys"])
+    def test_input_that_is_a_string_mapping_or_set_is_refused(self, input):
+        # Read as its characters, keys or elements, each would be ('x', 'y').
+        source = build_interface("A", [("p", ["x", "y"]), ("q", ["x", "y"])])
+        target = build_interface("B", [("o", ["x"])])
+        row = (input, [["x"]])
+        with pytest.raises(UnknownValue) as exc:
+            build_adapter("AB", source, target, [(["x", "x"], [[]]), row])
+        assert str(exc.value) == (
+            f"adapter 'AB': entry {brief(row)} has an input that is not a list "
+            "of value names"
+        )
+
     def test_lookup_is_total_with_bot_everywhere(self):
         import itertools
 
@@ -279,6 +294,51 @@ class TestBuildAdapter:
             for s, method in zip(out, video2().methods):
                 assert BOT in s
                 assert s <= set(method.domain.values)
+
+
+class TestOutputPool:
+    """An output list equal to one already lifted and checked for the same
+    target method takes its set unchecked; every check it skips would pass."""
+
+    S = build_interface("S", [("i", ["a", "b", "c", "d"])])
+    T = build_interface("T", [("m0", ["x", "y"]), ("m1", ["x", "z"])])
+    POOLED = (["a"], [["x", "y"], ["x"]])
+
+    def refusal(self, output):
+        with pytest.raises(UnknownValue) as exc:
+            build_adapter("P", self.S, self.T, [self.POOLED, (["b"], output)])
+        return str(exc.value)
+
+    def test_a_string_equal_as_a_tuple_is_still_refused(self):
+        assert self.refusal(["xy", []]) == (
+            "adapter 'P': entry ('b',) output: method 'm0' of interface 'T' "
+            "needs a list of value names, got 'xy'"
+        )
+
+    def test_an_unhashable_value_is_still_refused(self):
+        assert self.refusal([[["x"]], []]) == (
+            "adapter 'P': entry ('b',) output: method 'm0' of interface 'T' "
+            "needs a list of value names, got [['x']]"
+        )
+
+    def test_each_target_method_has_its_own_pool(self):
+        # ["x", "y"] was checked at m0, where it holds, not at m1.
+        assert self.refusal([["x"], ["x", "y"]]) == (
+            "adapter 'P': entry ('b',) output: value 'y' is not in the domain "
+            "of method 'm1' of interface 'T'"
+        )
+
+    def test_lists_of_the_same_values_give_equal_sets(self):
+        adapter = build_adapter("P", self.S, self.T, [
+            self.POOLED,
+            (["b"], [["y", "x"], []]),
+            (["c"], [["x", "y", "bot"], ["x"]]),
+            (["d"], [["x", "y"], ["x"]]),
+        ])
+        pooled = adapter.lookup(("a",))
+        assert adapter.lookup(("b",))[0] == adapter.lookup(("c",))[0] == pooled[0]
+        assert adapter.lookup(("d",)) == pooled
+        assert all(s is p for s, p in zip(adapter.lookup(("d",)), pooled))
 
 
 class TestBuildGraph:

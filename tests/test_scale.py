@@ -30,6 +30,10 @@ algorithm lost its bound.
   methods tuple, and its 1,199 identity adapters call ``build_adapter``
   once and hold one table (checking every copy calls them 1,200 and 1,199
   times).
+- A parse lifts each distinct output list once per adapter and target
+  method: the 7 adapters of a parsed ``wide_graph`` (seed 1), of 59 and
+  60 rows, hold 3 output-set objects per target method (lifting every
+  copy gives one per row).
 """
 
 from __future__ import annotations
@@ -223,6 +227,16 @@ def test_a_parse_checks_each_distinct_table_once(monkeypatch):
     adapters = parse_document(text).adapters.values()
     tables = {id(a.table) for a in adapters}
     assert (len(calls), len(adapters), len(tables)) == (1, 1199, 1)
+
+
+def test_a_parse_lifts_each_distinct_output_list_once_per_method():
+    adapters = parse_document(serialize_graph(wide_graph(random.Random(1)))).adapters
+    sets = {
+        a.id: [len({id(row[m]) for row in a.table.values()}) for m in range(6)]
+        for a in adapters.values()
+    }
+    rows = [len(a.table) for a in adapters.values()]
+    assert (sets, rows) == (dict.fromkeys(adapters, [3] * 6), [59, 59, 60, 60, 60, 60, 60])
 
 
 def test_a_parse_checks_each_distinct_method_list_once(monkeypatch):
