@@ -51,6 +51,11 @@ _BOT_SET = frozenset((BOT,))
 _members = attrgetter("domain._members")  # a method's value set
 
 
+def _unordered(value: object) -> bool:
+    """The order rule: true for a mapping (read as its keys) or a set (hash order)."""
+    return type(value) not in (list, tuple) and isinstance(value, (Mapping, Set))
+
+
 class _Checked:
     """Base of the records whose constructor checks or completes them
     (``AbstractDomain``, ``search.WeightMap``, ``generator.GenParams``):
@@ -153,13 +158,16 @@ def build_interface(
     """Declare an interface from (method name, non-bottom value names) pairs.
 
     Domains are lifted: "bot" is injected and canonical order applied. A
-    value list may name "bot"; it is treated as the implied bottom.
-    """
+    value list may name "bot"; it is treated as the implied bottom. Methods
+    are read in order, so a mapping or a set of them is refused (the order
+    rule, ``_unordered``), but a value list may be a set."""
     if not isinstance(id, str):
         raise ValidationError("interface id {!r} is not a string", id)
     if not id:
         raise EmptyDomain("interface id must be nonempty")
     try:
+        if _unordered(methods):
+            raise TypeError
         methods = iter(methods)
     except TypeError:
         raise ArityMismatch(
@@ -184,7 +192,7 @@ def build_interface(
                 "interface {!r} declares method {!r} twice", id, name
             )
         names_seen.add(name)
-        if isinstance(values, (str, dict)) or not isinstance(values, Iterable):
+        if isinstance(values, (str, Mapping)) or not isinstance(values, Iterable):
             raise UnknownValue(
                 "domain {!r} is not a list of value names in method {!r} of "
                 "interface {!r}", values, name, id,
@@ -238,10 +246,10 @@ def _check_vector(interface: Interface, v: AvailabilityVector) -> None:
 def normalize_vector(
     interface: Interface, sets: Sequence[Iterable[str]]
 ) -> AvailabilityVector:
-    """Validate per-method value sets and lift them into a vector.
+    """Validate per-method value sets, in method order (a mapping or a set
+    of them is refused: ``_unordered``), and lift them into a vector.
 
-    "bot" is injected into every component; normalization is idempotent.
-    """
+    "bot" is injected into every component; normalization is idempotent."""
     return AvailabilityVector(interface.id, _lift_sets(interface, sets))
 
 
@@ -250,10 +258,10 @@ def _lift_sets(
 ) -> tuple[frozenset[str], ...]:
     """Validate one collection of value names per method and inject "bot"
     into each. Errors begin with ``where``, a template fragment naming the
-    adapter output checked, then its values (see ``errors``); types are
-    only inspected once something has failed."""
+    adapter output checked, then its values (see ``errors``). Unordered
+    ``sets`` fail as a wrong length would; each component is type-tested."""
     try:
-        arity_ok = len(sets) == interface.arity
+        arity_ok = len(sets) == interface.arity and not _unordered(sets)
     except TypeError:
         arity_ok = False
     if not arity_ok:
@@ -264,7 +272,7 @@ def _lift_sets(
     components: list[frozenset[str]] = []
     for method, values in zip(interface.methods, sets):
         try:
-            if isinstance(values, (str, dict)):
+            if isinstance(values, (str, Mapping)):
                 raise TypeError
             values = frozenset(values) | _BOT_SET
         except TypeError:
@@ -354,16 +362,14 @@ def build_adapter(
     every output set.
 
     Each row is checked once, in order: that it is a pair with an iterable
-    input (else ``ArityMismatch`` naming the row) that is not a string, a
-    mapping or a set (else ``UnknownValue`` naming the row), its arity,
-    each input value against its method's member set (read once per
-    adapter), the duplicate test, then its output sets. An output set given
-    as a list of target values is lifted in place, once per distinct list
-    and target method: a list equal to one already lifted and checked for
-    that method takes its ``frozenset``, since every check would pass (a
-    tuple of strings equals only a tuple of equal strings). Any other
-    output goes to ``_lift_sets``, which words the fault or lifts the
-    collection.
+    input (else ``ArityMismatch``) that is neither a string nor unordered
+    (the order rule, ``_unordered``; else ``UnknownValue``), its arity, each
+    input value against its method's member set, the duplicate test, then
+    its output sets. An output list of target values is lifted once per
+    distinct list and target method; an equal later list takes that
+    ``frozenset``, since every check would pass. Any other output, the
+    default included, goes to ``_lift_sets``, which keeps the same rule
+    and words the fault or lifts the collection.
 
     It is the one row validator for documents and library callers. The
     generator builds ``Adapter`` directly, since the rows it draws come
@@ -402,10 +408,8 @@ def build_adapter(
                 "adapter {!r}: entry {!r} is not a pair of an input tuple and "
                 "output sets", id, row,
             ) from None
-        # A string would be read as its characters, a mapping or a set as
-        # its keys or elements, in an order that may depend on the hash seed.
-        if type(input_values) not in (list, tuple) and isinstance(
-            input_values, (str, Mapping, Set)
+        if type(input_values) not in (list, tuple) and (
+            isinstance(input_values, str) or _unordered(input_values)
         ):
             raise UnknownValue(
                 "adapter {!r}: entry {!r} has an input that is not a list of "

@@ -78,6 +78,7 @@ from .model import (
     Interface,
     _check_vector,
     _Checked,
+    _unordered,
     full_vector,
 )
 from .semantics import (
@@ -422,8 +423,8 @@ def enumerate_chains(
 
 
 def chain_pipeline(graph: AdapterGraph, chain: Iterable[str], source: str) -> AdaptationPipeline:
-    """Build a pipeline from adapter ids starting at ``source``."""
-    if isinstance(chain, str) or not isinstance(chain, Iterable):
+    """Build a pipeline from ``source`` along adapter ids, read in order (``_unordered``)."""
+    if isinstance(chain, str) or _unordered(chain) or not isinstance(chain, Iterable):
         raise InvalidParams("chain {!r} is not a list of adapter ids", chain)
     adapters = []
     for adapter_id in chain:

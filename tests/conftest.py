@@ -28,6 +28,16 @@ VIDEO1_TO_VIDEO2_ROWS = {
     ("MKV", "WAV"): ({"bot", "MP4", "DIVX", "THEORA"}, {"bot"}, {"bot"}, {"bot"}),
 }
 
+# The unordered forms of a list of items, which every reader that keeps
+# its caller's order refuses: a dict (read as its keys), a set, a frozenset
+# and a dict's keys view (each read in an order the hash seed may decide).
+UNORDERED = {
+    "dict": dict.fromkeys,
+    "set": set,
+    "frozenset": frozenset,
+    "keys": lambda items: dict.fromkeys(items).keys(),
+}
+
 # A two-interface, one-adapter graph document.
 MINIMAL = {
     "version": "1",

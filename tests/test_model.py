@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import pytest
 
 from adaptchain import (
@@ -24,7 +26,7 @@ from adaptchain.errors import (
     ValidationError,
     brief,
 )
-from conftest import VIDEO1_TO_VIDEO2_ROWS
+from conftest import UNORDERED, VIDEO1_TO_VIDEO2_ROWS
 
 
 def video1():
@@ -146,7 +148,7 @@ class TestBuildInterface:
             f"interface 'X': methods {methods!r} are not a list of (name, values) pairs"
         )
 
-    @pytest.mark.parametrize("values", ["abc", {"a": 1}, 5])
+    @pytest.mark.parametrize("values", ["abc", {"a": 1}, 5, MappingProxyType({"a": 1})])
     def test_domain_that_is_not_a_list_is_refused(self, values):
         with pytest.raises(UnknownValue) as exc:
             build_interface("X", [("m", values)])
@@ -339,6 +341,90 @@ class TestOutputPool:
         assert adapter.lookup(("b",))[0] == adapter.lookup(("c",))[0] == pooled[0]
         assert adapter.lookup(("d",)) == pooled
         assert all(s is p for s, p in zip(adapter.lookup(("d",)), pooled))
+
+
+class TestOrderRule:
+    """Where the caller's order is read (an interface's methods, a vector's
+    or an output's per-method collections), a mapping or a set is refused
+    with the reader's own message; where it is not (one method's values or
+    one component), a set is read and a mapping of any kind is refused."""
+
+    A = build_interface("A", [("i", ["x", "y"])])
+    # Both methods take both values, so either order of two sets would pass.
+    B = build_interface("B", [("o", ["x", "z"]), ("r", ["x", "z"])])
+    SETS = [("x",), ("z",)]
+
+    @pytest.mark.parametrize("form", UNORDERED)
+    def test_methods_that_are_unordered_are_refused(self, form):
+        methods = UNORDERED[form]([("p", ("x",)), ("q", ("y",))])
+        with pytest.raises(ArityMismatch) as exc:
+            build_interface("I", methods)
+        assert str(exc.value) == (
+            f"interface 'I': methods {brief(methods)} are not a list of (name, "
+            "values) pairs"
+        )
+
+    @pytest.mark.parametrize("form", UNORDERED)
+    def test_vector_sets_that_are_unordered_are_refused(self, form):
+        sets = UNORDERED[form](self.SETS)
+        with pytest.raises(ArityMismatch) as exc:
+            normalize_vector(self.B, sets)
+        assert str(exc.value) == f"interface 'B' has 2 methods, got {brief(sets)}"
+
+    @pytest.mark.parametrize("form", UNORDERED)
+    def test_default_output_that_is_unordered_is_refused(self, form):
+        sets = UNORDERED[form](self.SETS)
+        with pytest.raises(ArityMismatch) as exc:
+            build_adapter("AB", self.A, self.B, [], sets)
+        assert str(exc.value) == (
+            f"adapter 'AB': default output: interface 'B' has 2 methods, got "
+            f"{brief(sets)}"
+        )
+
+    @pytest.mark.parametrize("form", UNORDERED)
+    def test_entry_output_that_is_unordered_is_refused(self, form):
+        sets = UNORDERED[form](self.SETS)
+        with pytest.raises(ArityMismatch) as exc:
+            build_adapter("AB", self.A, self.B, [(["y"], [[], []]), (["x"], sets)])
+        assert str(exc.value) == (
+            f"adapter 'AB': entry ('x',) output: interface 'B' has 2 methods, "
+            f"got {brief(sets)}"
+        )
+
+    def test_a_mapping_proxy_is_not_a_component(self):
+        with pytest.raises(UnknownValue) as exc:
+            normalize_vector(self.B, [MappingProxyType({"x": 1}), []])
+        assert str(exc.value) == (
+            "method 'o' of interface 'B' needs a list of value names, got "
+            "mappingproxy({'x': 1})"
+        )
+
+    @pytest.mark.parametrize("ordered", [
+        list, tuple, lambda items: (item for item in items),
+    ], ids=["list", "tuple", "generator"])
+    def test_ordered_collections_are_still_read(self, ordered):
+        """Lists, tuples and generators are read wherever they were before
+        the rule had one owner, a set still gives one method's values or
+        one component, and a dict's items view gives an adapter's rows."""
+        def sized(items):  # a generator has no length, so a list stands in
+            return items if type(items) in (list, tuple) else list(items)
+
+        interface = build_interface("B", ordered([
+            ("o", ordered(["x", "z"])), ("r", {"x", "z"}),
+        ]))
+        assert interface == self.B
+        assert normalize_vector(self.B, sized(ordered([ordered(["z"]), {"x"}]))) == (
+            normalize_vector(self.B, [["z"], ["x"]])
+        )
+        rows = {("x",): [["z"], ["x"]], ("y",): [[], ["z"]]}
+        adapter = build_adapter("AB", self.A, self.B, ordered([
+            (ordered(input), sized(ordered([ordered(output[0]), set(output[1])])))
+            for input, output in rows.items()
+        ]), sized(ordered([ordered(["x"]), {"z"}])))
+        expected = build_adapter("AB", self.A, self.B, rows.items(), [["x"], ["z"]])
+        assert adapter == expected
+        assert list(expected.table) == [("x",), ("y",)]
+        assert expected.default_output == ({"bot", "x"}, {"bot", "z"})
 
 
 class TestBuildGraph:

@@ -23,14 +23,14 @@ from adaptchain import (
 )
 from adaptchain.errors import (
     ArityMismatch, CapExceeded, InterfaceMismatch, InvalidParams, NoChain, ReservedName,
-    UnknownInterface,
+    UnknownInterface, brief,
 )
 from adaptchain.generator import GenParams, random_instance
 from adaptchain.model import (
     AdapterGraph, AvailabilityVector, Interface, full_vector, normalize_vector,
 )
 from adaptchain.search import WeightMap, UNIT_WEIGHTS, vector_score
-from conftest import lossless_path
+from conftest import UNORDERED, lossless_path
 from generator_reference import SplitMix64
 from search_reference import visited
 
@@ -313,6 +313,23 @@ class TestChainPipeline:
         with pytest.raises(InvalidParams) as exc:
             chain_pipeline(graph, "ab", "A")
         assert str(exc.value) == "chain 'ab' is not a list of adapter ids"
+
+    @pytest.mark.parametrize("form", UNORDERED)
+    def test_an_unordered_chain_is_invalid_params(self, video_graph, form):
+        """A chain is read in order, so a mapping or a set of ids is refused,
+        as an input tuple is, rather than composed in hash-seed order."""
+        chain = UNORDERED[form](["Video1toVideo2", "Video2toVideo3"])
+        with pytest.raises(InvalidParams) as exc:
+            chain_pipeline(video_graph, chain, "Video1")
+        assert str(exc.value) == f"chain {brief(chain)} is not a list of adapter ids"
+
+    @pytest.mark.parametrize("ordered", [
+        list, tuple, lambda items: (item for item in items),
+    ], ids=["list", "tuple", "generator"])
+    def test_an_ordered_chain_is_read_in_order(self, video_graph, ordered):
+        chain = ordered(["Video1toVideo2", "Video2toVideo3"])
+        pipeline = chain_pipeline(video_graph, chain, "Video1")
+        assert (pipeline.source.id, pipeline.target.id) == ("Video1", "Video3")
 
     @pytest.mark.parametrize("chain", [None, 5])
     def test_a_chain_that_is_not_iterable_is_invalid_params(self, video_graph, chain):

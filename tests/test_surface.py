@@ -162,6 +162,28 @@ def test_only_semantics_reads_pipeline_links():
     assert not readers, f"pipeline fields read outside semantics.py: {readers}"
 
 
+def test_only_the_order_rule_tests_for_a_set():
+    """The order rule (a reader that keeps its caller's order refuses a
+    mapping or a set) has one owner, ``model._unordered``: no other code in
+    the package names ``collections.abc.Set`` in an ``isinstance`` or
+    ``issubclass`` test, so each such reader calls the predicate instead of
+    spelling the rule again."""
+    owners = sorted(
+        f"{path.stem}.{function.name}"
+        for path in PACKAGE.glob("*.py")
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", None) in ("isinstance", "issubclass")
+        and any(
+            getattr(node, "id", getattr(node, "attr", None)) in ("Set", "AbstractSet")
+            for arg in call.args[1:] for node in ast.walk(arg)
+        )
+    )
+    assert owners == ["model._unordered"], f"set type tests: {owners}"
+
+
 def test_importing_the_cli_loads_no_rare_path_module():
     """Every command process imports the CLI. ``decimal`` serves only ints
     too long to print and ``fractions`` only weight sums that overflow
